@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Steadiness and comparison of benchmark run sets.
 
-    compare.py collect --workload W [--workload W ...] --seeds 1-10
-                       [--trace 0] [--seconds S] --out runs.jsonl
-        Runs perfbench/run.py once per (workload, seed) and appends one
-        record per run: {"workload", "seed", "trace", "result"}.
+    compare.py collect --workload W [--workload W ...] --seeds 1-10 --out runs.jsonl
+        Runs perfbench/run.py untraced for BENCHMARK.json's run_seconds,
+        once per (workload, seed), and appends one record per run:
+        {"workload", "seed", "result"}.
 
     compare.py steady runs.jsonl
         Per workload and end-to-end metric: median, quartiles, and the
@@ -48,8 +48,7 @@ def load_runs(path):
 def by_workload(runs):
     out = {}
     for r in runs:
-        if r.get("trace", 0) == 0:
-            out.setdefault(r["workload"], []).append(r)
+        out.setdefault(r["workload"], []).append(r)
     for rs in out.values():
         rs.sort(key=lambda r: r["seed"])
     return out
@@ -90,13 +89,14 @@ def verdict(pv, cv, m):
 
 
 def cmd_collect(args):
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        seconds = json.load(f)["run_seconds"]
     lo, _, hi = args.seeds.partition("-")
     with open(args.out, "a") as out:
         for workload in args.workload:
             for seed in range(int(lo), int(hi or lo) + 1):
                 cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
-                       "--seed", str(seed), "--seconds", str(args.seconds),
-                       "--trace", str(args.trace)]
+                       "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
                 proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
                 lines = proc.stdout.strip().splitlines()
                 if proc.returncode != 0 or not lines:
@@ -105,7 +105,7 @@ def cmd_collect(args):
                     return 1
                 result = json.loads(lines[-1])
                 out.write(json.dumps({"workload": workload, "seed": seed,
-                                      "trace": args.trace, "result": result}) + "\n")
+                                      "result": result}) + "\n")
                 out.flush()
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()))
@@ -124,9 +124,7 @@ def cmd_steady(args):
                 continue
             q1, med, q3 = quartiles(vals)
             spread = (q3 - q1) / med if med else float("inf")
-            if name == "setup_s":
-                v = "exempt (median rule only)"
-            elif spread <= m["bound"] / 3:
+            if spread <= m["bound"] / 3:
                 v = "steady"
             elif spread <= m["bound"]:
                 v = "within bound, above a third of it"
@@ -169,8 +167,6 @@ def main():
     c = sub.add_parser("collect")
     c.add_argument("--workload", action="append", required=True)
     c.add_argument("--seeds", default="1-10")
-    c.add_argument("--trace", type=int, default=0)
-    c.add_argument("--seconds", type=int, default=None)
     c.add_argument("--out", required=True)
     s = sub.add_parser("steady")
     s.add_argument("runs")
@@ -179,9 +175,6 @@ def main():
     p.add_argument("change")
     args = ap.parse_args()
     if args.cmd == "collect":
-        if args.seconds is None:
-            with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-                args.seconds = json.load(f)["run_seconds"]
         return cmd_collect(args)
     return cmd_steady(args) if args.cmd == "steady" else cmd_pair(args)
 

@@ -33,10 +33,11 @@ BUILD = os.path.join(ROOT, ".bench_build", "perfbench")
 BINARY = os.path.join(BUILD, "fmm_perfbench")
 WORKLOADS = ("square_large", "rank_k", "serving_mix")
 # Measuring processes per untraced run.  They split the timed seconds, and
-# each measures one cold start, so setup_s is a median over three.
+# each measures one cold start.
 PROCESSES = 3
-# Per-layer metrics computed here from the timed-phase trace file.
-TRACE_METRICS = ("recursive.prep_share", "recursive.update_share", "pool.idle_share")
+# Set-up-only processes after each measuring one: setup_s is the median of
+# PROCESSES * (1 + SETUPS_PER_PROCESS) cold starts spread over the run.
+SETUPS_PER_PROCESS = 2
 DEADLINE_S = 170.0
 
 
@@ -89,6 +90,30 @@ def run_binary(args, deadline):
     if not lines:
         fail(f"{' '.join(args[:3])} printed nothing (exit {proc.returncode})")
     return proc.returncode, json.loads(lines[-1])
+
+
+def hd_quantile(values, p):
+    """The Harrell-Davis estimate of the p-quantile: the order statistics
+    weighted by a Beta((n+1)p, (n+1)(1-p)) density.  It averages over the
+    samples near the quantile instead of picking one, so a tail quantile of
+    a few hundred samples moves less from run to run."""
+    x = sorted(values)
+    n = len(x)
+    if n == 1:
+        return x[0]
+    a, b = (n + 1) * p, (n + 1) * (1 - p)
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    # Order statistics further than 15 standard deviations of the Beta
+    # from p carry no weight; each one's weight is integrated in 16 steps.
+    reach = 15 * math.sqrt(p * (1 - p) / (n + 2))
+    lo, hi = max(0, int((p - reach) * n) - 1), min(n, int((p + reach) * n) + 2)
+    total = acc = 0.0
+    for i in range(lo, hi):
+        w = sum(math.exp(log_norm + (a - 1) * math.log(t) + (b - 1) * math.log1p(-t))
+                for t in ((i + (j + 0.5) / 16) / n for j in range(16)))
+        total += w
+        acc += w * x[i]
+    return acc / total
 
 
 def source_fingerprint():
@@ -165,30 +190,42 @@ def main():
     # trace 0: several measuring processes share the timed seconds; trace 1:
     # one process measures the untraced and the traced workload and the ledger.
     procs = PROCESSES if args.trace == 0 else 1
+    # The traced process measures two timed phases (untraced, then traced).
+    share = args.seconds / (procs if args.trace == 0 else 2)
     recs = []
+    setups = []
+    failures = []
+    latencies = []
     for i in range(procs):
         pdir = os.path.join(out_dir, f"p{i}")
         os.makedirs(pdir, exist_ok=True)
-        code, rec = run_binary(["run"] + common + ["--seconds", repr(args.seconds / procs),
+        code, rec = run_binary(["run"] + common + ["--seconds", repr(share),
                                                    "--trace", str(args.trace), "--out", pdir],
                                deadline)
         recs.append(rec)
-        attempted += rec["attempted"]
-        failed += rec["failed"]
-        correct &= code == 0 and rec["ok"]
+        setups.append(rec["end_to_end"]["setup_s"])
+        with open(os.path.join(pdir, "latency_ms.txt")) as f:
+            latencies += [float(line) for line in f]
+        extra = []
+        if args.trace == 0:
+            extra = [run_binary(["setup"] + common, deadline) for _ in range(SETUPS_PER_PROCESS)]
+            setups += [r["setup_s"] for _, r in extra]
+        for code, r in [(code, rec)] + extra:
+            attempted += r["attempted"]
+            failed += r["failed"]
+            failures += r["failures"]
+            correct &= code == 0 and r["ok"]
     correct &= failed == 0
     rec = recs[0]
-    setups = [r["end_to_end"]["setup_s"] for r in recs]
     timed_seconds = sum(r["samples"]["timed_seconds"] for r in recs)
-    latency_samples = sum(r["samples"]["latency_samples"] for r in recs)
     if args.trace == 0:
-        # gflops is the median pass rate over every process; the other
-        # metrics are medians over the processes (setup_s over their cold
-        # starts).
-        values = {m["name"]: statistics.median(r["end_to_end"][m["name"]] for r in recs)
-                  for m in spec["end_to_end"]}
-        values["gflops"] = statistics.median(
-            g for r in recs for g in r["samples"]["pass_gflops"])
+        values = {
+            "gflops": statistics.median(g for r in recs for g in r["samples"]["pass_gflops"]),
+            "latency_p50_ms": hd_quantile(latencies, 0.50),
+            "latency_p99_ms": hd_quantile(latencies, 0.99),
+            "setup_s": statistics.median(setups),
+            "peak_rss_mb": statistics.median(r["end_to_end"]["peak_rss_mb"] for r in recs),
+        }
         wanted = spec["end_to_end"]
     else:
         values = dict(rec["per_layer"])
@@ -213,29 +250,31 @@ def main():
         with open(os.path.join(HERE, "ledger.json")) as f:
             ledger = json.load(f)
     for name, m in metrics.items():
-        moves = (f"  -> {ledger[name]['moves']} on {', '.join(ledger[name]['on'])}"
-                 if name in ledger else "")
+        moves = ""
+        if name in ledger:
+            entry = ledger[name]
+            moves = (f"  -> {entry['moves']} on {', '.join(entry['on'])}" if entry["moves"]
+                     else "  -> no kept end-to-end metric")
         print(f"  {name:<28} {m['value']:>14.6g} {m['unit']:<9}{moves}")
     print(f"  {'failed_frac':<28} {failed_frac:>14.6g} fraction ({failed} of {attempted} "
           f"requests, every phase)")
     if args.trace == 0:
-        print(f"  latency samples: {latency_samples} over {procs} processes; each metric is "
-              f"the median over the processes; set-up times: "
-              f"{', '.join(f'{s:.3f}' for s in setups)} s")
+        print(f"  latency quantiles over {len(latencies)} requests of {procs} processes; "
+              f"{len(setups)} set-up times: {', '.join(f'{s:.3f}' for s in setups)} s")
     for i, r in enumerate(recs):
         plans = sorted(set(r["plans"].values()))
         print(f"  process {i}: executed plans {plans}")
         if r["plan_changes_timed"]:
             print(f"  process {i}: plan changes during the timed passes: "
                   f"{r['plan_changes_timed']}")
-        for line in r["failures"]:
-            print(f"  FAILED {line}")
+    for line in failures:
+        print(f"  FAILED {line}")
 
     env = dict(rec["env"], commit=commit(), source_sha256=source_fingerprint())
     full = {"workload": args.workload, "seed": args.seed, "trace": args.trace,
             "env": env, "metrics": metrics, "failed_frac": failed_frac,
             "attempted": attempted, "failed": failed, "setup_samples_s": setups,
-            "latency_samples": latency_samples, "processes": recs}
+            "latency_samples": len(latencies), "processes": recs}
     results = os.path.join(BUILD, "results")
     os.makedirs(results, exist_ok=True)
     with open(os.path.join(results, f"{args.workload}-s{args.seed}-t{args.trace}.json"),

@@ -411,7 +411,16 @@ LedgerResult measure_ledger(const Spec& spec, fmm::Engine& engine,
     fmm::Engine::Options fopts = opts;
     fopts.recurse_cutoff = -1;
     fmm::Engine flat(fopts);
-    const double t_default = best_time([&] { engine.multiply(plan, c, a, b); }, 0.0);
+    int calls = 0;
+    const std::uint64_t runs0 = engine.stats().recursive_runs;
+    const double t_default = best_time(
+        [&] {
+          engine.multiply(plan, c, a, b);
+          ++calls;
+        },
+        0.0);
+    M["recursive.runs"] =
+        static_cast<double>(engine.stats().recursive_runs - runs0) / calls;
     const double t_flat = best_time([&] { flat.multiply(plan, c, a, b); }, 0.0);
     M["recursive.speedup_vs_flat"] = t_flat / t_default;
   }

@@ -1,9 +1,12 @@
 #include "runner.h"
 
+#include <sys/prctl.h>
+
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <set>
+#include <thread>
+#include <utility>
 
 #include "check.h"
 #include "src/util/timer.h"
@@ -13,6 +16,9 @@ namespace perfbench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// How long the serving generator sleeps when no in-flight request is done.
+constexpr std::chrono::microseconds kPollInterval(20);
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -82,7 +88,11 @@ fmm::Engine::Options engine_options(const Spec& spec, int nproc) {
 }
 
 Driver::Driver(const Spec& spec, std::uint64_t seed, Operands* ops, Tally* tally)
-    : spec_(spec), seed_(seed), ops_(ops), tally_(tally), rng_(mix(seed, 7)) {}
+    : spec_(spec), seed_(seed), ops_(ops), tally_(tally), rng_(mix(seed, 7)) {
+  // The serving loop's polling sleeps are short; without this the kernel
+  // may stretch each by its default 50 us timer slack.
+  if (spec_.serving) prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+}
 
 void Driver::check(const Request& r, bool ok_status, int levels) {
   const Shape& s = r.shape;
@@ -176,29 +186,35 @@ void Driver::run_serving_pass(fmm::Engine& engine, const std::vector<Request>& p
   const std::size_t depth = static_cast<std::size_t>(spec_.in_flight);
   std::vector<char> ok(pass.size(), 0);
   std::vector<double> lat(pass.size(), 0.0);
-  std::deque<Flight> q;
+  std::vector<Flight> flying;
   std::size_t next = 0;
   const auto round0 = Clock::now();
-  while (next < pass.size() || !q.empty()) {
-    while (q.size() < depth && next < pass.size()) {
+  // Requests of very different sizes finish out of order, so every
+  // in-flight future is polled: a request is stamped the first time it is
+  // seen done and its slot is refilled at once.  Between empty polls the
+  // generator sleeps kPollInterval instead of spinning on a core the pool
+  // workers need; a latency reads at most about that much long.
+  while (next < pass.size() || !flying.empty()) {
+    while (flying.size() < depth && next < pass.size()) {
       const auto t0 = Clock::now();
       fmm::TaskFuture f = submit(pass[next]);
-      q.push_back({std::move(f), next, t0});
+      flying.push_back({std::move(f), next, t0});
       ++next;
     }
-    // FIFO pool, similar sizes: completions mostly arrive in order.  Any
-    // request found done after the oldest one resolves is stamped now.
-    q.front().f.wait();
-    const auto t = Clock::now();
-    for (auto it = q.begin(); it != q.end();) {
-      if (it->f.done()) {
-        lat[it->idx] = ms_between(it->t0, t);
-        ok[it->idx] = it->f.status().ok() ? 1 : 0;
-        it = q.erase(it);
-      } else {
-        ++it;
+    bool any = false;
+    for (std::size_t i = 0; i < flying.size();) {
+      Flight& fl = flying[i];
+      if (!fl.f.done()) {
+        ++i;
+        continue;
       }
+      lat[fl.idx] = ms_between(fl.t0, Clock::now());
+      ok[fl.idx] = fl.f.status().ok() ? 1 : 0;
+      std::swap(fl, flying.back());
+      flying.pop_back();
+      any = true;
     }
+    if (!any) std::this_thread::sleep_for(kPollInterval);
   }
   ph->seconds += std::chrono::duration<double>(Clock::now() - round0).count();
   for (std::size_t i = 0; i < pass.size(); ++i) {

@@ -114,8 +114,9 @@ Spec make_spec(Workload w, int nproc) {
       s.in_flight = std::max(1, nproc);
       s.serving = true;
       s.warmup_cap_s = 2.0;
-      // Under the default parameters every serving shape runs plain gemm,
-      // and the executor cache and shared-B batch path would go unused.
+      // A serving process runs on the engine it calibrated.  (On a 4-core
+      // AVX-512 host every serving shape still chooses plain gemm; each run
+      // records its executed plans.)
       s.time_calibrated = true;
       break;
   }
