@@ -33,11 +33,11 @@ BUILD = os.path.join(ROOT, ".bench_build", "perfbench")
 BINARY = os.path.join(BUILD, "fmm_perfbench")
 WORKLOADS = ("square_large", "rank_k", "serving_mix")
 # Measuring processes per untraced run.  They split the timed seconds, and
-# each measures one cold start.
-PROCESSES = 3
-# Set-up-only processes after each measuring one: setup_s is the median of
-# PROCESSES * (1 + SETUPS_PER_PROCESS) cold starts spread over the run.
-SETUPS_PER_PROCESS = 2
+# each measures one cold start: setup_s is the median of PROCESSES cold
+# starts spread over the run.
+PROCESSES = 5
+# A tail latency is printed only when at least ten samples lie beyond it.
+P99_MIN_SAMPLES = 1000
 DEADLINE_S = 170.0
 
 
@@ -206,23 +206,22 @@ def main():
         setups.append(rec["end_to_end"]["setup_s"])
         with open(os.path.join(pdir, "latency_ms.txt")) as f:
             latencies += [float(line) for line in f]
-        extra = []
-        if args.trace == 0:
-            extra = [run_binary(["setup"] + common, deadline) for _ in range(SETUPS_PER_PROCESS)]
-            setups += [r["setup_s"] for _, r in extra]
-        for code, r in [(code, rec)] + extra:
-            attempted += r["attempted"]
-            failed += r["failed"]
-            failures += r["failures"]
-            correct &= code == 0 and r["ok"]
+        attempted += rec["attempted"]
+        failed += rec["failed"]
+        failures += rec["failures"]
+        correct &= code == 0 and rec["ok"]
     correct &= failed == 0
     rec = recs[0]
     timed_seconds = sum(r["samples"]["timed_seconds"] for r in recs)
+    # p99 is printed and recorded but bounds nothing: rank_k's few hundred
+    # requests leave about three samples beyond it, and on a shared host
+    # those are whichever large requests met a burst of the neighbours'
+    # cache and memory traffic (2-4x slower, for 1-3 s at a time).
+    p99 = hd_quantile(latencies, 0.99) if len(latencies) >= P99_MIN_SAMPLES else None
     if args.trace == 0:
         values = {
             "gflops": statistics.median(g for r in recs for g in r["samples"]["pass_gflops"]),
             "latency_p50_ms": hd_quantile(latencies, 0.50),
-            "latency_p99_ms": hd_quantile(latencies, 0.99),
             "setup_s": statistics.median(setups),
             "peak_rss_mb": statistics.median(r["end_to_end"]["peak_rss_mb"] for r in recs),
         }
@@ -258,6 +257,12 @@ def main():
         print(f"  {name:<28} {m['value']:>14.6g} {m['unit']:<9}{moves}")
     print(f"  {'failed_frac':<28} {failed_frac:>14.6g} fraction ({failed} of {attempted} "
           f"requests, every phase)")
+    if p99 is None:
+        print(f"  {'latency_p99_ms':<28} {'-':>14} ms        not reported: {len(latencies)} "
+              f"samples, fewer than {P99_MIN_SAMPLES}")
+    else:
+        print(f"  {'latency_p99_ms':<28} {p99:>14.6g} ms        over {len(latencies)} samples, "
+              f"no bound")
     if args.trace == 0:
         print(f"  latency quantiles over {len(latencies)} requests of {procs} processes; "
               f"{len(setups)} set-up times: {', '.join(f'{s:.3f}' for s in setups)} s")
@@ -273,6 +278,7 @@ def main():
     env = dict(rec["env"], commit=commit(), source_sha256=source_fingerprint())
     full = {"workload": args.workload, "seed": args.seed, "trace": args.trace,
             "env": env, "metrics": metrics, "failed_frac": failed_frac,
+            "latency_p99_ms": p99,
             "attempted": attempted, "failed": failed, "setup_samples_s": setups,
             "latency_samples": len(latencies), "processes": recs}
     results = os.path.join(BUILD, "results")

@@ -1,13 +1,11 @@
 // fmm_perfbench: the repository benchmark's measuring process.
 //
 //   fmm_perfbench run --workload W --seed S --seconds N --trace 0|1 --out DIR
-//   fmm_perfbench setup --workload W --seed S
 //   fmm_perfbench selftest
 //
 // `run` starts cold and prints one JSON object as its last stdout line: the
 // request tally, the end-to-end metrics (and with trace 1 the per-layer
-// metrics this process measures), and the run environment.  `setup` only
-// measures the cold start and prints its time and the request tally.
+// metrics this process measures), and the run environment.
 // perfbench/run.py builds this binary and assembles the result.
 
 #include <sys/resource.h>
@@ -272,27 +270,6 @@ int cmd_run(const Args& args) {
   return ok ? 0 : 1;
 }
 
-// One more cold start, measured as in `run`, for the median of setup_s.
-int cmd_setup(const Args& args) {
-  const Spec spec = make_spec(args.workload, nproc());
-  Operands ops(spec, args.seed);
-  Tally tally;
-  Driver drv(spec, args.seed, &ops, &tally);
-  double setup_s = 0, calibrate_s = 0;
-  drv.setup(engine_options(spec, nproc()), &setup_s, &calibrate_s);
-  const bool ok = tally.failed == 0;
-  std::printf("%s\n", JsonObject()
-                          .boolean("ok", ok)
-                          .integer("attempted", tally.attempted)
-                          .integer("failed", tally.failed)
-                          .raw("failures", strings_json(tally.failures))
-                          .num("setup_s", setup_s)
-                          .num("calibrate_s", calibrate_s)
-                          .dump()
-                          .c_str());
-  return ok ? 0 : 1;
-}
-
 // --- Self-tests --------------------------------------------------------------
 
 int g_failures = 0;
@@ -378,12 +355,11 @@ int main(int argc, char** argv) {
   Args args;
   if (!parse_args(argc, argv, &args)) {
     std::fprintf(stderr,
-                 "usage: fmm_perfbench run|setup|selftest [--workload W] "
+                 "usage: fmm_perfbench run|selftest [--workload W] "
                  "[--seed S] [--seconds N] [--trace 0|1] [--out DIR]\n");
     return 2;
   }
   if (args.mode == "run") return cmd_run(args);
-  if (args.mode == "setup") return cmd_setup(args);
   if (args.mode == "selftest") return cmd_selftest();
   std::fprintf(stderr, "unknown mode %s\n", args.mode.c_str());
   return 2;

@@ -78,12 +78,16 @@ fmm::Engine::Options engine_options(const Spec& spec, int nproc) {
   if (spec.serving) {
     opts.config.num_threads = 1;
     opts.workers = nproc;
-    // With the online model on, the serial serving shapes keep re-ranking:
-    // 100-170 plan changes over 12-19 s of warm-up, and runs settle on
-    // plan sets whose GFLOP/s differ by +-15%, which would bury any change
-    // to the Engine, caches or pool this workload exists to show.
-    opts.history = false;
   }
+  // The online model stays off on every workload.  On serving_mix the
+  // serial shapes kept re-ranking: 100-170 plan changes over 12-19 s of
+  // warm-up, and runs settled on plan sets whose GFLOP/s differ by +-15%,
+  // which would bury any change to the Engine, caches or pool.  On rank_k a
+  // shape met twice per pass turns confident within a process, and a
+  // measured rate taken while the host is busy can flip its plan for the
+  // rest of that process.  With it off, a shape's plan follows from the
+  // model parameters alone.
+  opts.history = false;
   return opts;
 }
 
