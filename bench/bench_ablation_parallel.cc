@@ -4,14 +4,16 @@
 // cores:
 //   * data-parallel ABC (the paper's scheme: parallel 3rd/2nd loop),
 //   * data-parallel Naive,
-//   * task-parallel (one task per product M_r, serial GEMM inside,
-//     per-C-block locks — the structure of Benson & Ballard [1]).
+//   * task-parallel: one step of the Engine's recursive descent
+//     (src/core/recursive.h) — one TaskPool task per product M_r with a
+//     serial GEMM inside, the C updates ordered by tag dependencies (the
+//     deterministic form of Benson & Ballard's scheme [1]).
 
 #include <cstdio>
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "src/core/task_driver.h"
+#include "src/core/engine.h"
 
 using namespace fmm;
 using namespace fmm::bench;
@@ -35,6 +37,11 @@ int main(int argc, char** argv) {
 
   GemmConfig cfg;  // all cores
   GemmWorkspace ws;
+  // A one-level plan has no level left below its first step, so any cutoff
+  // under min(m, n, k) descends exactly once.
+  Engine::Options task_opts;
+  task_opts.recurse_cutoff = 1;
+  Engine tasks(task_opts);
   std::printf("Parallel-scheme ablation (all cores, GFLOPS): data-parallel "
               "ABC vs data-parallel Naive vs task-parallel\n\n");
 
@@ -52,11 +59,10 @@ int main(int argc, char** argv) {
       Matrix a = Matrix::random(s.m, s.k, 1);
       Matrix b = Matrix::random(s.k, s.n, 2);
       Matrix c = Matrix::zero(s.m, s.n);
-      TaskContext tctx;
       const Plan tplan = make_plan({alg}, Variant::kNaive);
-      fmm_multiply_tasks(tplan, c.view(), a.view(), b.view(), tctx);
+      (void)tasks.multiply(tplan, c.view(), a.view(), b.view());
       const double t_task = best_time_of(opts.reps, [&] {
-        fmm_multiply_tasks(tplan, c.view(), a.view(), b.view(), tctx);
+        (void)tasks.multiply(tplan, c.view(), a.view(), b.view());
       });
       const char* best = t_abc <= t_naive && t_abc <= t_task ? "data ABC"
                          : t_naive <= t_task                 ? "data Naive"

@@ -82,6 +82,16 @@ constexpr std::uint64_t dtype_history_salt(DType dtype) {
   return dtype == DType::kF32 ? 0x6633326b65797aull : 0;
 }
 
+// Element type is a plan property: a request stamps its dtype on its copy
+// of the plan and drops a pinned kernel of the other dtype, so one Plan
+// value serves both precisions without cross-dtype cache hits.
+void stamp_dtype(Plan& plan, DType dtype) {
+  plan.dtype = dtype;
+  if (plan.kernel != nullptr && plan.kernel->dtype != dtype) {
+    plan.kernel = nullptr;
+  }
+}
+
 template <typename T>
 Status validate_triple(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b) {
   if (c.rows() < 0 || c.cols() < 0 || a.rows() < 0 || a.cols() < 0 ||
@@ -525,11 +535,6 @@ void Engine::ensure_plan_space_locked() {
 }
 
 std::shared_ptr<const AutoChoice> Engine::choice_handle(index_t m, index_t n,
-                                                        index_t k) {
-  return choice_handle(m, n, k, DType::kF64);
-}
-
-std::shared_ptr<const AutoChoice> Engine::choice_handle(index_t m, index_t n,
                                                         index_t k,
                                                         DType dtype) {
   const std::array<index_t, 4> key{m, n, k, static_cast<index_t>(dtype)};
@@ -654,10 +659,6 @@ std::shared_ptr<const AutoChoice> Engine::choice_handle(index_t m, index_t n,
   return choice;
 }
 
-AutoChoice Engine::choice_for(index_t m, index_t n, index_t k) {
-  return *choice_handle(m, n, k);
-}
-
 AutoChoice Engine::choice_for(index_t m, index_t n, index_t k, DType dtype) {
   return *choice_handle(m, n, k, dtype);
 }
@@ -677,11 +678,6 @@ Status Engine::calibrate() {
   // The parameters above are already installed regardless: a broken rate
   // cache only costs persistence, not correctness.
   return arch::calibration_file_status();
-}
-
-ModelParams Engine::params() const {
-  std::lock_guard<std::mutex> lk(choice_mu_);
-  return params_;
 }
 
 ModelParams Engine::params(DType dtype) const {
@@ -774,7 +770,8 @@ Status Engine::exec_strided(const Plan* plan, const StridedBatchT<T>& sb,
 // ---------------------------------------------------------------------------
 
 template <typename T>
-RecursiveExecT<T> Engine::recursive_ctx(const GemmConfig& cfg) {
+RecursiveExecT<T> Engine::recursive_ctx(const Plan& plan,
+                                        const GemmConfig& cfg) {
   RecursiveExecT<T> ctx;
   ctx.pool = &pool();
   ctx.buffers = &recurse_buffers_;
@@ -783,18 +780,22 @@ RecursiveExecT<T> Engine::recursive_ctx(const GemmConfig& cfg) {
   // share the executor cache with every other path.  The cached executor's
   // slot pool grows to the worker count once, so concurrent leaf tasks
   // never serialize on workspace leases (nor stall behind a parent call
-  // that holds a slot of the same executor).
+  // that holds a slot of the same executor).  The plan's pinned kernel is
+  // resolved once here, as FmmExecutor does, so the GEMM leaves and fringes
+  // run on it like the plan leaves do.
   GemmConfig leaf_cfg = cfg;
   leaf_cfg.num_threads = 1;
+  if (plan.kernel != nullptr) leaf_cfg.kernel = plan.kernel;
   const int slot_target = std::max(1, ctx.pool->workers());
-  ctx.leaf = [this, leaf_cfg, slot_target](const Plan* plan, MatViewT<T> c,
-                                           ConstMatViewT<T> a,
+  ctx.leaf = [this, leaf_cfg, slot_target](const Plan* leaf_plan,
+                                           MatViewT<T> c, ConstMatViewT<T> a,
                                            ConstMatViewT<T> b) {
-    if (plan == nullptr) {
+    if (leaf_plan == nullptr) {
       gemm(c, a, b, gemm_workspace<T>(), leaf_cfg);
       return;
     }
-    auto exec = executor_for<T>(*plan, c.rows(), c.cols(), a.cols(), leaf_cfg);
+    auto exec =
+        executor_for<T>(*leaf_plan, c.rows(), c.cols(), a.cols(), leaf_cfg);
     exec->ensure_slots(slot_target);
     exec->run(c, a, b);
   };
@@ -815,16 +816,11 @@ TaskFuture Engine::submit_single(const Plan* plan, MatViewT<T> c,
   const std::uint64_t req_t0 = request_start();
   const RequestPath req_path =
       plan != nullptr ? RequestPath::kExplicit : RequestPath::kAuto;
-  // Element type is a plan property: stamp the request's dtype (and drop a
-  // wrong-dtype pinned kernel) on a local copy before any cache keying, so
-  // one Plan value serves both precisions without cross-dtype hits.
+  // Stamp the request's dtype on a local copy before any cache keying.
   Plan stamped;
   if (plan != nullptr && plan->dtype != kDt) {
     stamped = *plan;
-    stamped.dtype = kDt;
-    if (stamped.kernel != nullptr && stamped.kernel->dtype != kDt) {
-      stamped.kernel = nullptr;
-    }
+    stamp_dtype(stamped, kDt);
     plan = &stamped;
   }
   const index_t m = c.rows(), n = c.cols(), k = a.cols();
@@ -841,7 +837,7 @@ TaskFuture Engine::submit_single(const Plan* plan, MatViewT<T> c,
     if (rplan != nullptr && should_recurse(*rplan, m, n, k, recurse_cutoff_)) {
       if (executed != nullptr && choice) *executed = choice;
       recursive_runs_->add();
-      const RecursiveExecT<T> ctx = recursive_ctx<T>(cfg);
+      const RecursiveExecT<T> ctx = recursive_ctx<T>(*rplan, cfg);
       if (TaskPool::on_worker_thread()) {
         // Nested synchronous call from a task body: the bitwise-identical
         // sequential twin (building a graph and blocking this worker on
@@ -896,10 +892,7 @@ TaskFuture Engine::submit_batch(const Plan* plan, const BatchSpec& batch,
   std::shared_ptr<const Plan> plan_copy;
   if (plan != nullptr) {
     Plan p = *plan;
-    if (p.dtype != kDt) {
-      p.dtype = kDt;
-      if (p.kernel != nullptr && p.kernel->dtype != kDt) p.kernel = nullptr;
-    }
+    if (p.dtype != kDt) stamp_dtype(p, kDt);
     plan_copy = std::make_shared<const Plan>(std::move(p));
   }
   const Plan* plan_ptr = plan_copy.get();
@@ -1019,51 +1012,24 @@ TaskFuture Engine::submit_batch(const Plan* plan, const BatchSpec& batch,
 // Public entry points: multiply is submit + wait (one execution path).
 // ---------------------------------------------------------------------------
 
-Status Engine::multiply(const Plan& plan, MatView c, ConstMatView a,
-                        ConstMatView b) {
-  return submit_single<double>(&plan, c, a, b, cfg_, nullptr).status();
+template <typename T>
+Status Engine::multiply(const Plan& plan, MatViewT<T> c,
+                        NonDeduced<ConstMatViewT<T>> a,
+                        NonDeduced<ConstMatViewT<T>> b,
+                        const std::optional<GemmConfig>& cfg) {
+  return submit(plan, c, a, b, cfg).status();
 }
 
-Status Engine::multiply(const Plan& plan, MatView c, ConstMatView a,
-                        ConstMatView b, const GemmConfig& cfg) {
-  return submit_single<double>(&plan, c, a, b, cfg, nullptr).status();
-}
-
-Status Engine::multiply(MatView c, ConstMatView a, ConstMatView b) {
-  return submit_single<double>(nullptr, c, a, b, cfg_, nullptr).status();
-}
-
-Status Engine::multiply(MatView c, ConstMatView a, ConstMatView b,
+template <typename T>
+Status Engine::multiply(MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
+                        NonDeduced<ConstMatViewT<T>> b,
                         std::shared_ptr<const AutoChoice>* executed) {
   // `executed` stays valid for the task's lifetime because this call waits.
-  return submit_single<double>(nullptr, c, a, b, cfg_, executed).status();
-}
-
-Status Engine::multiply(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                        ConstMatViewF32 b) {
-  return submit_single<float>(&plan, c, a, b, cfg_, nullptr).status();
-}
-
-Status Engine::multiply(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                        ConstMatViewF32 b, const GemmConfig& cfg) {
-  return submit_single<float>(&plan, c, a, b, cfg, nullptr).status();
-}
-
-Status Engine::multiply(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b) {
-  return submit_single<float>(nullptr, c, a, b, cfg_, nullptr).status();
-}
-
-Status Engine::multiply(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b,
-                        std::shared_ptr<const AutoChoice>* executed) {
-  return submit_single<float>(nullptr, c, a, b, cfg_, executed).status();
-}
-
-Status Engine::multiply(const Plan& plan, const BatchSpec& batch) {
-  return submit(plan, batch).status();
+  return submit(c, a, b, executed).status();
 }
 
 Status Engine::multiply(const Plan& plan, const BatchSpec& batch,
-                        const GemmConfig& cfg) {
+                        const std::optional<GemmConfig>& cfg) {
   return submit(plan, batch, cfg).status();
 }
 
@@ -1071,44 +1037,27 @@ Status Engine::multiply(const BatchSpec& batch) {
   return submit(batch).status();
 }
 
-TaskFuture Engine::submit(const Plan& plan, MatView c, ConstMatView a,
-                          ConstMatView b) {
-  return submit_single<double>(&plan, c, a, b, cfg_, nullptr);
+template <typename T>
+TaskFuture Engine::submit(const Plan& plan, MatViewT<T> c,
+                          NonDeduced<ConstMatViewT<T>> a,
+                          NonDeduced<ConstMatViewT<T>> b,
+                          const std::optional<GemmConfig>& cfg) {
+  return submit_single<T>(&plan, c, a, b, cfg ? *cfg : cfg_, nullptr);
 }
 
-TaskFuture Engine::submit(const Plan& plan, MatView c, ConstMatView a,
-                          ConstMatView b, const GemmConfig& cfg) {
-  return submit_single<double>(&plan, c, a, b, cfg, nullptr);
-}
-
-TaskFuture Engine::submit(MatView c, ConstMatView a, ConstMatView b) {
-  return submit_single<double>(nullptr, c, a, b, cfg_, nullptr);
-}
-
-TaskFuture Engine::submit(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                          ConstMatViewF32 b) {
-  return submit_single<float>(&plan, c, a, b, cfg_, nullptr);
-}
-
-TaskFuture Engine::submit(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                          ConstMatViewF32 b, const GemmConfig& cfg) {
-  return submit_single<float>(&plan, c, a, b, cfg, nullptr);
-}
-
-TaskFuture Engine::submit(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b) {
-  return submit_single<float>(nullptr, c, a, b, cfg_, nullptr);
-}
-
-TaskFuture Engine::submit(const Plan& plan, const BatchSpec& batch) {
-  return batch.dtype() == DType::kF32
-             ? submit_batch<float>(&plan, batch, cfg_)
-             : submit_batch<double>(&plan, batch, cfg_);
+template <typename T>
+TaskFuture Engine::submit(MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
+                          NonDeduced<ConstMatViewT<T>> b,
+                          std::shared_ptr<const AutoChoice>* executed) {
+  return submit_single<T>(nullptr, c, a, b, cfg_, executed);
 }
 
 TaskFuture Engine::submit(const Plan& plan, const BatchSpec& batch,
-                          const GemmConfig& cfg) {
-  return batch.dtype() == DType::kF32 ? submit_batch<float>(&plan, batch, cfg)
-                                      : submit_batch<double>(&plan, batch, cfg);
+                          const std::optional<GemmConfig>& cfg) {
+  const GemmConfig& run_cfg = cfg ? *cfg : cfg_;
+  return batch.dtype() == DType::kF32
+             ? submit_batch<float>(&plan, batch, run_cfg)
+             : submit_batch<double>(&plan, batch, run_cfg);
 }
 
 TaskFuture Engine::submit(const BatchSpec& batch) {
@@ -1116,6 +1065,30 @@ TaskFuture Engine::submit(const BatchSpec& batch) {
              ? submit_batch<float>(nullptr, batch, cfg_)
              : submit_batch<double>(nullptr, batch, cfg_);
 }
+
+// The single-request front door, for both element types.
+template Status Engine::multiply<double>(const Plan&, MatView, ConstMatView,
+                                         ConstMatView,
+                                         const std::optional<GemmConfig>&);
+template Status Engine::multiply<float>(const Plan&, MatViewF32,
+                                        ConstMatViewF32, ConstMatViewF32,
+                                        const std::optional<GemmConfig>&);
+template Status Engine::multiply<double>(MatView, ConstMatView, ConstMatView,
+                                         std::shared_ptr<const AutoChoice>*);
+template Status Engine::multiply<float>(MatViewF32, ConstMatViewF32,
+                                        ConstMatViewF32,
+                                        std::shared_ptr<const AutoChoice>*);
+template TaskFuture Engine::submit<double>(const Plan&, MatView, ConstMatView,
+                                           ConstMatView,
+                                           const std::optional<GemmConfig>&);
+template TaskFuture Engine::submit<float>(const Plan&, MatViewF32,
+                                          ConstMatViewF32, ConstMatViewF32,
+                                          const std::optional<GemmConfig>&);
+template TaskFuture Engine::submit<double>(MatView, ConstMatView, ConstMatView,
+                                           std::shared_ptr<const AutoChoice>*);
+template TaskFuture Engine::submit<float>(MatViewF32, ConstMatViewF32,
+                                          ConstMatViewF32,
+                                          std::shared_ptr<const AutoChoice>*);
 
 // ---------------------------------------------------------------------------
 // Online performance model plumbing.

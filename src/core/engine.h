@@ -2,12 +2,8 @@
 
 // fmm::Engine — the one public handle for serving FMM traffic.
 //
-// Before this layer the repo had three competing amortization stories:
-// fmm_multiply's single-entry FmmContext cache (one shape at a time, one
-// thread at a time), raw FmmExecutor construction (caller-managed, one
-// shape per object), and AutoMultiplier's private per-shape maps (unbounded,
-// single-caller).  None could be shared between host threads or serve a
-// mixed-shape request stream.  Engine owns all of it:
+// One Engine amortizes every per-shape cost across a request stream that
+// may mix shapes, plans, element types and host threads:
 //
 //   * a bounded, mutex-sharded, LRU-evicting **executor cache** keyed by
 //     (plan — exact coefficient compare, m/n/k, requested GemmConfig).
@@ -18,8 +14,7 @@
 //
 //   * an **explicit-plan path** (multiply(plan, C, A, B)) and an **auto
 //     path** (multiply(C, A, B)) that delegates shape -> algorithm choice
-//     to the performance model, with a bounded LRU per-shape choice cache
-//     (AutoMultiplier's old unbounded std::map, absorbed and capped).
+//     to the performance model, with a bounded LRU per-shape choice cache.
 //
 //   * **batches** described by BatchSpec: per-item views, a strided or
 //     interleaved layout (base pointer + batch stride per operand, expanded
@@ -63,9 +58,6 @@
 //   engine.multiply(plan, BatchSpec::strided(sb));    // strided layout
 //   TaskFuture f = engine.submit(plan, C, A, B);      // async; f.status()
 //   engine.wait_all();                                // drain every submit
-//
-// fmm_multiply (driver.h) and AutoMultiplier (model/auto.h) survive as
-// thin deprecated shims over a process-default Engine / an owned Engine.
 
 #include <array>
 #include <atomic>
@@ -74,6 +66,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/core/executor.h"
@@ -86,8 +79,7 @@
 
 namespace fmm {
 
-// The auto path's per-shape decision (moved here from model/auto.h; that
-// header re-exports it for source compatibility).
+// The auto path's per-shape decision.
 struct AutoChoice {
   bool use_gemm = true;      // conventional GEMM won the model ranking
   std::optional<Plan> plan;  // set when use_gemm == false
@@ -109,8 +101,8 @@ struct AutoChoice {
 //                  (StridedBatch, executor.h); a single shape, expanded
 //                  index-by-index without materializing views.
 //
-// Both layouts exist for double (BatchItem / StridedBatch) and float
-// (BatchItemF32 / StridedBatchF32) operands; the factory overloads record
+// Both layouts exist for both element types (BatchItem / StridedBatch for
+// double, BatchItemF32 / StridedBatchF32 for float); the factories record
 // the element type and Engine::multiply dispatches on dtype().  A batch is
 // homogeneous in element type — mixed-precision traffic is separate calls.
 //
@@ -119,38 +111,25 @@ class BatchSpec {
  public:
   BatchSpec() = default;
 
-  static BatchSpec items(const BatchItem* items, std::size_t count) {
+  template <typename T>
+  static BatchSpec items(const BatchItemT<T>* items, std::size_t count) {
     BatchSpec s;
     s.items_ = items;
     s.count_ = count;
+    s.dtype_ = DTypeOf<T>::value;
     return s;
   }
-  static BatchSpec items(const std::vector<BatchItem>& v) {
+  template <typename T>
+  static BatchSpec items(const std::vector<BatchItemT<T>>& v) {
     return items(v.data(), v.size());
   }
-  static BatchSpec strided(const StridedBatch& sb) {
+  template <typename T>
+  static BatchSpec strided(const StridedBatchT<T>& sb) {
     BatchSpec s;
     s.strided_ = sb;
     s.is_strided_ = true;
     s.count_ = sb.count;
-    return s;
-  }
-  static BatchSpec items(const BatchItemF32* items, std::size_t count) {
-    BatchSpec s;
-    s.items_ = items;
-    s.count_ = count;
-    s.dtype_ = DType::kF32;
-    return s;
-  }
-  static BatchSpec items(const std::vector<BatchItemF32>& v) {
-    return items(v.data(), v.size());
-  }
-  static BatchSpec strided(const StridedBatchF32& sb) {
-    BatchSpec s;
-    s.strided_f32_ = sb;
-    s.is_strided_ = true;
-    s.count_ = sb.count;
-    s.dtype_ = DType::kF32;
+    s.dtype_ = DTypeOf<T>::value;
     return s;
   }
 
@@ -163,28 +142,17 @@ class BatchSpec {
     return static_cast<const BatchItemT<T>*>(items_);
   }
   template <typename T>
-  const StridedBatchT<T>& strided_as() const;
-  // Legacy f64 accessors.
-  const BatchItem* item_data() const { return items_as<double>(); }
-  const StridedBatch& strided_desc() const { return strided_; }
+  const StridedBatchT<T>& strided_as() const {
+    return std::get<StridedBatchT<T>>(strided_);
+  }
 
  private:
   const void* items_ = nullptr;
   std::size_t count_ = 0;
-  StridedBatch strided_{};
-  StridedBatchF32 strided_f32_{};
+  std::variant<StridedBatch, StridedBatchF32> strided_;
   bool is_strided_ = false;
   DType dtype_ = DType::kF64;
 };
-
-template <>
-inline const StridedBatchT<double>& BatchSpec::strided_as<double>() const {
-  return strided_;
-}
-template <>
-inline const StridedBatchT<float>& BatchSpec::strided_as<float>() const {
-  return strided_f32_;
-}
 
 class Engine {
  public:
@@ -286,68 +254,63 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // --- Explicit-plan path -------------------------------------------------
-  // C += A * B through the cached executor for (plan, shape, config).
-  // Element type is a runtime plan property: the float overloads stamp
-  // DType::kF32 on their copy of the plan (double stamps kF64), so one
+  // --- Single requests ----------------------------------------------------
+  // C += A * B.  The element type T (double or float; instantiated in
+  // engine.cc) is deduced from C alone: A and B are non-deduced, so
+  // writable views bind there too.  Element type is a runtime plan
+  // property: the call stamps DTypeOf<T> on its copy of the plan, so one
   // Plan value may serve both precisions while the executor cache, choice
   // cache and history keys stay strictly per-dtype.
-  Status multiply(const Plan& plan, MatView c, ConstMatView a, ConstMatView b);
-  // Per-call config override (keys the cache alongside the plan and shape).
-  Status multiply(const Plan& plan, MatView c, ConstMatView a, ConstMatView b,
-                  const GemmConfig& cfg);
-  Status multiply(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                  ConstMatViewF32 b);
-  Status multiply(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                  ConstMatViewF32 b, const GemmConfig& cfg);
-
-  // --- Auto path ----------------------------------------------------------
-  // C += A * B with the model-selected algorithm for the shape (cached
+  //
+  // Explicit plan, through the cached executor for (plan, shape, config).
+  // `cfg` replaces the engine's config for this call (and keys the cache
+  // alongside the plan and shape).
+  template <typename T>
+  Status multiply(const Plan& plan, MatViewT<T> c,
+                  NonDeduced<ConstMatViewT<T>> a,
+                  NonDeduced<ConstMatViewT<T>> b,
+                  const std::optional<GemmConfig>& cfg = std::nullopt);
+  // Auto path: the model-selected algorithm for the shape (cached
   // per-shape decision; compiled executors shared with the explicit path).
-  Status multiply(MatView c, ConstMatView a, ConstMatView b);
-  // As above, and reports the decision this call executed through
-  // `executed` (a shared snapshot; same single cache lookup the execution
-  // uses, so it is exactly what ran).  `executed` may be null; it is left
-  // untouched when validation rejects the request.
-  Status multiply(MatView c, ConstMatView a, ConstMatView b,
-                  std::shared_ptr<const AutoChoice>* executed);
-  Status multiply(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b);
-  Status multiply(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b,
-                  std::shared_ptr<const AutoChoice>* executed);
+  // A non-null `executed` receives the decision this call executed (a
+  // shared snapshot from the same single cache lookup the execution uses,
+  // so it is exactly what ran); it is left untouched when validation
+  // rejects the request.
+  template <typename T>
+  Status multiply(MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
+                  NonDeduced<ConstMatViewT<T>> b,
+                  std::shared_ptr<const AutoChoice>* executed = nullptr);
 
   // --- Batches ------------------------------------------------------------
   // Every item through the one plan; cross-shape item batches are grouped
   // by shape, one cached executor per group.  The BatchSpec carries its
-  // element type (see the f32 factory overloads above), so these entry
-  // points serve both precisions.
-  Status multiply(const Plan& plan, const BatchSpec& batch);
+  // element type, so these serve every precision.
   Status multiply(const Plan& plan, const BatchSpec& batch,
-                  const GemmConfig& cfg);
+                  const std::optional<GemmConfig>& cfg = std::nullopt);
   // Auto-selected per shape group.
   Status multiply(const BatchSpec& batch);
 
   // --- Async surface ------------------------------------------------------
-  // Every submit mirrors a multiply overload: validation runs now (an
-  // invalid request returns an already-resolved future), the arithmetic
-  // runs on the engine's task pool, and the future resolves when it
-  // finishes.  Operand buffers must stay alive and unmodified until then;
-  // the Plan and any item array are copied, so *they* need not outlive the
-  // call.  A cross-shape item batch fans out one task per shape group and
-  // the returned future resolves when the whole batch is done.  Results
-  // are bitwise identical to the synchronous forms.
-  TaskFuture submit(const Plan& plan, MatView c, ConstMatView a,
-                    ConstMatView b);
-  TaskFuture submit(const Plan& plan, MatView c, ConstMatView a,
-                    ConstMatView b, const GemmConfig& cfg);
-  TaskFuture submit(MatView c, ConstMatView a, ConstMatView b);
-  TaskFuture submit(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                    ConstMatViewF32 b);
-  TaskFuture submit(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                    ConstMatViewF32 b, const GemmConfig& cfg);
-  TaskFuture submit(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b);
-  TaskFuture submit(const Plan& plan, const BatchSpec& batch);
+  // Every submit mirrors a multiply form: validation runs now (an invalid
+  // request returns an already-resolved future), the arithmetic runs on
+  // the engine's task pool, and the future resolves when it finishes.
+  // Operand buffers — and a non-null `executed` — must stay alive and
+  // untouched until then; the Plan and any item array are copied, so
+  // *they* need not outlive the call.  A cross-shape item batch fans out
+  // one task per shape group and the returned future resolves when the
+  // whole batch is done.  Results are bitwise identical to the synchronous
+  // forms.
+  template <typename T>
+  TaskFuture submit(const Plan& plan, MatViewT<T> c,
+                    NonDeduced<ConstMatViewT<T>> a,
+                    NonDeduced<ConstMatViewT<T>> b,
+                    const std::optional<GemmConfig>& cfg = std::nullopt);
+  template <typename T>
+  TaskFuture submit(MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
+                    NonDeduced<ConstMatViewT<T>> b,
+                    std::shared_ptr<const AutoChoice>* executed = nullptr);
   TaskFuture submit(const Plan& plan, const BatchSpec& batch,
-                    const GemmConfig& cfg);
+                    const std::optional<GemmConfig>& cfg = std::nullopt);
   TaskFuture submit(const BatchSpec& batch);
   // Blocks until every task this engine has submitted (from any thread)
   // has finished.
@@ -355,19 +318,17 @@ class Engine {
 
   // --- Auto-path inspection / control -------------------------------------
   // The decision multiply() would take for a shape (computed and cached on
-  // first use).  Returned by value: the underlying cache entry may be
-  // evicted at any time.  The dtype overloads rank within that element
-  // type's kernel family under its own model parameters; the dtype-less
-  // forms are the f64 decision.
-  AutoChoice choice_for(index_t m, index_t n, index_t k);
-  AutoChoice choice_for(index_t m, index_t n, index_t k, DType dtype);
+  // first use), ranked within `dtype`'s kernel family under its own model
+  // parameters.  Returned by value: the underlying cache entry may be
+  // evicted at any time.
+  AutoChoice choice_for(index_t m, index_t n, index_t k,
+                        DType dtype = DType::kF64);
   // Allocation-free-on-hit variant: a shared snapshot of the cached
   // decision (stays valid across eviction; never null).  The hot-path form
   // for callers that query per call.
   std::shared_ptr<const AutoChoice> choice_handle(index_t m, index_t n,
-                                                  index_t k);
-  std::shared_ptr<const AutoChoice> choice_handle(index_t m, index_t n,
-                                                  index_t k, DType dtype);
+                                                  index_t k,
+                                                  DType dtype = DType::kF64);
   // Measure machine parameters for the model (~1 s, once; both element
   // types).  Clears the choice cache — decisions made under the old
   // parameters are stale.  Returns the calibration-cache file status
@@ -375,8 +336,8 @@ class Engine {
   // best-effort, a non-OK Status means the *persisted* rate cache is not
   // working.
   Status calibrate();
-  ModelParams params() const;
-  ModelParams params(DType dtype) const;
+  // The model parameters the auto path ranks `dtype` requests with.
+  ModelParams params(DType dtype = DType::kF64) const;
 
   // --- Online performance model -------------------------------------------
   // The history store: measured per-(plan, shape-bucket, kernel, threads)
@@ -444,7 +405,7 @@ class Engine {
                                                 index_t n, index_t k,
                                                 const GemmConfig& cfg);
   // submit_* validate, then either queue the work or (on a pool worker
-  // thread) run exec_* inline; every multiply/submit overload lands here.
+  // thread) run exec_* inline; every multiply/submit form lands here.
   template <typename T>
   TaskFuture submit_single(const Plan* plan, MatViewT<T> c, ConstMatViewT<T> a,
                            ConstMatViewT<T> b, const GemmConfig& cfg,
@@ -464,13 +425,14 @@ class Engine {
   Status exec_strided(const Plan* plan, const StridedBatchT<T>& sb,
                       const GemmConfig& cfg);
   TaskPool& pool();
-  // The leaf/buffer/cutoff bundle the recursive descent runs with under
+  // The leaf/buffer/cutoff bundle a descent of `plan` runs with under
   // `cfg`: leaves execute serially through the executor cache (plain GEMM
   // for nullptr plans and fringes), growing the cached executor's slot
   // pool to the worker count so concurrent leaf tasks never serialize on
-  // workspace leases.
+  // workspace leases.  The plan's pinned kernel, if any, replaces the
+  // config's for every leaf, GEMM leaves and fringes included.
   template <typename T>
-  RecursiveExecT<T> recursive_ctx(const GemmConfig& cfg);
+  RecursiveExecT<T> recursive_ctx(const Plan& plan, const GemmConfig& cfg);
   void ensure_plan_space_locked();
   // Builds the gemm footprint key under a per-call config and element type
   // (the f32 key is dtype-salted and names the f32 kernel's cache key).
@@ -559,9 +521,9 @@ class Engine {
   obs::Counter* history_overrides_ = nullptr;
 };
 
-// The process-default Engine (default Options), used by the deprecated
-// fmm_multiply shim.  Constructed on first use, never destroyed before
-// program exit.
+// The process-default Engine (default Options), for callers that need no
+// configuration of their own.  Constructed on first use, never destroyed
+// before program exit.
 Engine& default_engine();
 
 }  // namespace fmm

@@ -2,10 +2,10 @@
 
 // Compile-once / run-many FMM execution — the serving path.
 //
-// fmm_multiply (driver.h) re-derives everything shape-dependent on every
-// call: it resolves blocking against the machine, installs the plan's
-// kernel, gathers the non-zero coefficient terms of U, V, W per product r,
-// regrows workspaces, and computes the peeling decomposition.  For one big
+// Executing a plan means deriving everything shape-dependent: resolving
+// blocking against the machine, installing the plan's kernel, gathering
+// the non-zero coefficient terms of U, V, W per product r, sizing
+// workspaces, and computing the peeling decomposition.  For one big
 // multiply that setup is noise; for millions of small-to-medium calls it
 // dominates (Benson & Ballard, SC'14: fast-matmul wins at modest sizes
 // exactly when framework overheads are amortized).
@@ -23,8 +23,8 @@
 // run() then does zero allocation and zero re-derivation, and is safe to
 // call from multiple host threads concurrently: each call leases a
 // workspace slot from a fixed pool (blocking briefly when more host
-// threads than slots arrive).  Arithmetic is bitwise identical to
-// fmm_multiply with the same plan and config.
+// threads than slots arrive).  The arithmetic is fixed at construction:
+// repeated runs on the same operands give the same bits.
 //
 // run_batch() executes many operand triples against the one compiled plan.
 // For small shapes (too few i_c blocks to feed the threads — the same

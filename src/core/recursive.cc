@@ -242,43 +242,69 @@ void prep_product(Node<T>& node, int r) {
   rb.mv = MatViewT<T>(mp, ms, ns, ns);
 }
 
+// The plan one step hands its products: the remaining levels, carrying
+// every execution property of the parent (variant, pinned kernel, element
+// type).  Null when the step consumed the last level.
+std::shared_ptr<const Plan> child_plan(const Plan& plan) {
+  if (plan.num_levels() <= 1) return nullptr;
+  Plan child = make_plan(
+      std::vector<FmmAlgorithm>(plan.levels.begin() + 1, plan.levels.end()),
+      plan.variant);
+  child.kernel = plan.kernel;
+  child.dtype = plan.dtype;
+  return std::make_shared<const Plan>(std::move(child));
+}
+
+// Sets up one step of `plan` over C += A * B: the consumed outermost
+// level, the child plan, the quadrant sizes of the divisible interior, and
+// whether the products descend further.  Shared by both drivers.
+template <typename T>
+void init_node(Node<T>& node, const RecursiveExecT<T>& ctx, const Plan& plan,
+               MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b,
+               int depth) {
+  const FmmAlgorithm& alg = plan.levels.front();
+  node.ctx = ctx;
+  node.alg = alg;
+  node.child = child_plan(plan);
+  node.c = c;
+  node.a = a;
+  node.b = b;
+  node.ms = c.rows() / alg.mt;
+  node.ks = a.cols() / alg.kt;
+  node.ns = c.cols() / alg.nt;
+  node.depth = depth;
+  node.rb.resize(static_cast<std::size_t>(alg.R));
+  node.descend = node.child != nullptr &&
+                 should_recurse(*node.child, node.ms, node.ns, node.ks,
+                                ctx.cutoff);
+}
+
+// The non-empty fringe GEMMs that complete the node's divisible interior.
+template <typename T>
+std::vector<PeelPiece> fringe_pieces(const Node<T>& node) {
+  std::vector<PeelPiece> pieces = peel_pieces(
+      node.c.rows(), node.c.cols(), node.a.cols(), node.ms * node.alg.mt,
+      node.ns * node.alg.nt, node.ks * node.alg.kt);
+  pieces.erase(std::remove_if(pieces.begin(), pieces.end(),
+                              [](const PeelPiece& p) {
+                                return p.m1 <= p.m0 || p.n1 <= p.n0 ||
+                                       p.k1 <= p.k0;
+                              }),
+               pieces.end());
+  return pieces;
+}
+
 // Builds one expanded step plus its children on ctx.pool.  The finalizer
 // task carries `done_tag` and its future is the node's completion.
 template <typename T>
-TaskFuture build_node(const RecursiveExecT<T>& ctx,
-                      std::shared_ptr<const Plan> plan, MatViewT<T> c,
-                      ConstMatViewT<T> a, ConstMatViewT<T> b, int depth,
-                      TaskTag done_tag) {
+TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
+                      MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b,
+                      int depth, TaskTag done_tag) {
   TaskPool& pool = *ctx.pool;
-  const FmmAlgorithm& alg = plan->levels.front();
-  const index_t m = c.rows(), n = c.cols(), k = a.cols();
-  const index_t m1 = m - m % alg.mt;
-  const index_t k1 = k - k % alg.kt;
-  const index_t n1 = n - n % alg.nt;
-  const int R = alg.R;
-
   auto node = std::make_shared<Node<T>>();
-  node->ctx = ctx;
-  node->alg = alg;
-  if (plan->num_levels() > 1) {
-    Plan childp = make_plan(
-        std::vector<FmmAlgorithm>(plan->levels.begin() + 1,
-                                  plan->levels.end()),
-        plan->variant);
-    childp.kernel = plan->kernel;
-    node->child = std::make_shared<const Plan>(std::move(childp));
-  }
-  node->c = c;
-  node->a = a;
-  node->b = b;
-  node->ms = m1 / alg.mt;
-  node->ks = k1 / alg.kt;
-  node->ns = n1 / alg.nt;
-  node->depth = depth;
-  node->rb.resize(static_cast<std::size_t>(R));
-  node->descend = node->child != nullptr &&
-                  should_recurse(*node->child, node->ms, node->ns, node->ks,
-                                 ctx.cutoff);
+  init_node(*node, ctx, plan, c, a, b, depth);
+  const FmmAlgorithm& alg = node->alg;
+  const int R = alg.R;
 
   // The memory throttle: at most `window` products of this node hold
   // buffers at once (prep_r waits for release[r - window]).
@@ -315,7 +341,7 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx,
           }
           auto& rb = node->rb[static_cast<std::size_t>(r)];
           if (node->descend) {
-            build_node(node->ctx, node->child, rb.mv, rb.sv, rb.tv,
+            build_node(node->ctx, *node->child, rb.mv, rb.sv, rb.tv,
                        node->depth + 1, mt);
           } else {
             obs::TraceScope leaf("recurse.leaf", "recurse");
@@ -381,8 +407,7 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx,
   // follow every update chain; the n/m fringes write disjoint regions and
   // run free.
   std::vector<TaskTag> fin_deps = chain_last;
-  for (const PeelPiece& p : peel_pieces(m, n, k, m1, n1, k1)) {
-    if (p.m1 <= p.m0 || p.n1 <= p.n0 || p.k1 <= p.k0) continue;
+  for (const PeelPiece& p : fringe_pieces(*node)) {
     TaskOptions po;
     po.tag = pool.fresh_tag();
     po.priority = depth;
@@ -416,36 +441,11 @@ template <typename T>
 void run_node_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
                          MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b,
                          int depth) {
-  const FmmAlgorithm& alg = plan.levels.front();
-  const index_t m = c.rows(), n = c.cols(), k = a.cols();
-  const index_t m1 = m - m % alg.mt;
-  const index_t k1 = k - k % alg.kt;
-  const index_t n1 = n - n % alg.nt;
-  const int R = alg.R;
-
   Node<T> node;
-  node.ctx = ctx;
-  node.alg = alg;
-  if (plan.num_levels() > 1) {
-    Plan childp = make_plan(
-        std::vector<FmmAlgorithm>(plan.levels.begin() + 1, plan.levels.end()),
-        plan.variant);
-    childp.kernel = plan.kernel;
-    node.child = std::make_shared<const Plan>(std::move(childp));
-  }
-  node.c = c;
-  node.a = a;
-  node.b = b;
-  node.ms = m1 / alg.mt;
-  node.ks = k1 / alg.kt;
-  node.ns = n1 / alg.nt;
-  node.depth = depth;
-  node.rb.resize(static_cast<std::size_t>(R));
-  node.descend =
-      node.child != nullptr &&
-      should_recurse(*node.child, node.ms, node.ns, node.ks, ctx.cutoff);
+  init_node(node, ctx, plan, c, a, b, depth);
+  const FmmAlgorithm& alg = node.alg;
 
-  for (int r = 0; r < R; ++r) {
+  for (int r = 0; r < alg.R; ++r) {
     prep_product(node, r);
     auto& rb = node.rb[static_cast<std::size_t>(r)];
     if (node.descend) {
@@ -463,8 +463,7 @@ void run_node_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
     rb = typename Node<T>::RBuf{};  // recycle before the next product
   }
 
-  for (const PeelPiece& p : peel_pieces(m, n, k, m1, n1, k1)) {
-    if (p.m1 <= p.m0 || p.n1 <= p.n0 || p.k1 <= p.k0) continue;
+  for (const PeelPiece& p : fringe_pieces(node)) {
     ctx.leaf(nullptr, c.block(p.m0, p.n0, p.m1 - p.m0, p.n1 - p.n0),
              a.block(p.m0, p.k0, p.m1 - p.m0, p.k1 - p.k0),
              b.block(p.k0, p.n0, p.k1 - p.k0, p.n1 - p.n0));
@@ -475,18 +474,17 @@ void run_node_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
 
 template <typename T>
 TaskFuture submit_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
-                            MatViewT<T> c, ConstMatViewT<T> a,
-                            ConstMatViewT<T> b) {
+                            MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
+                            NonDeduced<ConstMatViewT<T>> b) {
   assert(ctx.pool != nullptr && ctx.buffers != nullptr && ctx.leaf);
   assert(should_recurse(plan, c.rows(), c.cols(), a.cols(), ctx.cutoff));
-  return build_node(ctx, std::make_shared<const Plan>(plan), c, a, b,
-                    /*depth=*/0, ctx.pool->fresh_tag());
+  return build_node(ctx, plan, c, a, b, /*depth=*/0, ctx.pool->fresh_tag());
 }
 
 template <typename T>
 void run_recursive_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
-                              MatViewT<T> c, ConstMatViewT<T> a,
-                              ConstMatViewT<T> b) {
+                              MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
+                              NonDeduced<ConstMatViewT<T>> b) {
   assert(ctx.buffers != nullptr && ctx.leaf);
   assert(should_recurse(plan, c.rows(), c.cols(), a.cols(), ctx.cutoff));
   run_node_sequential(ctx, plan, c, a, b, /*depth=*/0);

@@ -161,11 +161,12 @@ bool should_recurse(const Plan& plan, index_t m, index_t n, index_t k,
 // finalizer's future (resolves when every update and peel piece has
 // landed).  Callers must keep the operand buffers alive until then; `plan`
 // is copied.  Requires should_recurse(plan, ...) — callers route
-// non-qualifying shapes to a flat executor instead.
+// non-qualifying shapes to a flat executor instead.  A and B are
+// non-deduced, so writable views bind there too.
 template <typename T>
 TaskFuture submit_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
-                            MatViewT<T> c, ConstMatViewT<T> a,
-                            ConstMatViewT<T> b);
+                            MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
+                            NonDeduced<ConstMatViewT<T>> b);
 
 // The sequential twin: the same decomposition, leaf calls, and per-element
 // update order executed inline on the calling thread — bitwise identical
@@ -174,31 +175,8 @@ TaskFuture submit_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
 // and as the determinism oracle in tests.  ctx.pool may be null.
 template <typename T>
 void run_recursive_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
-                              MatViewT<T> c, ConstMatViewT<T> a,
-                              ConstMatViewT<T> b);
-
-// Non-template overloads so call sites can pass writable views where a
-// const view is expected (template deduction will not apply the implicit
-// MatView -> ConstMatView conversion).
-inline TaskFuture submit_recursive(const RecursiveExec& ctx, const Plan& plan,
-                                   MatView c, ConstMatView a, ConstMatView b) {
-  return submit_recursive<double>(ctx, plan, c, a, b);
-}
-inline TaskFuture submit_recursive(const RecursiveExecF32& ctx,
-                                   const Plan& plan, MatViewF32 c,
-                                   ConstMatViewF32 a, ConstMatViewF32 b) {
-  return submit_recursive<float>(ctx, plan, c, a, b);
-}
-inline void run_recursive_sequential(const RecursiveExec& ctx,
-                                     const Plan& plan, MatView c,
-                                     ConstMatView a, ConstMatView b) {
-  run_recursive_sequential<double>(ctx, plan, c, a, b);
-}
-inline void run_recursive_sequential(const RecursiveExecF32& ctx,
-                                     const Plan& plan, MatViewF32 c,
-                                     ConstMatViewF32 a, ConstMatViewF32 b) {
-  run_recursive_sequential<float>(ctx, plan, c, a, b);
-}
+                              MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
+                              NonDeduced<ConstMatViewT<T>> b);
 
 extern template TaskFuture submit_recursive<double>(
     const RecursiveExecT<double>&, const Plan&, MatViewT<double>,

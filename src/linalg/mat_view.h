@@ -99,4 +99,15 @@ using MatView = MatViewT<double>;
 using ConstMatViewF32 = ConstMatViewT<float>;
 using MatViewF32 = MatViewT<float>;
 
+// Blocks template argument deduction through one parameter (C++20's
+// std::type_identity_t).  Entry points that deduce T from their MatViewT<T>
+// output take the inputs as NonDeduced<ConstMatViewT<T>>, so a writable
+// MatViewT<T> still binds there through the implicit conversion above.
+template <typename T>
+struct TypeIdentity {
+  using type = T;
+};
+template <typename T>
+using NonDeduced = typename TypeIdentity<T>::type;
+
 }  // namespace fmm

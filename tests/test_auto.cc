@@ -1,7 +1,6 @@
 // Engine auto-path tests: correctness, gemm fallback on small problems,
 // decision caching, shape-sensitivity of the choice, and the executed-
-// decision report.  (The deprecated AutoMultiplier wrapper over this path
-// is covered in test_shims.cc.)
+// decision report.
 
 #include <gtest/gtest.h>
 

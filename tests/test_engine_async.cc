@@ -55,9 +55,16 @@ TEST(EngineAsyncSingle, AutoPathSubmit) {
   const index_t n = 64;
   Matrix a = Matrix::random(n, n, 3), b = Matrix::random(n, n, 4);
   Matrix c_sync = Matrix::zero(n, n), c_async = Matrix::zero(n, n);
-  ASSERT_TRUE(engine.multiply(c_sync.view(), a.view(), b.view()).ok());
-  ASSERT_TRUE(engine.submit(c_async.view(), a.view(), b.view()).status().ok());
+  std::shared_ptr<const AutoChoice> sync_choice, async_choice;
+  ASSERT_TRUE(
+      engine.multiply(c_sync.view(), a.view(), b.view(), &sync_choice).ok());
+  ASSERT_TRUE(engine.submit(c_async.view(), a.view(), b.view(), &async_choice)
+                  .status()
+                  .ok());
   EXPECT_TRUE(bitwise_equal(c_sync, c_async));
+  // The async form reports the decision it executed, like the sync one.
+  ASSERT_NE(async_choice, nullptr);
+  EXPECT_EQ(async_choice->description, sync_choice->description);
 }
 
 TEST(EngineAsyncSingle, PerCallConfigSubmit) {

@@ -32,6 +32,7 @@ using test::random_problem_f32;
 using test::RandomProblem;
 using test::RandomProblemF32;
 using test::tol_classical_f32;
+using test::tol_for;
 using test::tol_for_f32;
 
 class ScopedEnv {
@@ -328,6 +329,38 @@ TEST(MixedDtype, ExecutorCacheNeverCrossesDtypes) {
   auto s3 = engine.stats();
   EXPECT_EQ(s3.misses, 2u);
   EXPECT_EQ(s3.hits, 2u);
+}
+
+// A descent that stops above the leaf cutoff hands the remaining level to
+// a cached executor leaf.  The child plan must keep the request's dtype:
+// the f32 leaf executor once landed under an f64 key, and a later f64
+// request of the leaf shape then ran it as an FmmExecutorT<double>.
+TEST(MixedDtype, RecursivePlanLeavesKeepTheirDtype) {
+  Engine::Options o;
+  o.recurse_cutoff = 50;     // 96 -> one step -> 48^3 one-level plan leaves
+  o.config.num_threads = 1;  // the leaves' config, so a 48^3 call keys alike
+  Engine engine(o);
+  const index_t n = 96, leaf = 48;
+  RandomProblemF32 pf = random_problem_f32(n, n, n, 611);
+  ASSERT_TRUE(engine
+                  .multiply(two_level_plan(), pf.c.view(), pf.a.cview(),
+                            pf.b.cview())
+                  .ok());
+  EXPECT_EQ(engine.stats().recursive_runs, 1u);
+  ref_gemm(pf.want.view(), pf.a.cview(), pf.b.cview());
+  EXPECT_LE(max_abs_diff(pf.c.cview(), pf.want.cview()), tol_for_f32(n, 2));
+
+  const Engine::CacheStats before = engine.stats();
+  RandomProblem pd = random_problem(leaf, leaf, leaf, 612);
+  ASSERT_TRUE(engine
+                  .multiply(one_level_plan(), pd.c.view(), pd.a.view(),
+                            pd.b.view())
+                  .ok());
+  const Engine::CacheStats after = engine.stats();
+  EXPECT_EQ(after.misses, before.misses + 1);  // its own f64 executor
+  EXPECT_EQ(after.hits, before.hits);
+  ref_gemm(pd.want.view(), pd.a.view(), pd.b.view());
+  EXPECT_LE(max_abs_diff(pd.c.view(), pd.want.view()), tol_for(leaf, 1));
 }
 
 TEST(MixedDtype, ChoiceCacheIsPerDtype) {

@@ -8,12 +8,13 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/core/catalog.h"
 #include "src/core/engine.h"
-#include "src/core/task_driver.h"
+#include "src/core/recursive.h"
 #include "src/gemm/gemm.h"
 #include "src/gemm/kernel.h"
 #include "src/linalg/matrix.h"
@@ -405,15 +406,20 @@ TEST(KernelRegistry, EveryKernelProducesSameGemmResult) {
 }
 
 TEST(KernelRegistry, PlanKernelHonoredByBothDrivers) {
-  // Plan::kernel must reach the fused loops through the data-parallel AND
-  // the task-parallel driver (regression: the task driver used to ignore
-  // it and run the dispatch default).
+  // Plan::kernel must reach the fused loops through the flat executor AND
+  // every leaf of a recursive descent, its GEMM leaves and fringes included
+  // (regression: the descent ran those on the engine config's kernel).
+  // Odd dimensions, so the one-step descent has fringe pieces.
   const Plan base = make_plan({catalog::best(2, 2, 2)}, Variant::kABC);
-  const index_t m = 52, n = 44, k = 36;
+  const index_t m = 53, n = 45, k = 37;
   Matrix a = Matrix::random(m, k, 17);
   Matrix b = Matrix::random(k, n, 18);
   Matrix want = Matrix::zero(m, n);
   ref_gemm(want.view(), a.view(), b.view());
+  Engine::Options ro;
+  ro.recurse_cutoff = 8;  // below min(m, n, k): one step of a one-level plan
+  ro.workers = 2;
+  Engine recursive(ro);
   for (const KernelInfo& kern : kernel_registry()) {
     if (!kern.supported()) continue;
     if (kern.dtype != DType::kF64) continue;  // f32 twin lives in test_f32.cc
@@ -424,15 +430,36 @@ TEST(KernelRegistry, PlanKernelHonoredByBothDrivers) {
         default_engine().multiply(plan, c_data.view(), a.view(), b.view())
             .ok());
     EXPECT_LE(max_abs_diff(c_data.view(), want.view()), 1e-11 * k)
-        << "data driver, " << kern.name;
+        << "flat executor, " << kern.name;
+
     Matrix c_task = Matrix::zero(m, n);
-    TaskContext task_ctx;
-    task_ctx.cfg.num_threads = 2;
-    fmm_multiply_tasks(plan, c_task.view(), a.view(), b.view(), task_ctx);
+    const std::uint64_t runs0 = recursive.stats().recursive_runs;
+    ASSERT_TRUE(
+        recursive.multiply(plan, c_task.view(), a.view(), b.view()).ok());
+    EXPECT_EQ(recursive.stats().recursive_runs, runs0 + 1);
     EXPECT_LE(max_abs_diff(c_task.view(), want.view()), 1e-10 * k)
-        << "task driver, " << kern.name;
-    EXPECT_EQ(task_ctx.cfg.kernel, nullptr)
-        << "task driver must restore the caller's kernel setting";
+        << "recursive driver, " << kern.name;
+
+    // The oracle: the same step run sequentially, every leaf a GEMM on the
+    // pinned kernel.
+    BufferPool buffers;
+    RecursiveExec ctx;
+    ctx.buffers = &buffers;
+    ctx.cutoff = ro.recurse_cutoff;
+    ctx.leaf = [&kern](const Plan* leaf_plan, MatView cv, ConstMatView av,
+                       ConstMatView bv) {
+      ASSERT_EQ(leaf_plan, nullptr);  // one level fully consumed
+      GemmConfig cfg;
+      cfg.kernel = &kern;
+      cfg.num_threads = 1;
+      gemm(cv, av, bv, cfg);
+    };
+    Matrix c_oracle = Matrix::zero(m, n);
+    run_recursive_sequential(ctx, plan, c_oracle.view(), a.view(), b.view());
+    EXPECT_EQ(std::memcmp(c_task.data(), c_oracle.data(),
+                          static_cast<std::size_t>(m * n) * sizeof(double)),
+              0)
+        << "recursive driver leaves must run " << kern.name;
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -358,6 +359,51 @@ TEST(RecursiveExecution, NonDivisibleDimsPeelAtEveryLevel) {
         << "m=" << s.m << " n=" << s.n << " k=" << s.k;
   }
   EXPECT_GE(e.stats().recursive_runs, 8u);
+}
+
+// The task-parallel shape classes — hybrid levels, a high-rank algorithm,
+// fringes on every side, and a problem too small for the quadrant grid —
+// through the Engine's recursive descent, across leaf cutoffs and worker
+// counts.  Accumulation order follows the cutoff, so tolerance, not bitwise.
+void expect_descent_matches_ref(const Plan& plan, index_t m, index_t n,
+                                index_t k, int workers, std::uint64_t seed,
+                                bool descends) {
+  for (long long cutoff : {1, 2, 8, 40}) {
+    Engine::Options o;
+    o.recurse_cutoff = cutoff;
+    o.workers = workers;
+    Engine e(o);
+    RandomProblem p = random_problem(m, n, k, seed + cutoff);
+    ASSERT_TRUE(e.multiply(plan, p.c.view(), p.a.view(), p.b.view()).ok());
+    ref_gemm(p.want.view(), p.a.view(), p.b.view());
+    EXPECT_LE(max_abs_diff(p.c.view(), p.want.view()),
+              tol_for(k, plan.num_levels()))
+        << plan.name() << " at m=" << m << " n=" << n << " k=" << k
+        << " cutoff=" << cutoff << " workers=" << workers;
+    EXPECT_EQ(e.stats().recursive_runs, descends ? 1u : 0u)
+        << plan.name() << " cutoff=" << cutoff;
+  }
+}
+
+TEST(TaskDriver, FringeSizes) {
+  const Plan p = make_plan({catalog::best(2, 2, 2)}, Variant::kNaive);
+  expect_descent_matches_ref(p, 97, 101, 89, 4, 7, /*descends=*/true);
+}
+
+TEST(TaskDriver, TwoLevelHybrid) {
+  const Plan p = make_plan(
+      {catalog::best(2, 2, 2), catalog::best(2, 3, 2)}, Variant::kNaive);
+  expect_descent_matches_ref(p, 123, 119, 131, 8, 9, /*descends=*/true);
+}
+
+TEST(TaskDriver, HighRankAlgorithm) {
+  const Plan p = make_plan({catalog::best(3, 6, 3)}, Variant::kNaive);
+  expect_descent_matches_ref(p, 60, 60, 120, 8, 11, /*descends=*/true);
+}
+
+TEST(TaskDriver, TinyProblemFullyPeeled) {
+  const Plan p = make_plan({catalog::best(3, 3, 3)}, Variant::kNaive);
+  expect_descent_matches_ref(p, 2, 2, 2, 4, 13, /*descends=*/false);
 }
 
 TEST(RecursiveExecution, OneWideQuadrantsAndDegenerateShapes) {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/core/engine.h"
-#include "src/core/task_driver.h"
 #include "src/gemm/gemm.h"
 #include "src/linalg/matrix.h"
 #include "src/linalg/ops.h"
@@ -137,20 +136,6 @@ inline void expect_fmm_matches_ref(const Plan& plan, index_t m, index_t n,
   EXPECT_LE(max_abs_diff(p.c.view(), p.want.view()),
             tol_for(k, plan.num_levels()))
       << plan.name() << " at m=" << m << " n=" << n << " k=" << k;
-}
-
-inline void expect_tasks_match_ref(const Plan& plan, index_t m, index_t n,
-                                   index_t k, int threads,
-                                   std::uint64_t seed) {
-  RandomProblem p = random_problem(m, n, k, seed);
-  TaskContext ctx;
-  ctx.cfg.num_threads = threads;
-  fmm_multiply_tasks(plan, p.c.view(), p.a.view(), p.b.view(), ctx);
-  ref_gemm(p.want.view(), p.a.view(), p.b.view());
-  // Task accumulation order is schedule-dependent: tolerance, not bitwise.
-  EXPECT_LE(max_abs_diff(p.c.view(), p.want.view()),
-            1e-10 * std::max<index_t>(k, 1))
-      << plan.name() << " threads=" << threads;
 }
 
 // --------------------------------------------------------------------------
