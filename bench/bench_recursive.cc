@@ -4,7 +4,7 @@
 //
 //   flat      — Engine with descent disabled: one FmmExecutor runs the
 //               whole two-level plan through the fused loop nest
-//               (OpenMP-parallel inside the multiply).
+//               (data-parallel inside the multiply on pool helpers).
 //   recursive — Engine with the cutoff pinned low enough that every bench
 //               size descends: fast-algorithm steps expand into TaskPool
 //               tasks, leaves run serial compiled executors / GEMMs.

@@ -180,9 +180,10 @@ class Engine {
     // Worker threads for the async submit path (multiply() is submit +
     // wait, so these serve the synchronous calls too).  0 = FMM_WORKERS
     // env, else hardware concurrency.  The pool is created lazily on first
-    // use; each task may additionally open its own OpenMP region of
-    // config.num_threads threads, so serving engines that fan out batches
-    // usually pair several workers with num_threads = 1.
+    // use.  These are all the engine's threads: a multiply with
+    // config.num_threads > 1 forks its data-parallel loops onto helper
+    // tasks of this pool, so serving engines that fan out batches usually
+    // pair several workers with num_threads = 1.
     int workers = 0;
     // Run the ~1 s model calibration in the constructor.  When false the
     // auto path uses literature-default parameters until calibrate().

@@ -6,49 +6,53 @@
 #include <cstdint>
 #include <thread>
 
+#include "src/core/task_pool.h"
 #include "src/gemm/kernel.h"
 #include "src/gemm/pack.h"
 #include "src/obs/trace.h"
-#include "src/util/omp_compat.h"
 #include "src/util/timer.h"
 
 namespace fmm {
-namespace {
 
-// Parallel C_view += w * M over rows (the scatter of AB/Naive variants).
 template <typename T>
-void scaled_add(double w, ConstMatViewT<T> src, MatViewT<T> dst) {
-  const index_t rows = src.rows(), cols = src.cols();
+void scaled_add(double w, ConstMatViewT<T> src, MatViewT<T> dst, int width) {
+  const index_t cols = src.cols();
   const T c = static_cast<T>(w);
-  FMM_PRAGMA_OMP(parallel for schedule(static))
-  for (index_t i = 0; i < rows; ++i) {
-    const T* s = src.row(i);
-    T* d = dst.row(i);
-    for (index_t j = 0; j < cols; ++j) d[j] += c * s[j];
-  }
+  TaskPool::parallel_region(width, [&](Team& team) {
+    team.for_each(src.rows(), [&](index_t i) {
+      const T* s = src.row(i);
+      T* d = dst.row(i);
+      for (index_t j = 0; j < cols; ++j) d[j] += c * s[j];
+    });
+  });
 }
 
-// Parallel dst = Σ terms (the explicit operand sums of the Naive variant).
 template <typename T>
 void lin_comb(const LinTermT<T>* terms, int num_terms, index_t lds,
-              index_t rows, index_t cols, MatViewT<T> dst) {
-  FMM_PRAGMA_OMP(parallel for schedule(static))
-  for (index_t i = 0; i < rows; ++i) {
-    T* d = dst.row(i);
-    {
-      const T* s = terms[0].ptr + i * lds;
-      const T c = static_cast<T>(terms[0].coeff);
-      for (index_t j = 0; j < cols; ++j) d[j] = c * s[j];
-    }
-    for (int t = 1; t < num_terms; ++t) {
-      const T* s = terms[t].ptr + i * lds;
-      const T c = static_cast<T>(terms[t].coeff);
-      for (index_t j = 0; j < cols; ++j) d[j] += c * s[j];
-    }
-  }
+              MatViewT<T> dst, int width) {
+  const index_t cols = dst.cols();
+  TaskPool::parallel_region(width, [&](Team& team) {
+    team.for_each(dst.rows(), [&](index_t i) {
+      T* d = dst.row(i);
+      {
+        const T* s = terms[0].ptr + i * lds;
+        const T c = static_cast<T>(terms[0].coeff);
+        for (index_t j = 0; j < cols; ++j) d[j] = c * s[j];
+      }
+      for (int t = 1; t < num_terms; ++t) {
+        const T* s = terms[t].ptr + i * lds;
+        const T c = static_cast<T>(terms[t].coeff);
+        for (index_t j = 0; j < cols; ++j) d[j] += c * s[j];
+      }
+    });
+  });
 }
 
-}  // namespace
+template void scaled_add<double>(double, ConstMatView, MatView, int);
+template void scaled_add<float>(double, ConstMatViewF32, MatViewF32, int);
+template void lin_comb<double>(const LinTerm*, int, index_t, MatView, int);
+template void lin_comb<float>(const LinTermF32*, int, index_t, MatViewF32,
+                              int);
 
 std::vector<PeelPiece> peel_pieces(index_t m, index_t n, index_t k,
                                    index_t m1, index_t n1, index_t k1) {
@@ -344,17 +348,20 @@ void FmmExecutorT<T>::run_on_slot(Slot& slot, MatViewT<T> c,
                             /*accumulate=*/false);
           for (int p = 0; p < nc; ++p) {
             scaled_add<T>(c_terms[p].coeff, m_view,
-                          MatViewT<T>(c_terms[p].ptr, ms_, ns_, ldc));
+                          MatViewT<T>(c_terms[p].ptr, ms_, ns_, ldc),
+                          cfg.num_threads);
           }
           break;
         }
         case Variant::kNaive: {
           // Explicit temporaries for the operand sums, then a plain GEMM
           // overwriting M_r.
-          lin_comb<T>(a_terms, na, lda, ms_, ks_,
-                      MatViewT<T>(slot.ta.data(), ms_, ks_, ks_));
-          lin_comb<T>(b_terms, nb, ldb, ks_, ns_,
-                      MatViewT<T>(slot.tb.data(), ks_, ns_, ns_));
+          lin_comb<T>(a_terms, na, lda,
+                      MatViewT<T>(slot.ta.data(), ms_, ks_, ks_),
+                      cfg.num_threads);
+          lin_comb<T>(b_terms, nb, ldb,
+                      MatViewT<T>(slot.tb.data(), ks_, ns_, ns_),
+                      cfg.num_threads);
           LinTermT<T> ta{slot.ta.data(), 1.0};
           LinTermT<T> tb{slot.tb.data(), 1.0};
           OutTermT<T> m_out{slot.m_buf.data(), 1.0};
@@ -362,7 +369,8 @@ void FmmExecutorT<T>::run_on_slot(Slot& slot, MatViewT<T> c,
                             1, ns_, slot.ws, cfg, /*accumulate=*/false);
           for (int p = 0; p < nc; ++p) {
             scaled_add<T>(c_terms[p].coeff, m_view,
-                          MatViewT<T>(c_terms[p].ptr, ms_, ns_, ldc));
+                          MatViewT<T>(c_terms[p].ptr, ms_, ns_, ldc),
+                          cfg.num_threads);
           }
           break;
         }
@@ -480,25 +488,19 @@ void FmmExecutorT<T>::run_batch_impl(const BatchAccess& acc,
     return;
   }
 
-  // Generic item-parallel path: a manual work queue instead of an OMP for,
-  // so a worker that cannot lease a slot (concurrent callers hold them)
-  // idles instead of deadlocking a worksharing barrier.  The encountering
-  // thread leases its slot *blocking*, which guarantees progress.
+  // Generic item-parallel path.  A helper that cannot lease a slot
+  // (concurrent callers hold them) skips the loop; the caller leases its
+  // slot *blocking*, which guarantees progress.
   Slot* mine = acquire_slot();
-  std::atomic<std::int64_t> next{0};
-  const std::int64_t total = static_cast<std::int64_t>(count);
-  FMM_PRAGMA_OMP(parallel num_threads(nth_))
-  {
-    Slot* s = omp_get_thread_num() == 0 ? mine : try_acquire_slot();
-    if (s != nullptr) {
-      for (std::int64_t i = next.fetch_add(1); i < total;
-           i = next.fetch_add(1)) {
-        const BatchItemT<T> it = acc.at(static_cast<std::size_t>(i));
-        run_on_slot(*s, it.c, it.a, it.b, serial_cfg_);
-      }
-      if (s != mine) release_slot(s);
-    }
-  }
+  TaskPool::parallel_region(nth_, [&](Team& team) {
+    Slot* s = team.slot() == 0 ? mine : try_acquire_slot();
+    if (s == nullptr) return;
+    team.for_each(static_cast<std::int64_t>(count), [&](std::int64_t i) {
+      const BatchItemT<T> it = acc.at(static_cast<std::size_t>(i));
+      run_on_slot(*s, it.c, it.a, it.b, serial_cfg_);
+    });
+    if (s != mine) release_slot(s);
+  });
   release_slot(mine);
 }
 
@@ -512,22 +514,19 @@ void FmmExecutorT<T>::run_batch_shared_b(const BatchAccess& acc,
   T* bpack = shared_b_.data();
 
   Slot* mine = acquire_slot();
-  // Packing overlaps compute: thread 0 packs the per-r B~ panels *in r
-  // order*, publishing each through panels_ready (release), then joins the
-  // item loop; the other threads start consuming items immediately and
+  // Packing overlaps compute: the caller (slot 0) packs the per-r B~
+  // panels *in r order*, publishing each through panels_ready (release),
+  // then joins the item loop; helpers start consuming items immediately and
   // wait (acquire) only for the specific panel their item's r loop has
   // reached.  Each item still walks r = 0..R-1 in order — the per-item
   // accumulation order is what makes results bitwise identical to run() —
-  // so publishing panels in that same order means a compute thread is only
-  // ever gated on the panel the packer is currently producing.  With one
-  // thread this degenerates to pack-everything-then-compute.
+  // so publishing panels in that same order means a compute participant is
+  // only ever gated on the panel the packer is currently producing.  With
+  // one participant this degenerates to pack-everything-then-compute.
   std::atomic<int> panels_ready{0};
-  std::atomic<std::int64_t> next_item{0};
-  const std::int64_t total = static_cast<std::int64_t>(count);
-  FMM_PRAGMA_OMP(parallel num_threads(nth_))
-  {
-    Slot* s = omp_get_thread_num() == 0 ? mine : try_acquire_slot();
-    if (omp_get_thread_num() == 0) {
+  TaskPool::parallel_region(nth_, [&](Team& team) {
+    Slot* s = team.slot() == 0 ? mine : try_acquire_slot();
+    if (team.slot() == 0) {
       for (int r = 0; r < R; ++r) {
         const int nb = b_ofs_[r + 1] - b_ofs_[r];
         for (int j = 0; j < nb; ++j) {
@@ -540,15 +539,13 @@ void FmmExecutorT<T>::run_batch_shared_b(const BatchAccess& acc,
         panels_ready.store(r + 1, std::memory_order_release);
       }
     }
-    if (s != nullptr) {
-      for (std::int64_t i = next_item.fetch_add(1); i < total;
-           i = next_item.fetch_add(1)) {
-        run_item_prepacked(*s, acc.at(static_cast<std::size_t>(i)),
-                           panels_ready);
-      }
-      if (s != mine) release_slot(s);
-    }
-  }
+    if (s == nullptr) return;
+    team.for_each(static_cast<std::int64_t>(count), [&](std::int64_t i) {
+      run_item_prepacked(*s, acc.at(static_cast<std::size_t>(i)),
+                         panels_ready);
+    });
+    if (s != mine) release_slot(s);
+  });
   release_slot(mine);
 }
 

@@ -67,6 +67,19 @@ struct PeelPiece {
 std::vector<PeelPiece> peel_pieces(index_t m, index_t n, index_t k,
                                    index_t m1, index_t n1, index_t k1);
 
+// dst += w * src, by rows on a team of `width` (the C_p update of the AB
+// and Naive variants and of the recursive descent).
+template <typename T>
+void scaled_add(double w, ConstMatViewT<T> src, MatViewT<T> dst, int width);
+
+// dst = Σ_t coeff_t * src_t, where src_t is the dst-shaped view at
+// terms[t].ptr with row stride lds, by rows on a team of `width` (the
+// explicit operand sums of the Naive variant and of the recursive
+// descent).  Every element is accumulated in term order.
+template <typename T>
+void lin_comb(const LinTermT<T>* terms, int num_terms, index_t lds,
+              MatViewT<T> dst, int width);
+
 // One operand triple of a batch.  Every item must match the executor's
 // compiled shape; strides may differ per item.
 template <typename T>

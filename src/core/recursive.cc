@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cstring>
 
-#include "src/core/executor.h"  // peel_pieces
+#include "src/core/executor.h"  // peel_pieces, lin_comb, scaled_add
 #include "src/obs/trace.h"
 
 namespace fmm {
@@ -124,42 +124,6 @@ std::size_t lease_doubles(index_t elems) {
          sizeof(double);
 }
 
-template <typename T>
-struct GatherTerm {
-  const T* ptr;
-  double coeff;
-};
-
-// Serial dense dst[rows x cols] = Σ_t coeff_t * src_t (src row stride lds);
-// term order is block-index-ascending in both drivers.
-template <typename T>
-void lin_comb_serial(const GatherTerm<T>* terms, int num_terms, index_t lds,
-                     index_t rows, index_t cols, T* dst) {
-  for (index_t i = 0; i < rows; ++i) {
-    T* d = dst + i * cols;
-    const T* s0 = terms[0].ptr + i * lds;
-    const T c0 = static_cast<T>(terms[0].coeff);
-    for (index_t j = 0; j < cols; ++j) d[j] = c0 * s0[j];
-    for (int t = 1; t < num_terms; ++t) {
-      const T* st = terms[t].ptr + i * lds;
-      const T ct = static_cast<T>(terms[t].coeff);
-      for (index_t j = 0; j < cols; ++j) d[j] += ct * st[j];
-    }
-  }
-}
-
-// Serial dst += w * src (the C_p quadrant update).
-template <typename T>
-void scaled_add_serial(double w, ConstMatViewT<T> src, MatViewT<T> dst) {
-  const index_t rows = src.rows(), cols = src.cols();
-  const T wv = static_cast<T>(w);
-  for (index_t i = 0; i < rows; ++i) {
-    const T* s = src.row(i);
-    T* d = dst.row(i);
-    for (index_t j = 0; j < cols; ++j) d[j] += wv * s[j];
-  }
-}
-
 // Shared state of one expanded fast-algorithm step.  Task bodies hold it
 // via shared_ptr (std::function requires copyable callables); the per-r
 // buffer slots are written by prep tasks and cleared by release tasks, with
@@ -190,7 +154,7 @@ void prep_product(Node<T>& node, int r) {
   const FmmAlgorithm& alg = node.alg;
   typename Node<T>::RBuf& rb = node.rb[static_cast<std::size_t>(r)];
   const index_t ms = node.ms, ks = node.ks, ns = node.ns;
-  std::vector<GatherTerm<T>> terms;
+  std::vector<LinTermT<T>> terms;
 
   const index_t lda = node.a.stride();
   terms.reserve(static_cast<std::size_t>(alg.rows_u()));
@@ -208,8 +172,8 @@ void prep_product(Node<T>& node, int r) {
     if (terms.empty()) {
       std::memset(sp, 0, static_cast<std::size_t>(ms * ks) * sizeof(T));
     } else {
-      lin_comb_serial(terms.data(), static_cast<int>(terms.size()), lda, ms,
-                      ks, sp);
+      lin_comb<T>(terms.data(), static_cast<int>(terms.size()), lda,
+                  MatViewT<T>(sp, ms, ks, ks), /*width=*/1);
     }
     rb.sv = ConstMatViewT<T>(sp, ms, ks, ks);
   }
@@ -230,8 +194,8 @@ void prep_product(Node<T>& node, int r) {
     if (terms.empty()) {
       std::memset(tp, 0, static_cast<std::size_t>(ks * ns) * sizeof(T));
     } else {
-      lin_comb_serial(terms.data(), static_cast<int>(terms.size()), ldb, ks,
-                      ns, tp);
+      lin_comb<T>(terms.data(), static_cast<int>(terms.size()), ldb,
+                  MatViewT<T>(tp, ks, ns, ns), /*width=*/1);
     }
     rb.tv = ConstMatViewT<T>(tp, ks, ns, ns);
   }
@@ -380,8 +344,8 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
           [node, w, r, cp] {
             obs::TraceScope upd("recurse.update", "recurse");
             if (upd.active()) upd.set_argf("r=%d d=%d", r, node->depth);
-            scaled_add_serial<T>(w, node->rb[static_cast<std::size_t>(r)].mv,
-                                 cp);
+            scaled_add<T>(w, node->rb[static_cast<std::size_t>(r)].mv, cp,
+                          /*width=*/1);
           },
           std::move(uo));
     }
@@ -456,9 +420,10 @@ void run_node_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
     for (int p = 0; p < alg.rows_w(); ++p) {
       const double w = alg.w(p, r);
       if (w == 0.0) continue;
-      scaled_add_serial<T>(w, rb.mv,
-                           c.block((p / alg.nt) * node.ms,
-                                   (p % alg.nt) * node.ns, node.ms, node.ns));
+      scaled_add<T>(w, rb.mv,
+                    c.block((p / alg.nt) * node.ms, (p % alg.nt) * node.ns,
+                            node.ms, node.ns),
+                    /*width=*/1);
     }
     rb = typename Node<T>::RBuf{};  // recycle before the next product
   }

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -15,10 +18,115 @@
 namespace fmm {
 namespace {
 
-thread_local const TaskPool* tls_pool = nullptr;
+thread_local TaskPool* tls_pool = nullptr;
 thread_local int tls_worker_index = -1;
+// Set when this worker's last task was a region helper.
+thread_local bool tls_helped = false;
+
+// How long a worker that has just helped a region polls for the next task
+// before it sleeps.  A data-parallel multiply forks its regions back to
+// back, and waking a sleeping thread costs tens of microseconds (more on a
+// virtual CPU) per helper per region.  Other idle workers sleep at once,
+// leaving the cores to the threads that feed the pool.
+constexpr std::chrono::microseconds kHelperSpin{100};
+
+// The pool host threads fork their regions onto.  The host thread is a
+// region's first participant, so hardware concurrency minus one workers
+// make a full-width team without a spare thread to wake.  Never destroyed:
+// a region may run from any static destructor, and its idle workers end
+// with the process.
+TaskPool& host_pool() {
+  static TaskPool* const pool = new TaskPool(
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()) - 1));
+  return *pool;
+}
+
+// Raises a (loop << 32 | count) word to `base` unless a participant
+// already has.
+void advance_to(std::atomic<std::uint64_t>& word, std::uint64_t base) {
+  std::uint64_t v = word.load(std::memory_order_acquire);
+  while (v < base && !word.compare_exchange_weak(v, base,
+                                                 std::memory_order_acq_rel,
+                                                 std::memory_order_acquire)) {
+  }
+}
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Fork-join regions.  One loop is open at a time: for_each returns only
+// once its loop has completed, so loops complete in order.  Both loop words
+// pack (loop number << 32 | count) and only grow, so a participant reads
+// the state of any loop, however late it arrives, from the loop number.
+// ---------------------------------------------------------------------------
+
+struct Team::Region {
+  static constexpr std::uint32_t kClosed = 1u << 31;
+  static constexpr std::uint64_t kCount = (std::uint64_t{1} << 32) - 1;
+
+  Region(RegionFn b, const void* c) : body(b), ctx(c) {}
+
+  RegionFn body;
+  const void* ctx;  // valid while the region is open
+  std::atomic<int> next_slot{1};
+  // Helpers inside the body, plus kClosed once the caller has left it.
+  std::atomic<std::uint32_t> members{0};
+  // The open loop and its next unclaimed index.
+  std::atomic<std::uint64_t> claim{0};
+  // The open loop and how many of its indices have run.
+  std::atomic<std::uint64_t> finished{0};
+
+  void participate() noexcept {
+    std::uint32_t m = members.load(std::memory_order_acquire);
+    do {
+      if ((m & kClosed) != 0) return;  // the region ended before we started
+    } while (!members.compare_exchange_weak(m, m + 1,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire));
+    Team team(this, next_slot.fetch_add(1, std::memory_order_relaxed));
+    body(ctx, team);
+    members.fetch_sub(1, std::memory_order_release);
+    tls_helped = true;
+  }
+
+  // Bars new helpers, then waits for the joined ones to leave the body.
+  void close() noexcept {
+    std::uint32_t m = members.fetch_or(kClosed, std::memory_order_acq_rel);
+    while ((m & ~kClosed) != 0) {
+      std::this_thread::yield();
+      m = members.load(std::memory_order_acquire);
+    }
+  }
+};
+
+void Team::run_loop(std::int64_t n, LoopFn fn, const void* ctx) {
+  assert(n >= 0 && static_cast<std::uint64_t>(n) <= Region::kCount);
+  Region& r = *region_;
+  const std::uint64_t loop = loops_++;
+  const std::uint64_t base = loop << 32;
+  // Open the loop unless a participant already has.  This participant saw
+  // the previous loop complete, so none of its indices can still run;
+  // `finished` moves first so no index of this loop counts against it.
+  advance_to(r.finished, base);
+  advance_to(r.claim, base);
+
+  std::uint64_t c = r.claim.load(std::memory_order_acquire);
+  while (c >> 32 == loop && static_cast<std::int64_t>(c & Region::kCount) < n) {
+    if (!r.claim.compare_exchange_weak(c, c + 1, std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+      continue;
+    }
+    fn(ctx, static_cast<std::int64_t>(c & Region::kCount));
+    r.finished.fetch_add(1, std::memory_order_acq_rel);
+    c = r.claim.load(std::memory_order_acquire);
+  }
+  // Every word change is a read-modify-write, so this acquire load
+  // synchronizes with every participant's fetch_add before it.
+  while (r.finished.load(std::memory_order_acquire) <
+         base + static_cast<std::uint64_t>(n)) {
+    std::this_thread::yield();
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Future state: one mutex/cv pair per task keeps resolution independent of
@@ -100,6 +208,8 @@ struct TaskPool::Impl {
   std::uint64_t next_seq = 0;
   std::uint64_t outstanding = 0;  // submitted, not yet finished/cancelled
   std::vector<std::shared_ptr<Task>> ready;  // max-heap (priority, FIFO)
+  // ready.size(), for idle workers to poll without the lock.
+  std::atomic<std::size_t> ready_count{0};
   std::unordered_map<TaskTag, TagState> tags;
   std::atomic<TaskTag> next_fresh{kNoTag - 1};
 
@@ -126,12 +236,14 @@ struct TaskPool::Impl {
     }
     ready.push_back(std::move(t));
     std::push_heap(ready.begin(), ready.end(), heap_less);
+    ready_count.store(ready.size(), std::memory_order_relaxed);
   }
 
   std::shared_ptr<Task> pop_ready_locked() {
     std::pop_heap(ready.begin(), ready.end(), heap_less);
     std::shared_ptr<Task> t = std::move(ready.back());
     ready.pop_back();
+    ready_count.store(ready.size(), std::memory_order_relaxed);
     return t;
   }
 };
@@ -154,6 +266,28 @@ TaskPool::~TaskPool() {
   }
   impl_->work_cv.notify_all();
   for (std::thread& t : threads_) t.join();
+}
+
+void TaskPool::run_region(int width, Team::RegionFn body,
+                          const void* ctx) {
+  TaskPool& pool = tls_pool != nullptr ? *tls_pool : host_pool();
+  // At most the pool's other workers can run helpers beside the caller.
+  const int others = pool.workers() - (tls_pool != nullptr ? 1 : 0);
+  const int helpers = std::min(width - 1, others);
+  if (helpers <= 0) {
+    Team team;
+    body(ctx, team);
+    return;
+  }
+  auto region = std::make_shared<Team::Region>(body, ctx);
+  for (int i = 0; i < helpers; ++i) {
+    TaskOptions opts;
+    opts.priority = std::numeric_limits<int>::max();
+    pool.submit([region] { region->participate(); }, std::move(opts));
+  }
+  Team team(region.get(), 0);
+  body(ctx, team);
+  region->close();
 }
 
 bool TaskPool::on_worker_thread() { return tls_pool != nullptr; }
@@ -219,8 +353,18 @@ void TaskPool::worker_loop(int index) {
     // An idle gap is a span too: it is the signal "the graph starved this
     // worker", which a run-spans-only trace cannot show.
     std::uint64_t idle_start = 0;
-    if (obs::trace_enabled() && impl_->ready.empty() && !impl_->stop) {
-      idle_start = obs::now_ns();
+    const bool helped = std::exchange(tls_helped, false);
+    if (impl_->ready.empty() && !impl_->stop) {
+      if (obs::trace_enabled()) idle_start = obs::now_ns();
+      if (helped) {
+        lk.unlock();
+        const auto until = std::chrono::steady_clock::now() + kHelperSpin;
+        while (impl_->ready_count.load(std::memory_order_relaxed) == 0 &&
+               std::chrono::steady_clock::now() < until) {
+          std::this_thread::yield();
+        }
+        lk.lock();
+      }
     }
     impl_->work_cv.wait(lk, [&] { return impl_->stop || !impl_->ready.empty(); });
     if (idle_start != 0 && obs::trace_enabled()) {
@@ -339,6 +483,7 @@ void TaskPool::cancel_pending() {
       cancelled.push_back(std::move(t));
     }
     impl_->ready.clear();
+    impl_->ready_count.store(0, std::memory_order_relaxed);
     for (auto& [tag, ts] : impl_->tags) {
       for (std::shared_ptr<Task>& t : ts.waiters) {
         cancelled.push_back(std::move(t));

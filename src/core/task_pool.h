@@ -9,9 +9,12 @@
 // optional identity **tag**, a list of tags it **depends** on, a
 // **priority**, and an optional completion **callback**.  Tasks whose
 // dependencies are met sit in a priority FIFO (higher priority first,
-// submission order breaking ties); a fixed set of worker threads —
-// plain std::threads, deliberately independent of any OpenMP region, so a
-// task body is free to open its own parallel region — drains it.  When a
+// submission order breaking ties); a fixed set of std::thread workers
+// drains it.  The same workers also carry the data parallelism inside one
+// task: parallel_region() forks a team from the calling worker onto its
+// own pool (paper §5.1's i_c-loop schedule runs on it), and a worker that
+// has just helped a region polls ~100 us for the next one before it
+// sleeps.  When a
 // task finishes, its TaskFuture resolves first, then its tag is marked
 // complete and successor tasks whose last dependency that was are
 // released (a dependent task always observes its dependency's future
@@ -32,7 +35,9 @@
 // (callbacks of cancelled tasks do NOT run, and their tags do NOT
 // complete — cancellation abandons the rest of the graph); tasks already
 // executing run to completion.  The destructor wait_all()s then joins —
-// destroying a pool with tasks in flight is safe and drains them.
+// destroying a pool with tasks in flight is safe and drains them.  Queued
+// region helpers are tasks like any other: wait_all() covers them, and
+// cancel_pending() drops them without harming their regions.
 
 #include <cstdint>
 #include <functional>
@@ -88,6 +93,48 @@ class TaskFuture {
   std::shared_ptr<State> state_;
 };
 
+// One participant's handle on a fork-join region (TaskPool::
+// parallel_region): its slot and the region's worksharing loop.
+class Team {
+ public:
+  // This participant's index in [0, width): 0 is the caller, helpers take
+  // 1, 2, ... as they join.  Fixed for the whole region, so it can index
+  // per-participant scratch.
+  int slot() const { return slot_; }
+
+  // Runs fn(i) for every i in [0, n) exactly once across the participants
+  // that reach this loop, each claiming the next unclaimed index, and
+  // returns once all n have run (the barrier that publishes their writes
+  // to every participant).  Every participant meets the region's loops in
+  // the same order; one that joins late passes through the loops that have
+  // already completed.  A participant may skip the region's trailing
+  // loops.  n < 2^32.
+  template <typename F>
+  void for_each(std::int64_t n, const F& fn) {
+    if (region_ == nullptr) {
+      for (std::int64_t i = 0; i < n; ++i) fn(i);
+      return;
+    }
+    run_loop(
+        n, [](const void* f, std::int64_t i) { (*static_cast<const F*>(f))(i); },
+        &fn);
+  }
+
+ private:
+  friend class TaskPool;
+  struct Region;
+  using LoopFn = void (*)(const void*, std::int64_t);
+  using RegionFn = void (*)(const void*, Team&) noexcept;
+
+  Team() = default;  // the width-1 team: loops run inline
+  Team(Region* region, int slot) : region_(region), slot_(slot) {}
+  void run_loop(std::int64_t n, LoopFn fn, const void* ctx);
+
+  Region* region_ = nullptr;
+  int slot_ = 0;
+  std::uint64_t loops_ = 0;  // loops this participant has met
+};
+
 class TaskPool {
  public:
   // `workers` threads; 0 = hardware concurrency (at least 1).
@@ -137,6 +184,31 @@ class TaskPool {
 
   int workers() const { return static_cast<int>(threads_.size()); }
 
+  // Fork-join: runs body(team) on the calling thread plus up to width - 1
+  // helper tasks, queued at top priority on the pool the caller works for
+  // (host threads share one lazily created process-wide pool of hardware
+  // concurrency minus one workers).  Returns once every participant that
+  // joined has left the body.  It never waits for a helper that has not
+  // started: when every other worker is busy the caller runs the region
+  // alone, and a helper that starts after the region has ended returns at
+  // once.  Width <= 1 runs the body inline with no task and no allocation.
+  // The body must not throw: an exception escaping it terminates the
+  // process.
+  template <typename F>
+  static void parallel_region(int width, const F& body) {
+    if (width <= 1) {
+      Team team;
+      body(team);
+      return;
+    }
+    run_region(
+        width,
+        [](const void* b, Team& team) noexcept {
+          (*static_cast<const F*>(b))(team);
+        },
+        &body);
+  }
+
   // True when the calling thread is a worker of *any* TaskPool — the
   // engine uses this to execute nested synchronous multiplies inline
   // instead of submitting (a task blocking on another task's future could
@@ -150,6 +222,8 @@ class TaskPool {
   struct Task;
   struct TagState;
   struct Impl;
+
+  static void run_region(int width, Team::RegionFn body, const void* ctx);
 
   TaskFuture submit_impl(std::function<Status()> fn, TaskOptions opts);
   void worker_loop(int index);

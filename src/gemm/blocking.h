@@ -28,7 +28,8 @@ struct GemmConfig {
   int kc = 0;  // shared inner dimension of both packed buffers
   int nc = 0;  // cols of the packed B-panel (rounded up to a multiple of nR)
 
-  // 0 means "use omp_get_max_threads()".
+  // Width of the data-parallel loops (TaskPool::parallel_region); 0 means
+  // std::thread::hardware_concurrency().
   int num_threads = 0;
 
   // Micro-kernel for this configuration; nullptr means active_kernel()

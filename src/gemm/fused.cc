@@ -1,10 +1,11 @@
 #include "src/gemm/fused.h"
 
 #include <cassert>
+#include <thread>
 
+#include "src/core/task_pool.h"
 #include "src/gemm/kernel.h"
 #include "src/gemm/pack.h"
-#include "src/util/omp_compat.h"
 
 namespace fmm {
 
@@ -34,7 +35,12 @@ template class GemmWorkspaceT<double>;
 template class GemmWorkspaceT<float>;
 
 int resolve_threads(const GemmConfig& cfg) {
-  return cfg.num_threads > 0 ? cfg.num_threads : omp_get_max_threads();
+  if (cfg.num_threads > 0) return cfg.num_threads;
+  // Read once: hardware_concurrency() costs system calls, and this runs on
+  // every call of a default-config multiply.
+  static const int hw =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return hw;
 }
 
 namespace {
@@ -98,9 +104,8 @@ void fused_multiply(index_t m, index_t n, index_t k,
   const bool jr_parallel =
       nth > 1 && ceil_div(m, mc_use) < std::max<index_t>(2, nth / 2);
 
-  FMM_PRAGMA_OMP(parallel num_threads(nth))
-  {
-    const int tid = omp_get_thread_num();
+  TaskPool::parallel_region(nth, [&](Team& team) {
+    const int tid = team.slot();
     T* apack = ws.a_tile(jr_parallel ? 0 : tid);
     // Pre-sized per-thread scratch (ws.ensure above): no allocation here.
     typename GemmWorkspaceT<T>::TermScratch& scratch = ws.terms(tid);
@@ -118,20 +123,17 @@ void fused_multiply(index_t m, index_t n, index_t k,
         const bool acc_this_block = accumulate || pc > 0;
 
         // Cooperative pack of B~ = sum_j v_j B_j[pc:, jc:], one nr-wide
-        // panel per iteration.  Implicit barrier publishes the buffer.
+        // panel per index.  The loop's barrier publishes the buffer.
         offset_terms<T>(b_terms, num_b, ldb, pc, jc, b_local);
-        const index_t b_panels = ceil_div(nc_eff, nr);
-        FMM_PRAGMA_OMP(for schedule(static))
-        for (index_t q = 0; q < b_panels; ++q) {
+        team.for_each(ceil_div(nc_eff, nr), [&](index_t q) {
           pack_b_panel<T>(b_local, num_b, ldb, kc_eff, nc_eff, nr, q,
                           bpack + q * nr * kc_eff);
-        }
+        });
 
         const index_t ic_blocks = ceil_div(m, mc_use);
         if (!jr_parallel) {
           // 3rd loop (i_c) carries the parallelism; A-tiles are private.
-          FMM_PRAGMA_OMP(for schedule(dynamic, 1))
-          for (index_t icb = 0; icb < ic_blocks; ++icb) {
+          team.for_each(ic_blocks, [&](index_t icb) {
             const index_t ic = icb * mc_use;
             const index_t mc_eff = std::min<index_t>(mc_use, m - ic);
             offset_terms<T>(a_terms, num_a, lda, ic, pc, a_local);
@@ -153,9 +155,9 @@ void fused_multiply(index_t m, index_t n, index_t k,
                                 mr, nr, acc_this_block);
               }
             }
-          }
-          // Implicit barrier: nobody repacks B~ for the next pc while a
-          // thread still computes with the old one.
+          });
+          // The barrier: nobody repacks B~ for the next pc while a
+          // participant still computes with the old one.
         } else {
           // 2nd-loop (j_r) parallel mode: i_c runs sequentially, each tile
           // packed cooperatively into the shared buffer, then the j_r
@@ -164,15 +166,12 @@ void fused_multiply(index_t m, index_t n, index_t k,
             const index_t ic = icb * mc_use;
             const index_t mc_eff = std::min<index_t>(mc_use, m - ic);
             offset_terms<T>(a_terms, num_a, lda, ic, pc, a_local);
-            const index_t a_panels = ceil_div(mc_eff, mr);
-            FMM_PRAGMA_OMP(for schedule(static))
-            for (index_t p = 0; p < a_panels; ++p) {
+            team.for_each(ceil_div(mc_eff, mr), [&](index_t p) {
               pack_a_panel<T>(a_local, num_a, lda, mc_eff, kc_eff, mr, p,
                               apack + p * mr * kc_eff);
-            }
-            // Implicit barrier: the shared A-tile is complete.
-            FMM_PRAGMA_OMP(for schedule(dynamic, 2))
-            for (index_t jrb = 0; jrb < ceil_div(nc_eff, nr); ++jrb) {
+            });
+            // The barrier: the shared A-tile is complete.
+            team.for_each(ceil_div(nc_eff, nr), [&](index_t jrb) {
               const index_t jr = jrb * nr;
               const index_t n_sub = std::min<index_t>(nr, nc_eff - jr);
               const T* bpanel = bpack + jrb * nr * kc_eff;
@@ -188,13 +187,13 @@ void fused_multiply(index_t m, index_t n, index_t k,
                 epilogue_update(c_local, num_c, ldc, m_sub, n_sub, acc,
                                 mr, nr, acc_this_block);
               }
-            }
-            // Implicit barrier before the shared tile is overwritten.
+            });
+            // The barrier before the shared tile is overwritten.
           }
         }
       }
     }
-  }
+  });
 }
 
 template void fused_multiply<double>(

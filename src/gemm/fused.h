@@ -13,9 +13,10 @@
 // apples-to-apples.
 //
 // Parallelism mirrors the paper (§5.1, citing Smith et al. IPDPS'14):
-// OpenMP data parallelism over the 3rd loop around the micro-kernel (the
-// i_c loop), with cooperative packing of the shared B~ panel and a
-// per-thread A~ tile.
+// data parallelism over the 3rd loop around the micro-kernel (the i_c
+// loop), with cooperative packing of the shared B~ panel and a
+// per-thread A~ tile, run as one TaskPool::parallel_region per call
+// (src/core/task_pool.h) of up to cfg.num_threads participants.
 //
 // The element type is a template parameter with explicit double/float
 // instantiations in fused.cc (the dtype travels at runtime in the kernel —
@@ -67,7 +68,8 @@ extern template class GemmWorkspaceT<float>;
 using GemmWorkspace = GemmWorkspaceT<double>;
 using GemmWorkspaceF32 = GemmWorkspaceT<float>;
 
-// Resolves cfg.num_threads (0 -> omp_get_max_threads()).
+// Resolves cfg.num_threads (0 -> std::thread::hardware_concurrency(), at
+// least 1).
 int resolve_threads(const GemmConfig& cfg);
 
 // With accumulate == true (the default), every target receives

@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "src/util/omp_compat.h"
+#include "src/core/task_pool.h"
 
 namespace fmm {
 namespace {
@@ -21,17 +21,18 @@ void gemm_impl(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b,
 template <typename T>
 void ref_gemm_impl(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b) {
   assert(a.rows() == c.rows() && b.cols() == c.cols() && a.cols() == b.rows());
-  const index_t m = c.rows(), n = c.cols(), k = a.cols();
-  FMM_PRAGMA_OMP(parallel for schedule(static))
-  for (index_t i = 0; i < m; ++i) {
-    T* crow = c.row(i);
-    for (index_t p = 0; p < k; ++p) {
-      const T aip = a(i, p);
-      if (aip == T(0)) continue;
-      const T* brow = b.row(p);
-      for (index_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
-    }
-  }
+  const index_t n = c.cols(), k = a.cols();
+  TaskPool::parallel_region(resolve_threads(GemmConfig{}), [&](Team& team) {
+    team.for_each(c.rows(), [&](index_t i) {
+      T* crow = c.row(i);
+      for (index_t p = 0; p < k; ++p) {
+        const T aip = a(i, p);
+        if (aip == T(0)) continue;
+        const T* brow = b.row(p);
+        for (index_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
+      }
+    });
+  });
 }
 
 }  // namespace

@@ -26,8 +26,9 @@ void gemm(MatView c, ConstMatView a, ConstMatView b,
 void gemm(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b,
           const GemmConfig& cfg = GemmConfig{});
 
-// Naive triple-loop C += A * B (OpenMP over rows).  The ground truth used
-// by the test suite; no packing, no blocking, no surprises.
+// Naive triple-loop C += A * B (rows split across a hardware-concurrency
+// TaskPool region).  The ground truth used by the test suite; no packing,
+// no blocking, no surprises.
 void ref_gemm(MatView c, ConstMatView a, ConstMatView b);
 void ref_gemm(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b);
 

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -16,7 +17,9 @@
 #include "src/core/catalog.h"
 #include "src/core/engine.h"
 #include "src/core/executor.h"
+#include "src/core/task_pool.h"
 #include "src/linalg/ops.h"
+#include "src/obs/metrics.h"
 #include "tests/test_support.h"
 
 namespace fmm {
@@ -94,6 +97,49 @@ TEST(Executor, DegenerateShapes) {
     EXPECT_LE(max_abs_diff(p.c.view(), p.want.view()),
               test::tol_for(s[2]))
         << "m=" << s[0] << " n=" << s[1] << " k=" << s[2];
+  }
+}
+
+TEST(Executor, ScatterRunsAtTheExecutorThreadCount) {
+  // The AB/Naive scatter (M_r into C, and Naive's operand sums) runs on a
+  // team of the executor's width: a one-thread executor starts no thread
+  // and queues no helper task.
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  if (!fs::is_directory("/proc/self/task", ec)) {
+    GTEST_SKIP() << "no /proc/self/task";
+  }
+  auto process_threads = [] {
+    std::error_code err;
+    int n = 0;
+    for (fs::directory_iterator it("/proc/self/task", err), end;
+         !err && it != end; it.increment(err)) {
+      ++n;
+    }
+    return n;
+  };
+  const index_t s = 64;
+  test::RandomProblem p = test::random_problem(s, s, s, 3);
+  for (Variant v : {Variant::kAB, Variant::kNaive}) {
+    GemmConfig cfg;
+    cfg.num_threads = 1;
+    FmmExecutor exec(strassen_plan(v), s, s, s, cfg, /*slots=*/1);
+    int before = 0, after = 0;
+    std::thread fresh([&] {
+      before = process_threads();
+      exec.run(p.c.view(), p.a.view(), p.b.view());
+      after = process_threads();
+    });
+    fresh.join();
+    EXPECT_EQ(after, before) << variant_name(v);
+
+    obs::MetricsRegistry metrics;
+    TaskPool pool(4);
+    pool.set_metrics(&metrics);
+    pool.submit([&] { exec.run(p.c.view(), p.a.view(), p.b.view()); })
+        .wait();
+    pool.wait_all();
+    EXPECT_EQ(metrics.counter("pool.tasks").value(), 1u) << variant_name(v);
   }
 }
 

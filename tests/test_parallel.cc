@@ -1,12 +1,14 @@
-// Threading tests: determinism and correctness of the OpenMP data-parallel
-// execution across thread counts, for GEMM and all FMM variants.
+// Threading tests: determinism and correctness of the data-parallel
+// execution (TaskPool regions) across thread counts, for GEMM and all FMM
+// variants.
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "src/core/catalog.h"
 #include "src/core/engine.h"
 #include "src/linalg/ops.h"
-#include "src/util/omp_compat.h"
 #include "src/util/timer.h"
 #include "tests/test_support.h"
 
@@ -61,7 +63,8 @@ TEST(Parallel, TwoLevelHybridManyThreads) {
   const Plan plan = make_plan(
       {catalog::best(2, 2, 2), catalog::best(3, 3, 3)}, Variant::kABC);
   const Matrix c1 = run_fmm(plan, 1, 6 * 31, 6 * 29, 6 * 30);
-  const Matrix cn = run_fmm(plan, omp_get_max_threads(), 6 * 31, 6 * 29, 6 * 30);
+  const Matrix cn = run_fmm(plan, resolve_threads(GemmConfig{}), 6 * 31,
+                            6 * 29, 6 * 30);
   EXPECT_EQ(max_abs_diff(c1.view(), cn.view()), 0.0);
 }
 
@@ -156,10 +159,10 @@ TEST(Parallel, OverwriteModeAcrossMultipleJcStripes) {
 
 TEST(Parallel, SpeedupOnLargeProblem) {
   // Weak guarantee (CI boxes vary): 8 threads at least 2x faster than 1.
-  // Meaningless without OpenMP or on boxes with too few cores to show a 2x.
-  if (omp_get_max_threads() < 4) {
-    GTEST_SKIP() << "needs OpenMP and >= 4 hardware threads, have "
-                 << omp_get_max_threads();
+  // Meaningless on boxes with too few cores to show a 2x.
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw < 4) {
+    GTEST_SKIP() << "needs >= 4 hardware threads, have " << hw;
   }
   const index_t s = 1536;
   Matrix a = Matrix::random(s, s, 5);

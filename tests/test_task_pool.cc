@@ -1,20 +1,24 @@
-// TaskPool — the dependency-driven runtime under Engine::submit.  Covers
-// execution and future resolution, tag dependencies in every submission
-// order, the priority FIFO, completion callbacks (including callbacks
-// that submit follow-up work), cancellation, destruction with tasks in
-// flight, and concurrent submission from many host threads (the TSan CI
-// leg runs every TaskPool* suite).
+// TaskPool — the dependency-driven runtime under Engine::submit and the
+// fork-join regions under the fused loop nest.  Covers execution and
+// future resolution, tag dependencies in every submission order, the
+// priority FIFO, completion callbacks (including callbacks that submit
+// follow-up work), cancellation, destruction with tasks in flight,
+// concurrent submission from many host threads, and parallel_region's
+// loops, slots, late joiners and busy pools (the TSan CI leg runs every
+// TaskPool* suite).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "src/core/task_pool.h"
+#include "src/obs/metrics.h"
 
 namespace fmm {
 namespace {
@@ -400,6 +404,217 @@ TEST(TaskPoolConcurrency, ConcurrentChainsInterleave) {
   }
   for (auto& h : hosts) h.join();
   for (auto& p : progress) EXPECT_EQ(p.load(), kLen);
+}
+
+// ---------------------------------------------------------------------------
+// Fork-join regions.
+// ---------------------------------------------------------------------------
+
+// Runs `loops` worksharing loops of sizes 0, 1, 2, ... (mod 97) in one
+// region.  Loop l writes out[l][i] = out[l - 1][(i + 1) % n_{l-1}] + i, so
+// every loop reads what other participants wrote in the loop before it.
+// Returns whether every index ran exactly once with the right value; the
+// slots that took part land in `slots`.
+bool run_checked_region(int width, int loops, std::set<int>* slots) {
+  auto size_of = [](int l) { return static_cast<std::int64_t>(l % 97); };
+  std::vector<std::vector<long>> out(static_cast<std::size_t>(loops));
+  std::vector<std::vector<std::atomic<int>>> runs(
+      static_cast<std::size_t>(loops));
+  for (int l = 0; l < loops; ++l) {
+    out[static_cast<std::size_t>(l)].assign(
+        static_cast<std::size_t>(size_of(l)), 0);
+    runs[static_cast<std::size_t>(l)] =
+        std::vector<std::atomic<int>>(static_cast<std::size_t>(size_of(l)));
+  }
+  std::mutex mu;
+  TaskPool::parallel_region(width, [&](Team& team) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      EXPECT_TRUE(slots->insert(team.slot()).second) << "slot reused";
+    }
+    for (int l = 0; l < loops; ++l) {
+      const std::size_t lu = static_cast<std::size_t>(l);
+      team.for_each(size_of(l), [&](std::int64_t i) {
+        const std::size_t iu = static_cast<std::size_t>(i);
+        runs[lu][iu].fetch_add(1);
+        long prev = 0;
+        if (l > 0 && !out[lu - 1].empty()) {
+          prev = out[lu - 1][(iu + 1) % out[lu - 1].size()];
+        }
+        out[lu][iu] = prev + i;
+      });
+    }
+  });
+  // The serial replay of the same recurrence.
+  std::vector<long> want_prev;
+  for (int l = 0; l < loops; ++l) {
+    const std::size_t lu = static_cast<std::size_t>(l);
+    std::vector<long> want(static_cast<std::size_t>(size_of(l)));
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const long prev =
+          want_prev.empty() ? 0 : want_prev[(i + 1) % want_prev.size()];
+      want[i] = prev + static_cast<long>(i);
+      if (runs[lu][i].load() != 1 || out[lu][i] != want[i]) return false;
+    }
+    want_prev = std::move(want);
+  }
+  for (int slot : *slots) {
+    if (slot < 0 || slot >= width) return false;
+  }
+  return true;
+}
+
+TEST(TaskPoolRegion, EveryIndexRunsOnceOnDistinctSlots) {
+  // From a pool task (helpers on that pool) and from a host thread (the
+  // process-wide pool).
+  TaskPool pool(4);
+  for (int width : {2, 4, 16}) {
+    std::set<int> slots;
+    bool ok = false;
+    pool.submit([&] { ok = run_checked_region(width, 300, &slots); })
+        .wait();
+    EXPECT_TRUE(ok) << "width " << width;
+    EXPECT_TRUE(slots.count(0)) << "the caller is slot 0";
+    std::set<int> host_slots;
+    EXPECT_TRUE(run_checked_region(width, 300, &host_slots))
+        << "host, width " << width;
+  }
+}
+
+TEST(TaskPoolRegion, CompletesOnTheCallerWhileEveryOtherWorkerWaits) {
+  TaskPool pool(4);
+  std::atomic<int> parked{0};
+  std::atomic<bool> release{false};
+  for (int i = 0; i < 3; ++i) {
+    pool.submit([&] {
+      parked.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  while (parked.load() < 3) std::this_thread::yield();
+  std::set<int> slots;
+  bool ok = false;
+  TaskFuture region =
+      pool.submit([&] { ok = run_checked_region(4, 200, &slots); });
+  // The latch opens only after the region has returned.
+  EXPECT_TRUE(region.status().ok());
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(slots, std::set<int>{0});
+  release.store(true);
+  pool.wait_all();  // the queued helpers start now and find nothing to do
+}
+
+TEST(TaskPoolRegion, LateHelperPassesThroughCompletedLoops) {
+  TaskPool pool(2);
+  std::atomic<bool> parked{false}, release{false}, joined{false};
+  pool.submit([&] {
+    parked.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!parked.load()) std::this_thread::yield();
+
+  constexpr int kLoops = 1200, kLate = 1000, kN = 64;
+  std::vector<std::vector<int>> out(kLoops, std::vector<int>(kN, -1));
+  std::atomic<int> helper_runs{0};
+  pool.submit([&] {
+        TaskPool::parallel_region(2, [&](Team& team) {
+          if (team.slot() != 0) joined.store(true);
+          for (int l = 0; l < kLoops; ++l) {
+            team.for_each(kN, [&](std::int64_t i) {
+              const int prev = l == 0 ? 0 : out[l - 1][(i + 1) % kN];
+              out[l][i] = prev + 1;
+              if (team.slot() != 0) helper_runs.fetch_add(1);
+              // After kLate loops have completed, free the other worker,
+              // and hold this index until the helper has run one of the
+              // next loop's: it must have passed through all kLate.
+              if (l == kLate && i == 0 && team.slot() == 0) {
+                release.store(true);
+                while (!joined.load()) std::this_thread::yield();
+              }
+              if (l == kLate + 1 && team.slot() == 0) {
+                while (helper_runs.load() == 0) std::this_thread::yield();
+              }
+            });
+          }
+        });
+      })
+      .wait();
+  EXPECT_TRUE(joined.load());
+  EXPECT_GT(helper_runs.load(), 0);
+  for (int l = 0; l < kLoops; ++l) {
+    for (int i = 0; i < kN; ++i) ASSERT_EQ(out[l][i], l + 1) << l << "," << i;
+  }
+}
+
+TEST(TaskPoolRegion, WidthOneSubmitsNoTask) {
+  obs::MetricsRegistry metrics;
+  TaskPool pool(2);
+  pool.set_metrics(&metrics);
+  const obs::Counter& tasks = metrics.counter("pool.tasks");
+  int sum = 0;
+  std::thread::id body_thread;
+  pool.submit([&] {
+        const std::thread::id caller = std::this_thread::get_id();
+        TaskPool::parallel_region(1, [&](Team& team) {
+          body_thread = std::this_thread::get_id();
+          EXPECT_EQ(team.slot(), 0);
+          team.for_each(10, [&](std::int64_t i) { sum += static_cast<int>(i); });
+        });
+        EXPECT_EQ(body_thread, caller);
+      })
+      .wait();
+  pool.wait_all();
+  EXPECT_EQ(sum, 45);
+  EXPECT_EQ(tasks.value(), 1u);  // the outer task only
+}
+
+TEST(TaskPoolRegion, CancelPendingWithHelpersQueuedLeavesRegionComplete) {
+  TaskPool pool(2);
+  std::atomic<bool> parked{false}, release{false};
+  std::atomic<bool> in_region{false}, cancelled{false};
+  pool.submit([&] {
+    parked.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!parked.load()) std::this_thread::yield();
+
+  constexpr int kLoops = 50, kN = 33;
+  std::vector<std::atomic<int>> runs(kLoops * kN);
+  TaskFuture region = pool.submit([&] {
+    TaskPool::parallel_region(4, [&](Team& team) {
+      for (int l = 0; l < kLoops; ++l) {
+        team.for_each(kN, [&](std::int64_t i) {
+          if (l == 0 && i == 0) {
+            in_region.store(true);
+            while (!cancelled.load()) std::this_thread::yield();
+          }
+          runs[static_cast<std::size_t>(l * kN + i)].fetch_add(1);
+        });
+      }
+    });
+  });
+  while (!in_region.load()) std::this_thread::yield();
+  pool.cancel_pending();  // the queued helper
+  cancelled.store(true);
+  EXPECT_TRUE(region.status().ok());
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+  release.store(true);
+  pool.wait_all();
+}
+
+TEST(TaskPoolRegion, ConcurrentRegionsFromSeveralWorkersAllFinish) {
+  TaskPool pool(4);
+  constexpr int kRegions = 8;
+  std::vector<TaskFuture> fs;
+  std::vector<int> ok(kRegions, 0);
+  for (int r = 0; r < kRegions; ++r) {
+    fs.push_back(pool.submit([&ok, r] {
+      std::set<int> slots;
+      ok[static_cast<std::size_t>(r)] = run_checked_region(4, 150, &slots);
+    }));
+  }
+  for (auto& f : fs) EXPECT_TRUE(f.status().ok());
+  for (int r = 0; r < kRegions; ++r) EXPECT_TRUE(ok[static_cast<std::size_t>(r)]) << r;
 }
 
 }  // namespace
