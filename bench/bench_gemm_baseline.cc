@@ -37,14 +37,17 @@ void BM_Microkernel(benchmark::State& state, const KernelInfo* kern) {
       benchmark::Counter::kIsRate);
 }
 
+// The fused loop runs on C^T (src/gemm/fused.h): pack_a fills nR-row
+// panels of A~ and pack_b mR-column panels of B~, so the pack benchmarks
+// run at those widths.
 void BM_PackA_SingleTerm(benchmark::State& state) {
-  const int mr = active_kernel().mr;
+  const int nr = active_kernel().nr;
   const index_t m = 96, k = 256;
   Matrix a = Matrix::random(m, k, 1);
-  AlignedBuffer<double> out(static_cast<std::size_t>(ceil_div(m, mr)) * mr * k);
+  AlignedBuffer<double> out(static_cast<std::size_t>(ceil_div(m, nr)) * nr * k);
   LinTerm t{a.data(), 1.0};
   for (auto _ : state) {
-    pack_a(&t, 1, a.stride(), m, k, mr, out.data());
+    pack_a(&t, 1, a.stride(), m, k, nr, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["GB/s"] = benchmark::Counter(
@@ -55,13 +58,13 @@ BENCHMARK(BM_PackA_SingleTerm);
 
 void BM_PackA_TwoTermSum(benchmark::State& state) {
   // The FMM case: A~ = A_i + A_j fused into packing.
-  const int mr = active_kernel().mr;
+  const int nr = active_kernel().nr;
   const index_t m = 96, k = 256;
   Matrix big = Matrix::random(2 * m, k, 2);
-  AlignedBuffer<double> out(static_cast<std::size_t>(ceil_div(m, mr)) * mr * k);
+  AlignedBuffer<double> out(static_cast<std::size_t>(ceil_div(m, nr)) * nr * k);
   LinTerm t[2] = {{big.data(), 1.0}, {big.data() + m * big.stride(), 1.0}};
   for (auto _ : state) {
-    pack_a(t, 2, big.stride(), m, k, mr, out.data());
+    pack_a(t, 2, big.stride(), m, k, nr, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["GB/s"] = benchmark::Counter(
@@ -71,13 +74,13 @@ void BM_PackA_TwoTermSum(benchmark::State& state) {
 BENCHMARK(BM_PackA_TwoTermSum);
 
 void BM_PackB_Panel(benchmark::State& state) {
-  const int nr = active_kernel().nr;
+  const int mr = active_kernel().mr;
   const index_t k = 256, n = 4092;
   Matrix b = Matrix::random(k, n, 3);
-  AlignedBuffer<double> out(static_cast<std::size_t>(ceil_div(n, nr)) * nr * k);
+  AlignedBuffer<double> out(static_cast<std::size_t>(ceil_div(n, mr)) * mr * k);
   LinTerm t{b.data(), 1.0};
   for (auto _ : state) {
-    pack_b(&t, 1, b.stride(), k, n, nr, out.data());
+    pack_b(&t, 1, b.stride(), k, n, mr, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["GB/s"] = benchmark::Counter(

@@ -103,13 +103,14 @@ FmmExecutorT<T>::FmmExecutorT(const Plan& plan, index_t m, index_t n,
   if (plan_.kernel != nullptr) resolve_cfg.kernel = plan_.kernel;
   bp_ = resolve_blocking(resolve_cfg, plan_.dtype);
   // Clamp the cache blocks to the problem so a small-shape executor carries
-  // small workspaces.  The clamps never change the loop geometry (each
-  // clamped block still covers its dimension in one step whenever the
-  // unclamped one did), so arithmetic stays bitwise identical to the
+  // small workspaces.  The fused loop runs on C^T, so m_C blocks C's
+  // columns and n_C its rows.  The clamps never change the loop geometry
+  // (each clamped block still covers its dimension in one step whenever
+  // the unclamped one did), so arithmetic stays bitwise identical to the
   // unclamped blocking.
-  bp_.mc = std::min<index_t>(bp_.mc, round_up(std::max<index_t>(m_, 1), bp_.mr));
+  bp_.mc = std::min<index_t>(bp_.mc, round_up(std::max<index_t>(n_, 1), bp_.mr));
   bp_.kc = std::min<index_t>(bp_.kc, std::max<index_t>(k_, 1));
-  bp_.nc = std::min<index_t>(bp_.nc, round_up(std::max<index_t>(n_, 1), bp_.nr));
+  bp_.nc = std::min<index_t>(bp_.nc, round_up(std::max<index_t>(m_, 1), bp_.nr));
   plan_.kernel = bp_.kernel;  // record what actually runs (name(), plan())
 
   frozen_cfg_ = cfg;
@@ -173,13 +174,14 @@ FmmExecutorT<T>::FmmExecutorT(const Plan& plan, index_t m, index_t n,
   }
 
   // Shared-B batch fast path: viable when the interior covers the whole
-  // problem, the ABC variant runs (no M_r scatter), and each per-r packed
-  // B~ panel is a single cache block, within a fixed memory budget.
+  // problem, the ABC variant runs (no M_r scatter), every product is a
+  // single k_C block, and each item's A~ (all ms_ rows) fits the slot's
+  // n_C buffer, within a fixed memory budget for the R packed B~ tiles.
   shared_b_possible_ = plan_.variant == Variant::kABC && m1_ == m_ &&
                        n1_ == n_ && k1_ == k_ && m1_ > 0 && ks_ <= bp_.kc &&
-                       ns_ <= bp_.nc;
+                       ms_ <= bp_.nc;
   if (shared_b_possible_) {
-    shared_b_panel_elems_ = round_up(ns_, bp_.nr) * ks_;
+    shared_b_panel_elems_ = round_up(ns_, bp_.mr) * ks_;
     constexpr index_t kSharedBBudgetElems = (32ll << 20) / sizeof(T);
     if (shared_b_panel_elems_ * R > kSharedBBudgetElems) {
       shared_b_possible_ = false;
@@ -459,9 +461,9 @@ void FmmExecutorT<T>::run_batch_impl(const BatchAccess& acc,
   }
 #endif
   // Shared-B fast path first: packing every B~_r once pays on any thread
-  // count (it removes (count - 1) * R panel packs), and the path
+  // count (it removes (count - 1) * R tile packs), and the path
   // parallelizes across r and items on its own.  One batch at a time may
-  // own the shared panels; a concurrent caller falls through to the
+  // own the shared tiles; a concurrent caller falls through to the
   // generic paths below.
   if (shared_b) {
     std::unique_lock<std::mutex> lk(batch_mu_, std::try_to_lock);
@@ -472,13 +474,14 @@ void FmmExecutorT<T>::run_batch_impl(const BatchAccess& acc,
   }
 
   // Small-shape criterion, shared with the fused driver's mode switch:
-  // when one multiply yields fewer i_c blocks than threads, internal data
-  // parallelism runs in the barrier-heavy fallback — make the independent
-  // items the parallel dimension instead, each executed serially.  The
-  // fused driver sees the interior *submatrix* rows (ms_), not m_; shapes
-  // with no interior are all peel, which sees m_.
-  const index_t rows_seen = m1_ > 0 ? ms_ : std::max<index_t>(m_, 1);
-  const bool item_parallel = nth_ > 1 && ceil_div(rows_seen, bp_.mc) < nth_;
+  // when one multiply yields fewer i_c (column) blocks than threads,
+  // internal data parallelism runs on shrunk tiles or in the barrier-heavy
+  // j_r fallback — make the independent items the parallel dimension
+  // instead, each executed serially.  The fused loop sees the interior
+  // *submatrix* columns (ns_), not n_; shapes with no interior are all
+  // peel, which sees n_.
+  const index_t cols_seen = m1_ > 0 ? ns_ : std::max<index_t>(n_, 1);
+  const bool item_parallel = nth_ > 1 && ceil_div(cols_seen, bp_.mc) < nth_;
   if (!item_parallel) {
     for (std::size_t i = 0; i < count; ++i) {
       const BatchItemT<T> it = acc.at(i);
@@ -510,18 +513,18 @@ void FmmExecutorT<T>::run_batch_shared_b(const BatchAccess& acc,
   const ConstMatViewT<T> b = acc.at(0).b;
   const index_t ldb = b.stride();
   const int R = plan_.R();
-  const int nr = bp_.nr;
+  const int mr = bp_.mr;
   T* bpack = shared_b_.data();
 
   Slot* mine = acquire_slot();
   // Packing overlaps compute: the caller (slot 0) packs the per-r B~
-  // panels *in r order*, publishing each through panels_ready (release),
+  // tiles *in r order*, publishing each through panels_ready (release),
   // then joins the item loop; helpers start consuming items immediately and
-  // wait (acquire) only for the specific panel their item's r loop has
+  // wait (acquire) only for the specific tile their item's r loop has
   // reached.  Each item still walks r = 0..R-1 in order — the per-item
   // accumulation order is what makes results bitwise identical to run() —
-  // so publishing panels in that same order means a compute participant is
-  // only ever gated on the panel the packer is currently producing.  With
+  // so publishing tiles in that same order means a compute participant is
+  // only ever gated on the tile the packer is currently producing.  With
   // one participant this degenerates to pack-everything-then-compute.
   std::atomic<int> panels_ready{0};
   TaskPool::parallel_region(nth_, [&](Team& team) {
@@ -534,7 +537,7 @@ void FmmExecutorT<T>::run_batch_shared_b(const BatchAccess& acc,
           s->b_terms[static_cast<std::size_t>(j)] = {
               b.data() + t.row * ldb + t.col, t.coeff};
         }
-        pack_b<T>(s->b_terms.data(), nb, ldb, ks_, ns_, nr,
+        pack_b<T>(s->b_terms.data(), nb, ldb, ks_, ns_, mr,
                   bpack + r * shared_b_panel_elems_);
         panels_ready.store(r + 1, std::memory_order_release);
       }
@@ -550,9 +553,10 @@ void FmmExecutorT<T>::run_batch_shared_b(const BatchAccess& acc,
 }
 
 // One item of a shared-B batch: the serial ABC interior against the per-r
-// B~ panels, gated on `panels_ready` so it can start before the packer
-// finishes.  Loop structure and arithmetic order match the serial fused
-// driver exactly (single jc/pc block), so results are bitwise identical to
+// B~ tiles, gated on `panels_ready` so it can start before the packer
+// finishes.  Each product is one j_c and one p_c block of the serial fused
+// loop (the item packs its A~ into the slot's n_C buffer), and each C
+// element sums in the same order, so results are bitwise identical to
 // run().
 template <typename T>
 void FmmExecutorT<T>::run_item_prepacked(
@@ -560,19 +564,15 @@ void FmmExecutorT<T>::run_item_prepacked(
     const std::atomic<int>& panels_ready) {
   assert(item.c.rows() == m_ && item.c.cols() == n_ && item.a.cols() == k_);
   const index_t lda = item.a.stride(), ldc = item.c.stride();
-  const int mr = bp_.mr, nr = bp_.nr;
-  const auto ukr = kernel_fn<T>(*bp_.kernel);
-  T* apack = slot.ws.a_tile(0);
-  typename GemmWorkspaceT<T>::TermScratch& scratch = slot.ws.terms(0);
-  LinTermT<T>* a_local = scratch.a.data();
-  OutTermT<T>* c_local = scratch.c.data();
-  alignas(64) T acc[kMaxAccElemsOf<T>];
+  const int nr = bp_.nr;
+  T* apack = slot.ws.a_panels();
+  OutTermT<T>* c_local = slot.ws.terms(0).c.data();
 
   const int R = plan_.R();
   for (int r = 0; r < R; ++r) {
     // The acquire pairs with the packer's release: once panels_ready > r,
-    // panel r's bytes are visible.  The wait is bounded by one panel pack
-    // (panels publish in the same r order this loop consumes).
+    // tile r's bytes are visible.  The wait is bounded by one tile pack
+    // (tiles publish in the same r order this loop consumes).
     while (panels_ready.load(std::memory_order_acquire) <= r) {
       std::this_thread::yield();
     }
@@ -588,31 +588,16 @@ void FmmExecutorT<T>::run_item_prepacked(
       slot.c_terms[static_cast<std::size_t>(p)] = {
           item.c.data() + t.row * ldc + t.col, t.coeff};
     }
-    const T* bpack_r = shared_b_.data() + r * shared_b_panel_elems_;
+    pack_a<T>(slot.a_terms.data(), na, lda, ms_, ks_, nr, apack);
+    const T* btile_r = shared_b_.data() + r * shared_b_panel_elems_;
 
-    for (index_t ic = 0; ic < ms_; ic += bp_.mc) {
-      const index_t mc_eff = std::min<index_t>(bp_.mc, ms_ - ic);
-      for (int i = 0; i < na; ++i) {
-        a_local[i] = {slot.a_terms[static_cast<std::size_t>(i)].ptr + ic * lda,
-                      slot.a_terms[static_cast<std::size_t>(i)].coeff};
-      }
-      pack_a<T>(a_local, na, lda, mc_eff, ks_, mr, apack);
-
-      for (index_t jr = 0; jr < ns_; jr += nr) {
-        const index_t n_sub = std::min<index_t>(nr, ns_ - jr);
-        const T* bpanel = bpack_r + (jr / nr) * nr * ks_;
-        for (index_t ir = 0; ir < mc_eff; ir += mr) {
-          const index_t m_sub = std::min<index_t>(mr, mc_eff - ir);
-          const T* apanel = apack + (ir / mr) * mr * ks_;
-          ukr(ks_, apanel, bpanel, acc);
-          for (int t = 0; t < nc; ++t) {
-            c_local[t].ptr = slot.c_terms[static_cast<std::size_t>(t)].ptr +
-                             (ic + ir) * ldc + jr;
-            c_local[t].coeff = slot.c_terms[static_cast<std::size_t>(t)].coeff;
-          }
-          epilogue_update(c_local, nc, ldc, m_sub, n_sub, acc, mr, nr,
-                          /*accumulate=*/true);
-        }
+    for (index_t ic = 0; ic < ns_; ic += bp_.mc) {
+      const index_t mc_eff = std::min<index_t>(bp_.mc, ns_ - ic);
+      for (index_t jr = 0; jr < ms_; jr += nr) {
+        fused_jr_step<T>(*bp_.kernel, ks_, apack + jr * ks_,
+                         std::min<index_t>(nr, ms_ - jr), btile_r + ic * ks_,
+                         mc_eff, slot.c_terms.data(), nc, ldc, jr, ic,
+                         /*accumulate=*/true, c_local);
       }
     }
   }

@@ -27,10 +27,10 @@
 // repeated runs on the same operands give the same bits.
 //
 // run_batch() executes many operand triples against the one compiled plan.
-// For small shapes (too few i_c blocks to feed the threads — the same
-// criterion the fused driver uses to switch parallel modes) the items
+// For small shapes (too few i_c column blocks to feed the threads — the
+// same criterion the fused loop uses to switch parallel modes) the items
 // themselves become the parallel dimension, each executed serially; when
-// every item also shares one B operand, the per-r packed B~ panels are
+// every item also shares one B operand, the per-r packed B~ tiles are
 // built once and reused across all items.
 //
 // The element type T (double or float; see src/gemm/dtype.h) selects which
@@ -261,7 +261,7 @@ class FmmExecutorT {
   void run_batch_impl(const BatchAccess& acc, std::size_t count,
                       bool shared_b);
   // Shared-B fast path with pack/compute overlap: one thread packs the
-  // per-r B~ panels in order, publishing each through an atomic watermark;
+  // per-r B~ tiles in order, publishing each through an atomic watermark;
   // the others consume items, gating each item's r step on that watermark.
   void run_batch_shared_b(const BatchAccess& acc, std::size_t count);
   void run_item_prepacked(Slot& slot, const BatchItemT<T>& item,
@@ -291,7 +291,8 @@ class FmmExecutorT {
   // Observation hook (see set_timing_hook).
   TimingHook hook_;
 
-  // Shared-B batch fast path: all R packed B~ panels prepacked once.
+  // Shared-B batch fast path: all R packed B~ tiles (mR-column panels)
+  // prepacked once.
   bool shared_b_possible_ = false;
   index_t shared_b_panel_elems_ = 0;  // elements per r
   AlignedBuffer<T> shared_b_;

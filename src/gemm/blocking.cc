@@ -53,13 +53,13 @@ AutoBlocking derive_blocking(const KernelInfo& kernel,
                                    /*step=*/64, /*lo=*/64, /*hi=*/1024);
   }
 
-  // m_C: the packed A-tile (m_C x k_C) takes ~3/4 of L2, leaving room for
-  // the B micro-panels streaming through.
+  // m_C: the packed B~ tile (m_C x k_C) takes ~3/4 of L2, leaving room for
+  // the A~ micro-panels streaming through.
   const double l2 = static_cast<double>(std::max(topo.l2_bytes, 1L));
   ab.mc = floor_multiple_clamped(0.75 * l2 / (ab.kc * kWord), kernel.mr,
                                  kernel.mr, round_up(1536, kernel.mr));
 
-  // n_C: the packed B-panel (k_C x n_C) is cooperatively packed and shared
+  // n_C: the packed A~ buffer (k_C x n_C) is cooperatively packed and shared
   // by every core on the L3 slice, so it budgets against the whole slice
   // (one third) rather than a per-core share — a deliberate choice: even a
   // single-threaded GEMM can productively fill an otherwise idle L3, and
@@ -98,7 +98,7 @@ BlockingParams resolve_blocking(const GemmConfig& cfg, DType dtype) {
   index_t kc = cfg.kc > 0 ? cfg.kc : env_block("FMM_KC");
   index_t nc = cfg.nc > 0 ? cfg.nc : env_block("FMM_NC");
   if (mc == 0 || kc == 0 || nc == 0) {
-    // A pinned kc reshapes the derived mc/nc (the A-tile and B-panel must
+    // A pinned kc reshapes the derived mc/nc (the B~ tile and A~ buffer must
     // fit the caches at the kc that actually runs).
     const AutoBlocking ab = derive_blocking(*bp.kernel, arch::cache_topology(),
                                             kc, resolve_threads(cfg));

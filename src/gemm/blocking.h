@@ -24,9 +24,11 @@ struct GemmConfig {
   // Cache block sizes; 0 (the default) means "derive from the detected
   // cache topology for the resolved kernel".  Precedence per field:
   // explicit value here > FMM_MC/FMM_KC/FMM_NC environment > derived.
-  int mc = 0;  // rows of the packed A-tile (rounded up to a multiple of mR)
+  // The fused loop runs on C^T (src/gemm/fused.h), so m_C blocks C's
+  // columns and n_C its rows.
+  int mc = 0;  // C columns per packed B~ tile (rounded up to a multiple of mR)
   int kc = 0;  // shared inner dimension of both packed buffers
-  int nc = 0;  // cols of the packed B-panel (rounded up to a multiple of nR)
+  int nc = 0;  // C rows per packed A~ buffer (rounded up to a multiple of nR)
 
   // Width of the data-parallel loops (TaskPool::parallel_region); 0 means
   // std::thread::hardware_concurrency().
@@ -69,14 +71,16 @@ struct BlockingParams {
 };
 
 // Analytic cache blocking for one kernel on one topology (testable with
-// hand-built topologies):
-//   k_C: an mR x k_C A micro-panel plus an nR x k_C B micro-panel stream
+// hand-built topologies).  The fused loop runs on C^T, so the kernel's
+// mR-side operand is B~ (m_C blocks C's columns) and its nR-side operand
+// is A~ (n_C blocks C's rows):
+//   k_C: an mR x k_C micro-panel plus an nR x k_C micro-panel stream
 //        through L1 together — k_C = L1d / ((mR + nR) * 8), floored to a
 //        multiple of 64 and clamped to [64, 1024];
-//   m_C: the m_C x k_C packed A-tile occupies ~3/4 of L2 (the rest feeds
-//        the B micro-panels streaming past it), floored to a multiple of
+//   m_C: the m_C x k_C packed B~ tile occupies ~3/4 of L2 (the rest feeds
+//        the A~ micro-panels streaming past it), floored to a multiple of
 //        mR and clamped to [mR, 1536];
-//   n_C: the k_C x n_C packed B-panel is cooperatively shared by every
+//   n_C: the k_C x n_C packed A~ buffer is cooperatively shared by every
 //        core on the L3 slice, so it budgets one third of the *whole*
 //        slice (not a per-core share), capped at 8 MiB and — on heavily
 //        shared slices — at min(max(threads, 4), l3_sharing) per-core

@@ -12,11 +12,11 @@ namespace fmm {
 template <typename T>
 void GemmWorkspaceT<T>::ensure(const BlockingParams& bp, int num_threads,
                                int num_a, int num_b, int num_c) {
-  b_packed_.resize(static_cast<std::size_t>(bp.kc) * bp.nc);
-  if (static_cast<int>(a_tiles_.size()) < num_threads) {
-    a_tiles_.resize(num_threads);
+  a_panels_.resize(static_cast<std::size_t>(bp.kc) * bp.nc);
+  if (static_cast<int>(b_tiles_.size()) < num_threads) {
+    b_tiles_.resize(num_threads);
   }
-  for (auto& tile : a_tiles_) {
+  for (auto& tile : b_tiles_) {
     tile.resize(static_cast<std::size_t>(bp.mc) * bp.kc);
   }
   if (static_cast<int>(term_scratch_.size()) < num_threads) {
@@ -42,6 +42,56 @@ int resolve_threads(const GemmConfig& cfg) {
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   return hw;
 }
+
+LoopMode choose_loop_mode(index_t n, index_t mc, int mr, int threads) {
+  LoopMode mode;
+  mode.mc = mc;
+  if (threads > 1 && ceil_div(n, mc) < threads) {
+    mode.mc = std::max<index_t>(
+        mr, ceil_div(ceil_div(n, static_cast<index_t>(threads)), mr) * mr);
+  }
+  mode.jr_parallel = threads > 1 && ceil_div(n, mode.mc) <
+                                        std::max<index_t>(2, threads / 2);
+  return mode;
+}
+
+template <typename T>
+void fused_jr_step(const KernelInfo& kernel, index_t kc, const T* a_panel,
+                   index_t rows, const T* b_tile, index_t cols,
+                   const OutTermT<T>* c_terms, int num_c, index_t ldc,
+                   index_t row, index_t col, bool accumulate,
+                   OutTermT<T>* c_local) {
+  const int mr = kernel.mr;
+  const auto ukr = kernel_fn<T>(kernel);
+  assert(ukr != nullptr);
+  alignas(64) T acc[kMaxAccElemsOf<T>];
+  for (index_t ir = 0; ir < cols; ir += mr) {
+    for (int t = 0; t < num_c; ++t) {
+      c_local[t].ptr = c_terms[t].ptr + row * ldc + col + ir;
+      c_local[t].coeff = c_terms[t].coeff;
+      // One block row is mR elements of a C row: one 64-byte line for
+      // the 8x6 f64 and 16x6 f32 kernels.
+      for (index_t j = 0; j < rows; ++j) {
+        __builtin_prefetch(c_local[t].ptr + j * ldc, /*rw=*/1);
+      }
+    }
+    // The B~ tile's mR-panel is the kernel's A operand, the A~ panel its B
+    // operand: acc column j is C row `row + j`.
+    ukr(kc, b_tile + ir * kc, a_panel, acc);
+    epilogue_update(c_local, num_c, /*rs=*/1, /*cs=*/ldc,
+                    std::min<index_t>(mr, cols - ir), rows, acc, mr,
+                    kernel.nr, accumulate);
+  }
+}
+
+template void fused_jr_step<double>(const KernelInfo&, index_t, const double*,
+                                    index_t, const double*, index_t,
+                                    const OutTerm*, int, index_t, index_t,
+                                    index_t, bool, OutTerm*);
+template void fused_jr_step<float>(const KernelInfo&, index_t, const float*,
+                                   index_t, const float*, index_t,
+                                   const OutTermF32*, int, index_t, index_t,
+                                   index_t, bool, OutTermF32*);
 
 namespace {
 
@@ -82,111 +132,75 @@ void fused_multiply(index_t m, index_t n, index_t k,
   const BlockingParams bp = resolve_blocking(cfg, DTypeOf<T>::value);
   const int mr = bp.mr;
   const int nr = bp.nr;
-  const auto ukr = kernel_fn<T>(*bp.kernel);
-  assert(ukr != nullptr);
   const int nth = resolve_threads(cfg);
   ws.ensure(bp, nth, num_a, num_b, num_c);
-  T* bpack = ws.b_packed();
-
-  // Parallelization mode (paper §5.1 / Smith et al. IPDPS'14): by default
-  // the 3rd loop around the micro-kernel (i_c) carries the data
-  // parallelism.  When m yields fewer row blocks than threads (small FMM
-  // submatrices), first shrink m_C so the i_c loop regains enough blocks
-  // (cheap: a thinner A-tile still lives comfortably in L2); only when
-  // even mR-high tiles cannot feed half the threads fall back to
-  // parallelizing the 2nd loop (j_r) with a cooperatively packed shared
-  // A-tile, which costs two barriers per tile.
-  index_t mc_use = bp.mc;
-  if (nth > 1 && ceil_div(m, mc_use) < nth) {
-    mc_use = std::max<index_t>(
-        mr, ceil_div(ceil_div(m, static_cast<index_t>(nth)), mr) * mr);
-  }
-  const bool jr_parallel =
-      nth > 1 && ceil_div(m, mc_use) < std::max<index_t>(2, nth / 2);
+  T* apack = ws.a_panels();
+  const LoopMode mode = choose_loop_mode(n, bp.mc, mr, nth);
+  const index_t ic_blocks = ceil_div(n, mode.mc);
 
   TaskPool::parallel_region(nth, [&](Team& team) {
     const int tid = team.slot();
-    T* apack = ws.a_tile(jr_parallel ? 0 : tid);
+    T* btile = ws.b_tile(mode.jr_parallel ? 0 : tid);
     // Pre-sized per-thread scratch (ws.ensure above): no allocation here.
     typename GemmWorkspaceT<T>::TermScratch& scratch = ws.terms(tid);
     LinTermT<T>* a_local = scratch.a.data();
     LinTermT<T>* b_local = scratch.b.data();
     OutTermT<T>* c_local = scratch.c.data();
-    alignas(64) T acc[kMaxAccElemsOf<T>];
 
-    // 5th loop: jc over column blocks of width nc.
-    for (index_t jc = 0; jc < n; jc += bp.nc) {
-      const index_t nc_eff = std::min<index_t>(bp.nc, n - jc);
-      // 4th loop: pc over the shared dimension in steps of kc.
+    // The nest runs on C^T = B^T A^T (see fused.h): j_c and j_r walk C's
+    // rows, i_c and i_r its columns, so every write-back is unit-stride.
+    // 5th loop: j_c over C's rows (A's rows) in blocks of n_C.
+    for (index_t jc = 0; jc < m; jc += bp.nc) {
+      const index_t nc_eff = std::min<index_t>(bp.nc, m - jc);
+      // 4th loop: p_c over the shared dimension in steps of k_C.
       for (index_t pc = 0; pc < k; pc += bp.kc) {
         const index_t kc_eff = std::min<index_t>(bp.kc, k - pc);
         const bool acc_this_block = accumulate || pc > 0;
 
-        // Cooperative pack of B~ = sum_j v_j B_j[pc:, jc:], one nr-wide
+        // Cooperative pack of A~ = sum_i u_i A_i[jc:, pc:], one nR-row
         // panel per index.  The loop's barrier publishes the buffer.
-        offset_terms<T>(b_terms, num_b, ldb, pc, jc, b_local);
+        offset_terms<T>(a_terms, num_a, lda, jc, pc, a_local);
         team.for_each(ceil_div(nc_eff, nr), [&](index_t q) {
-          pack_b_panel<T>(b_local, num_b, ldb, kc_eff, nc_eff, nr, q,
-                          bpack + q * nr * kc_eff);
+          pack_a_panel<T>(a_local, num_a, lda, nc_eff, kc_eff, nr, q,
+                          apack + q * nr * kc_eff);
         });
 
-        const index_t ic_blocks = ceil_div(m, mc_use);
-        if (!jr_parallel) {
-          // 3rd loop (i_c) carries the parallelism; A-tiles are private.
+        // C rows [jc + jr, +nR) against the B~ tile of columns
+        // [ic, ic + mc_eff).
+        auto jr_step = [&](index_t jr, index_t ic, index_t mc_eff) {
+          fused_jr_step<T>(*bp.kernel, kc_eff, apack + jr * kc_eff,
+                           std::min<index_t>(nr, nc_eff - jr), btile, mc_eff,
+                           c_terms, num_c, ldc, jc + jr, ic, acc_this_block,
+                           c_local);
+        };
+        if (!mode.jr_parallel) {
+          // 3rd loop (i_c) carries the parallelism; B~ tiles are private.
           team.for_each(ic_blocks, [&](index_t icb) {
-            const index_t ic = icb * mc_use;
-            const index_t mc_eff = std::min<index_t>(mc_use, m - ic);
-            offset_terms<T>(a_terms, num_a, lda, ic, pc, a_local);
-            pack_a<T>(a_local, num_a, lda, mc_eff, kc_eff, mr, apack);
-
+            const index_t ic = icb * mode.mc;
+            const index_t mc_eff = std::min<index_t>(mode.mc, n - ic);
+            offset_terms<T>(b_terms, num_b, ldb, pc, ic, b_local);
+            pack_b<T>(b_local, num_b, ldb, kc_eff, mc_eff, mr, btile);
             for (index_t jr = 0; jr < nc_eff; jr += nr) {
-              const index_t n_sub = std::min<index_t>(nr, nc_eff - jr);
-              const T* bpanel = bpack + (jr / nr) * nr * kc_eff;
-              for (index_t ir = 0; ir < mc_eff; ir += mr) {
-                const index_t m_sub = std::min<index_t>(mr, mc_eff - ir);
-                const T* apanel = apack + (ir / mr) * mr * kc_eff;
-                ukr(kc_eff, apanel, bpanel, acc);
-                for (int t = 0; t < num_c; ++t) {
-                  c_local[t].ptr =
-                      c_terms[t].ptr + (ic + ir) * ldc + (jc + jr);
-                  c_local[t].coeff = c_terms[t].coeff;
-                }
-                epilogue_update(c_local, num_c, ldc, m_sub, n_sub, acc,
-                                mr, nr, acc_this_block);
-              }
+              jr_step(jr, ic, mc_eff);
             }
           });
-          // The barrier: nobody repacks B~ for the next pc while a
+          // The barrier: nobody repacks A~ for the next pc while a
           // participant still computes with the old one.
         } else {
-          // 2nd-loop (j_r) parallel mode: i_c runs sequentially, each tile
-          // packed cooperatively into the shared buffer, then the j_r
-          // panels are divided among threads.
+          // 2nd-loop (j_r) parallel mode: i_c runs sequentially, each
+          // tile packed cooperatively into the shared buffer, then the
+          // j_r panels are divided among participants.
           for (index_t icb = 0; icb < ic_blocks; ++icb) {
-            const index_t ic = icb * mc_use;
-            const index_t mc_eff = std::min<index_t>(mc_use, m - ic);
-            offset_terms<T>(a_terms, num_a, lda, ic, pc, a_local);
+            const index_t ic = icb * mode.mc;
+            const index_t mc_eff = std::min<index_t>(mode.mc, n - ic);
+            offset_terms<T>(b_terms, num_b, ldb, pc, ic, b_local);
             team.for_each(ceil_div(mc_eff, mr), [&](index_t p) {
-              pack_a_panel<T>(a_local, num_a, lda, mc_eff, kc_eff, mr, p,
-                              apack + p * mr * kc_eff);
+              pack_b_panel<T>(b_local, num_b, ldb, kc_eff, mc_eff, mr, p,
+                              btile + p * mr * kc_eff);
             });
-            // The barrier: the shared A-tile is complete.
+            // The barrier: the shared B~ tile is complete.
             team.for_each(ceil_div(nc_eff, nr), [&](index_t jrb) {
-              const index_t jr = jrb * nr;
-              const index_t n_sub = std::min<index_t>(nr, nc_eff - jr);
-              const T* bpanel = bpack + jrb * nr * kc_eff;
-              for (index_t ir = 0; ir < mc_eff; ir += mr) {
-                const index_t m_sub = std::min<index_t>(mr, mc_eff - ir);
-                const T* apanel = apack + (ir / mr) * mr * kc_eff;
-                ukr(kc_eff, apanel, bpanel, acc);
-                for (int t = 0; t < num_c; ++t) {
-                  c_local[t].ptr =
-                      c_terms[t].ptr + (ic + ir) * ldc + (jc + jr);
-                  c_local[t].coeff = c_terms[t].coeff;
-                }
-                epilogue_update(c_local, num_c, ldc, m_sub, n_sub, acc,
-                                mr, nr, acc_this_block);
-              }
+              jr_step(jrb * nr, ic, mc_eff);
             });
             // The barrier before the shared tile is overwritten.
           }

@@ -12,10 +12,25 @@
 // through exactly this code path, so FMM-vs-GEMM comparisons are
 // apples-to-apples.
 //
+// The loop runs on the transposed problem C^T = B^T A^T (BLIS's induced
+// transposition for row-stored C).  The micro-kernel's mR x nR block is
+// column-major, so a kernel column of mR accumulators is mR contiguous
+// elements of one C row: the i_r loop streams along C rows, and the
+// epilogue's write-back is unit-stride updates of lines that were
+// prefetched while the kernel ran.  Loop roles:
+//   * j_c walks C's rows (A's rows) in n_C blocks; A~ = sum_i u_i A_i is
+//     packed into the shared k_C x n_C buffer in nR-row panels;
+//   * p_c walks k in k_C blocks;
+//   * i_c walks C's columns in m_C blocks; each participant packs
+//     B~ = sum_j v_j B_j into its own m_C x k_C tile in mR-column panels;
+//   * j_r (nR rows of C) and i_r (mR columns of C) drive the kernel.
+// Each C element still sums its k products in the same order, so the
+// orientation does not change a single bit of the result.
+//
 // Parallelism mirrors the paper (§5.1, citing Smith et al. IPDPS'14):
 // data parallelism over the 3rd loop around the micro-kernel (the i_c
-// loop), with cooperative packing of the shared B~ panel and a
-// per-thread A~ tile, run as one TaskPool::parallel_region per call
+// loop), with cooperative packing of the shared A~ buffer and a
+// per-participant B~ tile, run as one TaskPool::parallel_region per call
 // (src/core/task_pool.h) of up to cfg.num_threads participants.
 //
 // The element type is a template parameter with explicit double/float
@@ -51,14 +66,14 @@ class GemmWorkspaceT {
   void ensure(const BlockingParams& bp, int num_threads, int num_a,
               int num_b, int num_c);
 
-  T* b_packed() { return b_packed_.data(); }
-  T* a_tile(int thread) { return a_tiles_[thread].data(); }
+  T* a_panels() { return a_panels_.data(); }
+  T* b_tile(int thread) { return b_tiles_[thread].data(); }
   TermScratch& terms(int thread) { return term_scratch_[thread]; }
-  int num_threads() const { return static_cast<int>(a_tiles_.size()); }
+  int num_threads() const { return static_cast<int>(b_tiles_.size()); }
 
  private:
-  AlignedBuffer<T> b_packed_;                  // kc x nc
-  std::vector<AlignedBuffer<T>> a_tiles_;      // mc x kc per thread
+  AlignedBuffer<T> a_panels_;                  // kc x nc: A~, nr-row panels
+  std::vector<AlignedBuffer<T>> b_tiles_;      // mc x kc per thread: B~
   std::vector<TermScratch> term_scratch_;      // one per thread
 };
 
@@ -71,6 +86,46 @@ using GemmWorkspaceF32 = GemmWorkspaceT<float>;
 // Resolves cfg.num_threads (0 -> std::thread::hardware_concurrency(), at
 // least 1).
 int resolve_threads(const GemmConfig& cfg);
+
+// How one call divides its work among `threads` participants.  By default
+// the i_c loop carries the parallelism.  When n yields fewer m_C column
+// blocks than threads (small FMM submatrices), m_C first shrinks so the
+// i_c loop regains enough blocks (a thinner B~ tile still lives
+// comfortably in L2); only when even mR-wide tiles cannot feed half the
+// threads does the 2nd loop (j_r) take over, with a cooperatively packed
+// shared B~ tile, at two barriers per tile.
+struct LoopMode {
+  index_t mc = 0;            // the i_c loop's step (a multiple of mr)
+  bool jr_parallel = false;  // the j_r loop carries the parallelism
+};
+LoopMode choose_loop_mode(index_t n, index_t mc, int mr, int threads);
+
+// One step of the 2nd loop (j_r) with the 1st (i_r) inside it: the
+// nR-row A~ panel `a_panel` (C rows [row, row + rows), rows <= nR) meets
+// every mR-column panel of the B~ tile `b_tile` (C columns
+// [col, col + cols)), and each accumulator block goes to every target
+// through epilogue_update at (rs, cs) = (1, ldc).  Before each kernel
+// call the block's C rows are prefetched for writing.  Both panels span
+// `kc` of the shared dimension; `c_local` is caller-owned room for num_c
+// terms.  The fused loop and the executor's shared-B batch path share
+// this code.
+template <typename T>
+void fused_jr_step(const KernelInfo& kernel, index_t kc, const T* a_panel,
+                   index_t rows, const T* b_tile, index_t cols,
+                   const OutTermT<T>* c_terms, int num_c, index_t ldc,
+                   index_t row, index_t col, bool accumulate,
+                   OutTermT<T>* c_local);
+
+extern template void fused_jr_step<double>(const KernelInfo&, index_t,
+                                           const double*, index_t,
+                                           const double*, index_t,
+                                           const OutTerm*, int, index_t,
+                                           index_t, index_t, bool, OutTerm*);
+extern template void fused_jr_step<float>(const KernelInfo&, index_t,
+                                          const float*, index_t, const float*,
+                                          index_t, const OutTermF32*, int,
+                                          index_t, index_t, index_t, bool,
+                                          OutTermF32*);
 
 // With accumulate == true (the default), every target receives
 // C_t += w_t * product; with accumulate == false the first k-block

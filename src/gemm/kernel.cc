@@ -172,32 +172,64 @@ void microkernel_generic_impl(int mr, int nr, index_t k, const T* a_panel,
   for (int i = 0; i < mr * nr; ++i) acc[i] = local[i];
 }
 
+// One element update; `w * a` is rounded before the add in both modes.
+template <bool kAccumulate, typename T>
+inline void update(T& dst, T w, T a) {
+  if constexpr (kAccumulate) {
+    dst += w * a;
+  } else {
+    dst = w * a;
+  }
+}
+
+// Full tile at unit row stride: column j of the block is MR contiguous
+// elements at c + j * cs.  The compile-time width unrolls into whole
+// vectors.
+template <bool kAccumulate, int MR, typename T>
+void update_full_tile(T* c, index_t cs, int nr, const T* acc, T w) {
+  for (int j = 0; j < nr; ++j) {
+    T* dst = c + j * cs;
+    const T* src = acc + j * MR;
+    for (int r = 0; r < MR; ++r) update<kAccumulate>(dst[r], w, src[r]);
+  }
+}
+
+template <bool kAccumulate, typename T>
+void update_tile(T* c, index_t rs, index_t cs, index_t m_sub, index_t n_sub,
+                 const T* acc, int mr, int nr, T w) {
+  if (rs == 1 && m_sub == mr && n_sub == nr) {
+    // Every registered kernel's mr; other tiles take the general loop.
+    switch (mr) {
+      case 4:
+        return update_full_tile<kAccumulate, 4>(c, cs, nr, acc, w);
+      case 8:
+        return update_full_tile<kAccumulate, 8>(c, cs, nr, acc, w);
+      case 16:
+        return update_full_tile<kAccumulate, 16>(c, cs, nr, acc, w);
+      default:
+        break;
+    }
+  }
+  for (index_t j = 0; j < n_sub; ++j) {
+    T* dst = c + j * cs;
+    const T* src = acc + j * mr;
+    for (index_t r = 0; r < m_sub; ++r) {
+      update<kAccumulate>(dst[r * rs], w, src[r]);
+    }
+  }
+}
+
 template <typename T>
 void epilogue_update_impl(const OutTermT<T>* targets, int num_targets,
-                          index_t ldc, index_t m_sub, index_t n_sub,
+                          index_t rs, index_t cs, index_t m_sub, index_t n_sub,
                           const T* acc, int mr, int nr, bool accumulate) {
   for (int t = 0; t < num_targets; ++t) {
     T* c = targets[t].ptr;
     const T w = static_cast<T>(targets[t].coeff);
     if (accumulate) {
-      // The fast path requires a *full* tile of the active kernel; edge
-      // tiles of any kernel size take the masked loops.
-      if (m_sub == mr && n_sub == nr) {
-        for (int r = 0; r < mr; ++r) {
-          T* crow = c + r * ldc;
-          for (int j = 0; j < nr; ++j) crow[j] += w * acc[j * mr + r];
-        }
-      } else {
-        for (index_t r = 0; r < m_sub; ++r) {
-          T* crow = c + r * ldc;
-          for (index_t j = 0; j < n_sub; ++j) crow[j] += w * acc[j * mr + r];
-        }
-      }
+      update_tile<true>(c, rs, cs, m_sub, n_sub, acc, mr, nr, w);
     } else {
-      for (index_t r = 0; r < m_sub; ++r) {
-        T* crow = c + r * ldc;
-        for (index_t j = 0; j < n_sub; ++j) crow[j] = w * acc[j * mr + r];
-      }
+      update_tile<false>(c, rs, cs, m_sub, n_sub, acc, mr, nr, w);
     }
   }
 }
@@ -268,18 +300,18 @@ void microkernel_portable(index_t k, const float* a_panel,
   portable_microkernel<float, 8, 6>(k, a_panel, b_panel, acc);
 }
 
-void epilogue_update(const OutTerm* targets, int num_targets, index_t ldc,
-                     index_t m_sub, index_t n_sub, const double* acc, int mr,
-                     int nr, bool accumulate) {
-  epilogue_update_impl<double>(targets, num_targets, ldc, m_sub, n_sub, acc,
-                               mr, nr, accumulate);
+void epilogue_update(const OutTerm* targets, int num_targets, index_t rs,
+                     index_t cs, index_t m_sub, index_t n_sub,
+                     const double* acc, int mr, int nr, bool accumulate) {
+  epilogue_update_impl<double>(targets, num_targets, rs, cs, m_sub, n_sub,
+                               acc, mr, nr, accumulate);
 }
 
-void epilogue_update(const OutTermF32* targets, int num_targets, index_t ldc,
-                     index_t m_sub, index_t n_sub, const float* acc, int mr,
-                     int nr, bool accumulate) {
-  epilogue_update_impl<float>(targets, num_targets, ldc, m_sub, n_sub, acc,
-                              mr, nr, accumulate);
+void epilogue_update(const OutTermF32* targets, int num_targets, index_t rs,
+                     index_t cs, index_t m_sub, index_t n_sub,
+                     const float* acc, int mr, int nr, bool accumulate) {
+  epilogue_update_impl<float>(targets, num_targets, rs, cs, m_sub, n_sub,
+                              acc, mr, nr, accumulate);
 }
 
 }  // namespace fmm

@@ -151,17 +151,42 @@ void microkernel_portable(index_t k, const double* a_panel,
 void microkernel_portable(index_t k, const float* a_panel,
                           const float* b_panel, float* acc);
 
-// Epilogue: for each target t, C_t[0:m_sub, 0:n_sub] += coeff_t * block
-// (accumulate == true) or = coeff_t * block (overwrite; used for the first
-// k-block when streaming into a fresh temporary).  `acc` is laid out with
-// leading dimension mr; m_sub <= mr and n_sub <= nr mask edge tiles — the
-// full-tile fast path is taken only when m_sub == mr && n_sub == nr, so a
-// non-8x6 kernel can never take the unmasked path on an edge tile.
-void epilogue_update(const OutTerm* targets, int num_targets, index_t ldc,
-                     index_t m_sub, index_t n_sub, const double* acc, int mr,
-                     int nr, bool accumulate = true);
-void epilogue_update(const OutTermF32* targets, int num_targets, index_t ldc,
-                     index_t m_sub, index_t n_sub, const float* acc, int mr,
-                     int nr, bool accumulate = true);
+// Epilogue: for each target t, every element (r, j) of the accumulator
+// block with r < m_sub, j < n_sub updates
+//
+//     C_t[r * rs + j * cs] += coeff_t * acc[j * mr + r]   (accumulate)
+//     C_t[r * rs + j * cs]  = coeff_t * acc[j * mr + r]   (overwrite)
+//
+// Overwrite serves the first k-block when streaming into a fresh
+// temporary.  `acc` is the kernel's block with leading dimension mr;
+// m_sub <= mr and n_sub <= nr mask edge tiles.  The fused loop runs on the
+// transposed problem and passes (rs, cs) = (1, ldc): column j of `acc` is
+// mr contiguous elements of one C row, and a full tile (m_sub == mr,
+// n_sub == nr) with rs == 1 takes a fixed-width unit-stride path.  The
+// product and the add stay separate operations (no FMA), so every stride
+// pair gives the same bits.
+void epilogue_update(const OutTerm* targets, int num_targets, index_t rs,
+                     index_t cs, index_t m_sub, index_t n_sub,
+                     const double* acc, int mr, int nr, bool accumulate);
+void epilogue_update(const OutTermF32* targets, int num_targets, index_t rs,
+                     index_t cs, index_t m_sub, index_t n_sub,
+                     const float* acc, int mr, int nr, bool accumulate);
+
+// The (rs, cs) = (ldc, 1) case: row r of the block lands in row r of each
+// C_t[0:m_sub, 0:n_sub] (row stride ldc).
+inline void epilogue_update(const OutTerm* targets, int num_targets,
+                            index_t ldc, index_t m_sub, index_t n_sub,
+                            const double* acc, int mr, int nr,
+                            bool accumulate = true) {
+  epilogue_update(targets, num_targets, ldc, 1, m_sub, n_sub, acc, mr, nr,
+                  accumulate);
+}
+inline void epilogue_update(const OutTermF32* targets, int num_targets,
+                            index_t ldc, index_t m_sub, index_t n_sub,
+                            const float* acc, int mr, int nr,
+                            bool accumulate = true) {
+  epilogue_update(targets, num_targets, ldc, 1, m_sub, n_sub, acc, mr, nr,
+                  accumulate);
+}
 
 }  // namespace fmm

@@ -1,120 +1,27 @@
 #include "src/gemm/pack.h"
 
-#include <cstring>
+#include <algorithm>
 
 namespace fmm {
-namespace {
-
-// Specialized single-term A-pack: the plain-GEMM fast path (coeff almost
-// always 1.0) and the dominant case after common-subexpression collapse.
-// Templated on the panel height so the row loop fully unrolls for the
-// register tiles actually registered (see the switch in pack_a).
-template <typename T, int MR>
-void pack_a_one_t(const T* a, double coeff, index_t lda, index_t m,
-                  index_t k, T* out) {
-  const T c = static_cast<T>(coeff);
-  const index_t full_panels = m / MR;
-  for (index_t p = 0; p < full_panels; ++p) {
-    const T* src = a + p * MR * lda;
-    T* dst = out + p * MR * k;
-    for (index_t kk = 0; kk < k; ++kk) {
-      for (int r = 0; r < MR; ++r) dst[kk * MR + r] = c * src[r * lda + kk];
-    }
-  }
-  const index_t rem = m - full_panels * MR;
-  if (rem > 0) {
-    const T* src = a + full_panels * MR * lda;
-    T* dst = out + full_panels * MR * k;
-    for (index_t kk = 0; kk < k; ++kk) {
-      for (index_t r = 0; r < rem; ++r) dst[kk * MR + r] = c * src[r * lda + kk];
-      for (index_t r = rem; r < MR; ++r) dst[kk * MR + r] = T(0);
-    }
-  }
-}
-
-template <typename T>
-void pack_a_one(const T* a, double coeff, index_t lda, index_t m,
-                index_t k, int mr, T* out) {
-  switch (mr) {
-    case 16:
-      pack_a_one_t<T, 16>(a, coeff, lda, m, k, out);
-      return;
-    case 8:
-      pack_a_one_t<T, 8>(a, coeff, lda, m, k, out);
-      return;
-    case 4:
-      pack_a_one_t<T, 4>(a, coeff, lda, m, k, out);
-      return;
-    default:
-      break;
-  }
-  const T c = static_cast<T>(coeff);
-  const index_t panels = ceil_div(m, mr);
-  for (index_t p = 0; p < panels; ++p) {
-    const index_t row0 = p * mr;
-    const index_t rows = std::min<index_t>(mr, m - row0);
-    const T* src = a + row0 * lda;
-    T* dst = out + p * mr * k;
-    for (index_t kk = 0; kk < k; ++kk) {
-      for (index_t r = 0; r < rows; ++r) dst[kk * mr + r] = c * src[r * lda + kk];
-      for (index_t r = rows; r < mr; ++r) dst[kk * mr + r] = T(0);
-    }
-  }
-}
-
-}  // namespace
-
-template <typename T>
-void pack_a(const LinTermT<T>* terms, int num_terms, index_t lda, index_t m,
-            index_t k, int mr, T* out) {
-  if (num_terms == 1) {
-    pack_a_one<T>(terms[0].ptr, terms[0].coeff, lda, m, k, mr, out);
-    return;
-  }
-  // General case: accumulate the weighted sum while transposing into panels.
-  // The first term writes, the rest add; this keeps a single pass per term
-  // with unit-stride writes into the (cache-resident) packed buffer.
-  const index_t panels = ceil_div(m, mr);
-  for (int t = 0; t < num_terms; ++t) {
-    const T* a = terms[t].ptr;
-    const T c = static_cast<T>(terms[t].coeff);
-    for (index_t p = 0; p < panels; ++p) {
-      const index_t row0 = p * mr;
-      const index_t rows = std::min<index_t>(mr, m - row0);
-      const T* src = a + row0 * lda;
-      T* dst = out + p * mr * k;
-      if (t == 0) {
-        for (index_t kk = 0; kk < k; ++kk) {
-          for (index_t r = 0; r < rows; ++r) dst[kk * mr + r] = c * src[r * lda + kk];
-          for (index_t r = rows; r < mr; ++r) dst[kk * mr + r] = T(0);
-        }
-      } else {
-        for (index_t kk = 0; kk < k; ++kk) {
-          for (index_t r = 0; r < rows; ++r) dst[kk * mr + r] += c * src[r * lda + kk];
-        }
-      }
-    }
-  }
-}
 
 template <typename T>
 void pack_a_panel(const LinTermT<T>* terms, int num_terms, index_t lda,
-                  index_t m, index_t k, int mr, index_t p, T* out_panel) {
-  const index_t row0 = p * mr;
-  const index_t rows = std::min<index_t>(mr, m - row0);
+                  index_t m, index_t k, int w, index_t p, T* out_panel) {
+  const index_t row0 = p * w;
+  const index_t rows = std::min<index_t>(w, m - row0);
   for (int t = 0; t < num_terms; ++t) {
     const T* src = terms[t].ptr + row0 * lda;
     const T c = static_cast<T>(terms[t].coeff);
     if (t == 0) {
       for (index_t kk = 0; kk < k; ++kk) {
         for (index_t r = 0; r < rows; ++r)
-          out_panel[kk * mr + r] = c * src[r * lda + kk];
-        for (index_t r = rows; r < mr; ++r) out_panel[kk * mr + r] = T(0);
+          out_panel[kk * w + r] = c * src[r * lda + kk];
+        for (index_t r = rows; r < w; ++r) out_panel[kk * w + r] = T(0);
       }
     } else {
       for (index_t kk = 0; kk < k; ++kk) {
         for (index_t r = 0; r < rows; ++r)
-          out_panel[kk * mr + r] += c * src[r * lda + kk];
+          out_panel[kk * w + r] += c * src[r * lda + kk];
       }
     }
   }
@@ -122,24 +29,24 @@ void pack_a_panel(const LinTermT<T>* terms, int num_terms, index_t lda,
 
 template <typename T>
 void pack_b_panel(const LinTermT<T>* terms, int num_terms, index_t ldb,
-                  index_t k, index_t n, int nr, index_t q, T* out_panel) {
-  const index_t col0 = q * nr;
-  const index_t cols = std::min<index_t>(nr, n - col0);
+                  index_t k, index_t n, int w, index_t q, T* out_panel) {
+  const index_t col0 = q * w;
+  const index_t cols = std::min<index_t>(w, n - col0);
   if (num_terms == 1) {
     const T* b = terms[0].ptr + col0;
     const T c = static_cast<T>(terms[0].coeff);
-    if (cols == nr) {
+    if (cols == w) {
       for (index_t kk = 0; kk < k; ++kk) {
         const T* src = b + kk * ldb;
-        T* dst = out_panel + kk * nr;
-        for (index_t j = 0; j < nr; ++j) dst[j] = c * src[j];
+        T* dst = out_panel + kk * w;
+        for (index_t j = 0; j < w; ++j) dst[j] = c * src[j];
       }
     } else {
       for (index_t kk = 0; kk < k; ++kk) {
         const T* src = b + kk * ldb;
-        T* dst = out_panel + kk * nr;
+        T* dst = out_panel + kk * w;
         for (index_t j = 0; j < cols; ++j) dst[j] = c * src[j];
-        for (index_t j = cols; j < nr; ++j) dst[j] = T(0);
+        for (index_t j = cols; j < w; ++j) dst[j] = T(0);
       }
     }
     return;
@@ -150,14 +57,14 @@ void pack_b_panel(const LinTermT<T>* terms, int num_terms, index_t ldb,
     if (t == 0) {
       for (index_t kk = 0; kk < k; ++kk) {
         const T* src = b + kk * ldb;
-        T* dst = out_panel + kk * nr;
+        T* dst = out_panel + kk * w;
         for (index_t j = 0; j < cols; ++j) dst[j] = c * src[j];
-        for (index_t j = cols; j < nr; ++j) dst[j] = T(0);
+        for (index_t j = cols; j < w; ++j) dst[j] = T(0);
       }
     } else {
       for (index_t kk = 0; kk < k; ++kk) {
         const T* src = b + kk * ldb;
-        T* dst = out_panel + kk * nr;
+        T* dst = out_panel + kk * w;
         for (index_t j = 0; j < cols; ++j) dst[j] += c * src[j];
       }
     }
@@ -165,11 +72,20 @@ void pack_b_panel(const LinTermT<T>* terms, int num_terms, index_t ldb,
 }
 
 template <typename T>
+void pack_a(const LinTermT<T>* terms, int num_terms, index_t lda, index_t m,
+            index_t k, int w, T* out) {
+  const index_t panels = ceil_div(m, w);
+  for (index_t p = 0; p < panels; ++p) {
+    pack_a_panel<T>(terms, num_terms, lda, m, k, w, p, out + p * w * k);
+  }
+}
+
+template <typename T>
 void pack_b(const LinTermT<T>* terms, int num_terms, index_t ldb, index_t k,
-            index_t n, int nr, T* out) {
-  const index_t panels = ceil_div(n, nr);
+            index_t n, int w, T* out) {
+  const index_t panels = ceil_div(n, w);
   for (index_t q = 0; q < panels; ++q) {
-    pack_b_panel<T>(terms, num_terms, ldb, k, n, nr, q, out + q * nr * k);
+    pack_b_panel<T>(terms, num_terms, ldb, k, n, w, q, out + q * w * k);
   }
 }
 

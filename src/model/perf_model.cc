@@ -64,16 +64,19 @@ ModelBreakdown predict_breakdown(const ModelInput& in, const ModelParams& p) {
 
   // Register-tile padding: packed edge panels are zero-filled to full
   // mr x nr tiles, so the micro-kernel arithmetic covers the padded dims.
-  const double ms_pad = ceil_ratio(ms, in.mr) * in.mr;
-  const double ns_pad = ceil_ratio(ns, in.nr) * in.nr;
+  // The fused loop runs on C^T (src/gemm/fused.h): C's rows pad to nr and
+  // its columns to mr.
+  const double ms_pad = ceil_ratio(ms, in.nr) * in.nr;
+  const double ns_pad = ceil_ratio(ns, in.mr) * in.mr;
 
   // --- Unit times (Fig. 5, middle table, "L-level" column). ---
   const double Tx_a = 2.0 * ms_pad * ns_pad * ks * p.tau_a;  // one submatrix multiply
   const double TAp_a = 2.0 * ms * ks * p.tau_a;            // one A-submatrix addition
   const double TBp_a = 2.0 * ks * ns * p.tau_a;            // one B-submatrix addition
   const double TCp_a = 2.0 * ms * ns * p.tau_a;            // one C-submatrix update
-  const double TAx_m = ms * ks * ceil_ratio(ns, in.nc) * p.tau_b;  // read A in packing
-  const double TBx_m = ns * ks * p.tau_b;                          // read B in packing
+  // Packing reads A once per call and B once per n_C block of C's rows.
+  const double TAx_m = ms * ks * p.tau_b;                          // read A in packing
+  const double TBx_m = ns * ks * ceil_ratio(ms, in.nc) * p.tau_b;  // read B in packing
   const double TCx_m = 2.0 * p.lambda * ms * ns * ceil_ratio(ks, in.kc) * p.tau_b;
   const double TAp_m = ms * ks * p.tau_b;  // temp-buffer traffic (Naive)
   const double TBp_m = ns * ks * p.tau_b;
@@ -121,17 +124,18 @@ ModelBreakdown predict_breakdown(const ModelInput& in, const ModelParams& p) {
 double predict_gemm_time(index_t m, index_t n, index_t k,
                          const GemmConfig& cfg, const ModelParams& p,
                          DType dtype) {
-  // Fig. 5, "gemm" column: one multiply, no additions, single packing pass.
+  // Fig. 5, "gemm" column: one multiply, no additions, single packing pass
+  // of A, one pass of B per n_C block of C's rows (the loop runs on C^T).
   const BlockingParams bp = resolve_blocking(cfg, dtype);
   const double md = static_cast<double>(m);
   const double nd = static_cast<double>(n);
   const double kd = static_cast<double>(k);
-  const double mp = ceil_ratio(md, bp.mr) * bp.mr;  // register-tile padding
-  const double np = ceil_ratio(nd, bp.nr) * bp.nr;
+  const double mp = ceil_ratio(md, bp.nr) * bp.nr;  // register-tile padding
+  const double np = ceil_ratio(nd, bp.mr) * bp.mr;
   const double ta = 2.0 * mp * np * kd * p.tau_a;
   const double tm =
-      md * kd * ceil_ratio(nd, static_cast<double>(bp.nc)) * p.tau_b +
-      nd * kd * p.tau_b +
+      md * kd * p.tau_b +
+      nd * kd * ceil_ratio(md, static_cast<double>(bp.nc)) * p.tau_b +
       2.0 * p.lambda * md * nd * ceil_ratio(kd, static_cast<double>(bp.kc)) *
           p.tau_b;
   return ta + tm;
@@ -179,8 +183,8 @@ ModelParams calibrate(const GemmConfig& cfg) {
   {
     const double s = 1152;
     const double measured = measure_gemm(static_cast<index_t>(s));
-    const double tm_mid = s * s * ceil_ratio(s, nc_res) * p.tau_b +
-                          s * s * p.tau_b +
+    const double tm_mid = s * s * p.tau_b +
+                          s * s * ceil_ratio(s, nc_res) * p.tau_b +
                           2.0 * 0.75 * s * s * ceil_ratio(s, kc_res) * p.tau_b;
     const double ta_fit = (measured - tm_mid) / (2.0 * s * s * s);
     p.tau_a = std::max(p.tau_a, ta_fit);
@@ -192,8 +196,8 @@ ModelParams calibrate(const GemmConfig& cfg) {
     const double measured = measure_gemm(m);
     const double md = m, nd = n, kd = k;
     const double ta = 2.0 * md * nd * kd * p.tau_a;
-    const double t_ab = md * kd * ceil_ratio(nd, nc_res) * p.tau_b +
-                        nd * kd * p.tau_b;
+    const double t_ab = md * kd * p.tau_b +
+                        nd * kd * ceil_ratio(md, nc_res) * p.tau_b;
     const double denom = 2.0 * md * nd * ceil_ratio(kd, kc_res) * p.tau_b;
     double lam = (measured - ta - t_ab) / denom;
     p.lambda = std::clamp(lam, 0.5, 1.0);

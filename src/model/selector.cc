@@ -54,9 +54,10 @@ const KernelInfo* best_kernel_for_shape(index_t ms, index_t ns, index_t ks,
     // kernel's *measured* sustained rate (lazily calibrated once per
     // process and cached — src/arch/calibrate.h; the static hint is only
     // the FMM_CALIBRATE=0 fallback).  The same trade the model charges in
-    // Tx_a, cheap enough to evaluate for every (plan, kernel) pair.
-    const double msp = std::ceil(msd / kern.mr) * kern.mr;
-    const double nsp = std::ceil(nsd / kern.nr) * kern.nr;
+    // Tx_a, cheap enough to evaluate for every (plan, kernel) pair.  The
+    // fused loop runs on C^T: rows pad to nR, columns to mR.
+    const double msp = std::ceil(msd / kern.nr) * kern.nr;
+    const double nsp = std::ceil(nsd / kern.mr) * kern.mr;
     const double cost = msp * nsp * ksd / arch::kernel_gflops(kern);
     if (best == nullptr || cost < best_cost) {
       best = &kern;

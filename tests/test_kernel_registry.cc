@@ -269,34 +269,70 @@ TEST(KernelDispatch, EnvOverrideUnknownNameFallsBack) {
 }
 
 // --------------------------------------------------------------------------
-// Epilogue: weighted scatter with the kernel-size-aware masked split.
+// Epilogue: weighted scatter with the kernel-size-aware masked split, at
+// both stride pairs.  (ldc, 1), the legacy spelling, writes block row r
+// into C row r; (1, ldc), the fused loop's, writes block column j into C
+// row j.  Every test runs both: an EpilogueTarget holds a C of the
+// matching shape and maps block element (r, j) to its C element.
 // --------------------------------------------------------------------------
+
+struct EpilogueTarget {
+  EpilogueTarget(bool transposed_, int mr, int nr)
+      : transposed(transposed_),
+        c(transposed_ ? nr : mr, transposed_ ? mr : nr) {}
+  double& operator()(int r, int j) { return transposed ? c(j, r) : c(r, j); }
+
+  bool transposed;
+  Matrix c;
+};
+
+void apply_epilogue(bool transposed, const OutTerm* targets, int num,
+                    index_t ldc, index_t m_sub, index_t n_sub,
+                    const double* acc, int mr, int nr,
+                    bool accumulate = true) {
+  if (transposed) {
+    epilogue_update(targets, num, /*rs=*/1, /*cs=*/ldc, m_sub, n_sub, acc, mr,
+                    nr, accumulate);
+  } else {
+    epilogue_update(targets, num, ldc, m_sub, n_sub, acc, mr, nr, accumulate);
+  }
+}
+
+const char* stride_pair(bool transposed) {
+  return transposed ? "(rs, cs) = (1, ldc)" : "(rs, cs) = (ldc, 1)";
+}
 
 TEST(Epilogue, SingleTargetFullBlock) {
   constexpr int MR = 8, NR = 6;
   alignas(64) double acc[MR * NR];
   for (int j = 0; j < NR; ++j)
     for (int r = 0; r < MR; ++r) acc[j * MR + r] = 100.0 * r + j;
-  Matrix c(MR, NR);
-  c.fill(1.0);
-  OutTerm t{c.data(), 1.0};
-  epilogue_update(&t, 1, c.stride(), MR, NR, acc, MR, NR);
-  for (int r = 0; r < MR; ++r)
-    for (int j = 0; j < NR; ++j)
-      EXPECT_DOUBLE_EQ(c(r, j), 1.0 + 100.0 * r + j);
+  for (bool transposed : {false, true}) {
+    SCOPED_TRACE(stride_pair(transposed));
+    EpilogueTarget c(transposed, MR, NR);
+    c.c.fill(1.0);
+    OutTerm t{c.c.data(), 1.0};
+    apply_epilogue(transposed, &t, 1, c.c.stride(), MR, NR, acc, MR, NR);
+    for (int r = 0; r < MR; ++r)
+      for (int j = 0; j < NR; ++j)
+        EXPECT_DOUBLE_EQ(c(r, j), 1.0 + 100.0 * r + j);
+  }
 }
 
 TEST(Epilogue, MaskedEdgeBlockLeavesOutsideUntouched) {
   constexpr int MR = 8, NR = 6;
   alignas(64) double acc[MR * NR];
   for (auto& v : acc) v = 5.0;
-  Matrix c(MR, NR);
-  c.fill(0.0);
-  OutTerm t{c.data(), 1.0};
-  epilogue_update(&t, 1, c.stride(), 3, 2, acc, MR, NR);
-  for (int r = 0; r < MR; ++r) {
-    for (int j = 0; j < NR; ++j) {
-      EXPECT_DOUBLE_EQ(c(r, j), (r < 3 && j < 2) ? 5.0 : 0.0);
+  for (bool transposed : {false, true}) {
+    SCOPED_TRACE(stride_pair(transposed));
+    EpilogueTarget c(transposed, MR, NR);
+    c.c.fill(0.0);
+    OutTerm t{c.c.data(), 1.0};
+    apply_epilogue(transposed, &t, 1, c.c.stride(), 3, 2, acc, MR, NR);
+    for (int r = 0; r < MR; ++r) {
+      for (int j = 0; j < NR; ++j) {
+        EXPECT_DOUBLE_EQ(c(r, j), (r < 3 && j < 2) ? 5.0 : 0.0);
+      }
     }
   }
 }
@@ -308,13 +344,16 @@ TEST(Epilogue, FullTileSplitIsKernelSizeAware) {
   constexpr int MR = 4, NR = 12;
   alignas(64) double acc[MR * NR];
   for (auto& v : acc) v = 7.0;
-  Matrix c(MR, NR);
-  c.fill(0.0);
-  OutTerm t{c.data(), 1.0};
-  epilogue_update(&t, 1, c.stride(), MR, 5, acc, MR, NR);
-  for (int r = 0; r < MR; ++r) {
-    for (int j = 0; j < NR; ++j) {
-      EXPECT_DOUBLE_EQ(c(r, j), j < 5 ? 7.0 : 0.0) << r << "," << j;
+  for (bool transposed : {false, true}) {
+    SCOPED_TRACE(stride_pair(transposed));
+    EpilogueTarget c(transposed, MR, NR);
+    c.c.fill(0.0);
+    OutTerm t{c.c.data(), 1.0};
+    apply_epilogue(transposed, &t, 1, c.c.stride(), MR, 5, acc, MR, NR);
+    for (int r = 0; r < MR; ++r) {
+      for (int j = 0; j < NR; ++j) {
+        EXPECT_DOUBLE_EQ(c(r, j), j < 5 ? 7.0 : 0.0) << r << "," << j;
+      }
     }
   }
 }
@@ -326,19 +365,24 @@ TEST(Epilogue, NonDefaultTileFullBlockAndMask) {
   alignas(64) double acc[MR * NR];
   for (int j = 0; j < NR; ++j)
     for (int r = 0; r < MR; ++r) acc[j * MR + r] = 10.0 * r + j;
-  Matrix full = Matrix::zero(MR, NR);
-  OutTerm tf{full.data(), 2.0};
-  epilogue_update(&tf, 1, full.stride(), MR, NR, acc, MR, NR);
-  for (int r = 0; r < MR; ++r)
-    for (int j = 0; j < NR; ++j)
-      EXPECT_DOUBLE_EQ(full(r, j), 2.0 * (10.0 * r + j));
+  for (bool transposed : {false, true}) {
+    SCOPED_TRACE(stride_pair(transposed));
+    EpilogueTarget full(transposed, MR, NR);
+    full.c.fill(0.0);
+    OutTerm tf{full.c.data(), 2.0};
+    apply_epilogue(transposed, &tf, 1, full.c.stride(), MR, NR, acc, MR, NR);
+    for (int r = 0; r < MR; ++r)
+      for (int j = 0; j < NR; ++j)
+        EXPECT_DOUBLE_EQ(full(r, j), 2.0 * (10.0 * r + j));
 
-  Matrix masked = Matrix::zero(MR, NR);
-  OutTerm tm{masked.data(), 1.0};
-  epilogue_update(&tm, 1, masked.stride(), 3, NR, acc, MR, NR);
-  for (int r = 0; r < MR; ++r)
-    for (int j = 0; j < NR; ++j)
-      EXPECT_DOUBLE_EQ(masked(r, j), r < 3 ? 10.0 * r + j : 0.0);
+    EpilogueTarget masked(transposed, MR, NR);
+    masked.c.fill(0.0);
+    OutTerm tm{masked.c.data(), 1.0};
+    apply_epilogue(transposed, &tm, 1, masked.c.stride(), 3, NR, acc, MR, NR);
+    for (int r = 0; r < MR; ++r)
+      for (int j = 0; j < NR; ++j)
+        EXPECT_DOUBLE_EQ(masked(r, j), r < 3 ? 10.0 * r + j : 0.0);
+  }
 }
 
 TEST(Epilogue, MultiTargetWeightedScatter) {
@@ -347,38 +391,49 @@ TEST(Epilogue, MultiTargetWeightedScatter) {
   constexpr int MR = 8, NR = 6;
   alignas(64) double acc[MR * NR];
   for (auto& v : acc) v = 2.0;
-  Matrix c0 = Matrix::zero(MR, NR);
-  Matrix c1 = Matrix::zero(MR, NR);
-  Matrix c2 = Matrix::zero(MR, NR);
-  OutTerm ts[3] = {{c0.data(), 1.0}, {c1.data(), -1.0}, {c2.data(), 0.5}};
-  epilogue_update(ts, 3, NR, MR, NR, acc, MR, NR);
-  EXPECT_DOUBLE_EQ(c0(4, 3), 2.0);
-  EXPECT_DOUBLE_EQ(c1(4, 3), -2.0);
-  EXPECT_DOUBLE_EQ(c2(4, 3), 1.0);
+  for (bool transposed : {false, true}) {
+    SCOPED_TRACE(stride_pair(transposed));
+    EpilogueTarget c0(transposed, MR, NR), c1(transposed, MR, NR),
+        c2(transposed, MR, NR);
+    for (EpilogueTarget* c : {&c0, &c1, &c2}) c->c.fill(0.0);
+    OutTerm ts[3] = {{c0.c.data(), 1.0}, {c1.c.data(), -1.0},
+                     {c2.c.data(), 0.5}};
+    apply_epilogue(transposed, ts, 3, c0.c.stride(), MR, NR, acc, MR, NR);
+    EXPECT_DOUBLE_EQ(c0(4, 3), 2.0);
+    EXPECT_DOUBLE_EQ(c1(4, 3), -2.0);
+    EXPECT_DOUBLE_EQ(c2(4, 3), 1.0);
+  }
 }
 
 TEST(Epilogue, AccumulatesOnRepeat) {
   constexpr int MR = 8, NR = 6;
   alignas(64) double acc[MR * NR];
   for (auto& v : acc) v = 1.0;
-  Matrix c = Matrix::zero(MR, NR);
-  OutTerm t{c.data(), 3.0};
-  epilogue_update(&t, 1, c.stride(), MR, NR, acc, MR, NR);
-  epilogue_update(&t, 1, c.stride(), MR, NR, acc, MR, NR);
-  EXPECT_DOUBLE_EQ(c(0, 0), 6.0);
+  for (bool transposed : {false, true}) {
+    SCOPED_TRACE(stride_pair(transposed));
+    EpilogueTarget c(transposed, MR, NR);
+    c.c.fill(0.0);
+    OutTerm t{c.c.data(), 3.0};
+    apply_epilogue(transposed, &t, 1, c.c.stride(), MR, NR, acc, MR, NR);
+    apply_epilogue(transposed, &t, 1, c.c.stride(), MR, NR, acc, MR, NR);
+    EXPECT_DOUBLE_EQ(c(0, 0), 6.0);
+  }
 }
 
 TEST(Epilogue, OverwriteModeIgnoresPriorContents) {
   constexpr int MR = 4, NR = 12;
   alignas(64) double acc[MR * NR];
   for (auto& v : acc) v = 3.0;
-  Matrix c(MR, NR);
-  c.fill(123.0);
-  OutTerm t{c.data(), 2.0};
-  epilogue_update(&t, 1, c.stride(), MR, NR, acc, MR, NR,
-                  /*accumulate=*/false);
-  for (int r = 0; r < MR; ++r)
-    for (int j = 0; j < NR; ++j) EXPECT_DOUBLE_EQ(c(r, j), 6.0);
+  for (bool transposed : {false, true}) {
+    SCOPED_TRACE(stride_pair(transposed));
+    EpilogueTarget c(transposed, MR, NR);
+    c.c.fill(123.0);
+    OutTerm t{c.c.data(), 2.0};
+    apply_epilogue(transposed, &t, 1, c.c.stride(), MR, NR, acc, MR, NR,
+                   /*accumulate=*/false);
+    for (int r = 0; r < MR; ++r)
+      for (int j = 0; j < NR; ++j) EXPECT_DOUBLE_EQ(c(r, j), 6.0);
+  }
 }
 
 // --------------------------------------------------------------------------

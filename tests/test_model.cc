@@ -23,15 +23,18 @@ ModelParams unit_params() {
 
 TEST(Model, GemmTimeMatchesHandComputation) {
   // Fig. 5 gemm column with τa=τb=λ=1, extended with register-tile padding
-  // on the arithmetic term (edge panels are zero-padded to full mR x nR):
-  //   T = 2*pad(m,mR)*pad(n,nR)*k + mk*ceil(n/nc) + nk + 2mn*ceil(k/kc)
+  // on the arithmetic term (edge panels are zero-padded to full tiles).
+  // The fused loop runs on C^T: C's rows pad to nR and its columns to mR,
+  // A is packed once and B once per n_C block of C's rows:
+  //   T = 2*pad(m,nR)*pad(n,mR)*k + mk + nk*ceil(m/nc) + 2mn*ceil(k/kc)
   GemmConfig cfg;
   cfg.kc = 256;
   cfg.nc = 4092;
   cfg.kernel = find_kernel("portable");  // pin the 8x6 tile: deterministic
   ASSERT_NE(cfg.kernel, nullptr);
-  // pad(100, 8) = 104, pad(200, 6) = 204, ceil(300/256) = 2.
-  const double want = 2.0 * 104 * 204 * 300 + 100 * 300 * 1.0 + 200 * 300 +
+  // pad(100, 6) = 102, pad(200, 8) = 200, ceil(100/4092) = 1,
+  // ceil(300/256) = 2.
+  const double want = 2.0 * 102 * 200 * 300 + 100 * 300 + 200 * 300 * 1.0 +
                       2.0 * 100 * 200 * 2.0;
   EXPECT_DOUBLE_EQ(predict_gemm_time(100, 200, 300, cfg, unit_params()), want);
 }
@@ -49,12 +52,12 @@ TEST(Model, OneLevelStrassenAbcCounts) {
   EXPECT_EQ(in.nnz_u, 12);
   const ModelBreakdown b = predict_breakdown(in, unit_params());
   const double ms = m / 2.0, ns = n / 2.0, ks = k / 2.0;
-  // The multiplies run over register-tile-padded submatrices:
-  // pad(64, 8) = 64, pad(128, 6) = 132.
-  EXPECT_DOUBLE_EQ(b.t_mul_a, 7 * 2 * ms * 132 * ks);
+  // The multiplies run over register-tile-padded submatrices (rows pad to
+  // nR, columns to mR): pad(64, 6) = 66, pad(128, 8) = 128.
+  EXPECT_DOUBLE_EQ(b.t_mul_a, 7 * 2 * 66 * ns * ks);
   // (12-7) A-additions + (12-7) B-additions + 12 C-updates, 2 flops each.
   EXPECT_DOUBLE_EQ(b.t_add_a, 5 * 2 * ms * ks + 5 * 2 * ks * ns + 12 * 2 * ms * ns);
-  // Packing: 12 A-reads with ceil(ns/nc)=1, 12 B-reads.
+  // Packing: 12 A-reads, 12 B-reads with ceil(ms/nc)=1.
   EXPECT_DOUBLE_EQ(b.t_pack_m, 12 * ms * ks + 12 * ns * ks);
   // C traffic: 12 targets, 2*lambda*ms*ns*ceil(ks/kc) each.
   EXPECT_DOUBLE_EQ(b.t_c_m, 12 * 2 * ms * ns * std::ceil(ks / 256.0));

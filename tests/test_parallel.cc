@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/core/catalog.h"
 #include "src/core/engine.h"
+#include "src/gemm/fused.h"
 #include "src/linalg/ops.h"
+#include "src/util/prng.h"
 #include "src/util/timer.h"
 #include "tests/test_support.h"
 
@@ -83,16 +88,20 @@ TEST(Parallel, OversubscribedThreadsStillCorrect) {
 }
 
 TEST(Parallel, JrParallelModeKicksInForShortM) {
-  // m smaller than threads*mc forces the 2nd-loop-parallel mode with the
-  // cooperatively packed shared A-tile; results must stay bitwise equal to
-  // the single-thread run.
+  // The i_c loop splits C's columns: 5 mR-wide column blocks cannot feed
+  // half of 16 threads even after the m_C shrink, so the 2nd-loop-parallel
+  // mode with the cooperatively packed shared B~ tile runs; results must
+  // stay bitwise equal to the single-thread run.
   GemmConfig cfg1, cfgN;
   cfg1.num_threads = 1;
-  cfgN.num_threads = 16;  // 16 threads, but only ceil(100/96)=2 ic blocks
-  Matrix a = Matrix::random(100, 500, 9);
-  Matrix b = Matrix::random(500, 900, 10);
-  Matrix c1 = Matrix::zero(100, 900);
-  Matrix cN = Matrix::zero(100, 900);
+  cfgN.num_threads = 16;
+  const BlockingParams bp = resolve_blocking(cfgN);
+  const index_t m = 900, n = 5 * bp.mr, k = 500;
+  EXPECT_TRUE(choose_loop_mode(n, bp.mc, bp.mr, 16).jr_parallel);
+  Matrix a = Matrix::random(m, k, 9);
+  Matrix b = Matrix::random(k, n, 10);
+  Matrix c1 = Matrix::zero(m, n);
+  Matrix cN = Matrix::zero(m, n);
   gemm(c1.view(), a.view(), b.view(), cfg1);
   gemm(cN.view(), a.view(), b.view(), cfgN);
   EXPECT_EQ(max_abs_diff(c1.view(), cN.view()), 0.0);
@@ -100,24 +109,29 @@ TEST(Parallel, JrParallelModeKicksInForShortM) {
 
 TEST(Parallel, OverwriteModeMatchesZeroThenAccumulate) {
   // fused_multiply(accumulate=false) into a garbage buffer must equal
-  // zero-fill + accumulate, across both parallel modes and k > kc.
-  for (int threads : {1, 8}) {
+  // zero-fill + accumulate, serially, in i_c mode (2 threads) and in j_r
+  // mode (16 threads: 5 mR-wide column blocks), with k > kc.
+  for (int threads : {1, 2, 16}) {
     GemmConfig cfg;
     cfg.num_threads = threads;
-    Matrix a = Matrix::random(64, 600, 11);  // k=600 > kc: 3 k-blocks
-    Matrix b = Matrix::random(600, 72, 12);
-    Matrix dirty(64, 72);
+    const BlockingParams bp = resolve_blocking(cfg);
+    const index_t m = 64, n = 5 * bp.mr, k = 600;  // k=600 > kc: k-blocks
+    EXPECT_EQ(choose_loop_mode(n, bp.mc, bp.mr, threads).jr_parallel,
+              threads == 16);
+    Matrix a = Matrix::random(m, k, 11);
+    Matrix b = Matrix::random(k, n, 12);
+    Matrix dirty(m, n);
     dirty.fill(1e33);  // poison: must be fully overwritten
-    Matrix clean = Matrix::zero(64, 72);
+    Matrix clean = Matrix::zero(m, n);
     GemmWorkspace ws;
     LinTerm at{a.data(), 1.0};
     LinTerm bt{b.data(), 1.0};
     OutTerm od{dirty.data(), 1.0};
     OutTerm oc{clean.data(), 1.0};
-    fused_multiply(64, 72, 600, &at, 1, a.stride(), &bt, 1, b.stride(), &od,
-                   1, dirty.stride(), ws, cfg, /*accumulate=*/false);
-    fused_multiply(64, 72, 600, &at, 1, a.stride(), &bt, 1, b.stride(), &oc,
-                   1, clean.stride(), ws, cfg, /*accumulate=*/true);
+    fused_multiply(m, n, k, &at, 1, a.stride(), &bt, 1, b.stride(), &od, 1,
+                   dirty.stride(), ws, cfg, /*accumulate=*/false);
+    fused_multiply(m, n, k, &at, 1, a.stride(), &bt, 1, b.stride(), &oc, 1,
+                   clean.stride(), ws, cfg, /*accumulate=*/true);
     EXPECT_EQ(max_abs_diff(dirty.view(), clean.view()), 0.0)
         << "threads=" << threads;
   }
@@ -137,8 +151,8 @@ TEST(Parallel, OverwriteModeWithZeroKClearsTargets) {
 }
 
 TEST(Parallel, OverwriteModeAcrossMultipleJcStripes) {
-  // n > nc: every jc stripe sees its own pc == 0 block; the overwrite
-  // logic must clear each stripe exactly once.
+  // m > nc: j_c walks C's rows, and every jc stripe sees its own pc == 0
+  // block; the overwrite logic must clear each stripe exactly once.
   GemmConfig cfg;
   cfg.nc = 12;  // tiny (rounded up to the tile width): force many jc stripes
   cfg.num_threads = 4;
@@ -155,6 +169,135 @@ TEST(Parallel, OverwriteModeAcrossMultipleJcStripes) {
   Matrix want = Matrix::zero(32, 96);
   ref_gemm(want.view(), a.view(), b.view());
   EXPECT_LE(max_abs_diff(dirty.view(), want.view()), 1e-11);
+}
+
+// One kernel's guard-band check: plain gemm and a 3-target weighted
+// fused_multiply write into interior views of a sentinel-filled parent.
+// The views carry fringes in both directions (m % nR != 0, n % mR != 0);
+// 1 and 2 threads run the i_c mode, 16 the j_r mode.  Inside the views
+// the result matches ref_gemm; outside, every element keeps its sentinel
+// bits.
+template <typename T>
+void expect_views_exact(const KernelInfo& kern) {
+  SCOPED_TRACE(std::string(kern.name) + " " + dtype_name(kern.dtype));
+  const index_t m = 3 * kern.nr + 1;
+  const index_t n = 4 * kern.mr + 3;
+  const index_t k = 150;  // three k_C = 64 blocks
+  const index_t g = 3;    // guard width around every view
+  const index_t rows = m + 2 * g;
+  const index_t ldc = 3 * (n + g) + g;  // three views side by side
+  const T sentinel = T(-7.25);
+  // Operand sums reach 1.5 in magnitude, so products reach 2.25.
+  const double tol = 4 * (sizeof(T) == sizeof(double)
+                              ? test::tol_classical(k)
+                              : test::tol_classical_f32(k));
+
+  Xoshiro256 rng(kern.mr * 100 + kern.nr);
+  auto random_vec = [&](index_t size) {
+    std::vector<T> v(static_cast<std::size_t>(size));
+    for (T& x : v) x = static_cast<T>(rng.uniform(-1, 1));
+    return v;
+  };
+  // A_0 | A_1 (lda = 2k) and B_0 | B_1 (ldb = 2n), each pair side by side.
+  const std::vector<T> a = random_vec(m * 2 * k);
+  const std::vector<T> b = random_vec(k * 2 * n);
+  const LinTermT<T> a_terms[2] = {{a.data(), 1.0}, {a.data() + k, -0.5}};
+  const LinTermT<T> b_terms[2] = {{b.data(), 1.0}, {b.data() + n, 0.5}};
+  const double w[3] = {1.0, -1.0, 0.5};
+
+  // References: A_0 B_0 (gemm) and (A_0 - A_1 / 2)(B_0 + B_1 / 2) (fused).
+  std::vector<T> sum_a(static_cast<std::size_t>(m * k));
+  std::vector<T> sum_b(static_cast<std::size_t>(k * n));
+  for (index_t i = 0; i < m; ++i)
+    for (index_t p = 0; p < k; ++p)
+      sum_a[i * k + p] = a[i * 2 * k + p] + T(-0.5) * a[i * 2 * k + k + p];
+  for (index_t p = 0; p < k; ++p)
+    for (index_t j = 0; j < n; ++j)
+      sum_b[p * n + j] = b[p * 2 * n + j] + T(0.5) * b[p * 2 * n + n + j];
+  std::vector<T> prod_gemm(static_cast<std::size_t>(m * n), T(0));
+  std::vector<T> prod_fused(static_cast<std::size_t>(m * n), T(0));
+  ref_gemm(MatViewT<T>(prod_gemm.data(), m, n, n),
+           ConstMatViewT<T>(a.data(), m, k, 2 * k),
+           ConstMatViewT<T>(b.data(), k, n, 2 * n));
+  ref_gemm(MatViewT<T>(prod_fused.data(), m, n, n),
+           ConstMatViewT<T>(sum_a.data(), m, k, k),
+           ConstMatViewT<T>(sum_b.data(), k, n, n));
+
+  // Which view (i, j) of the parent lies in, or -1 for the guard band.
+  auto view_of = [&](index_t i, index_t j) {
+    if (i < g || i >= g + m) return -1;
+    for (int v = 0; v < 3; ++v) {
+      const index_t j0 = g + v * (n + g);
+      if (j >= j0 && j < j0 + n) return v;
+    }
+    return -1;
+  };
+
+  GemmWorkspaceT<T> ws;
+  for (int threads : {1, 2, 16}) {
+    GemmConfig cfg;
+    cfg.num_threads = threads;
+    cfg.kernel = &kern;
+    cfg.kc = 64;
+    const BlockingParams bp = resolve_blocking(cfg, kern.dtype);
+    EXPECT_EQ(choose_loop_mode(n, bp.mc, bp.mr, threads).jr_parallel,
+              threads == 16);
+    // (views written, accumulate): plain gemm, then the fused multiply.
+    const std::pair<int, bool> cases[] = {{1, true}, {3, true}, {3, false}};
+    for (const auto& [views, accumulate] : cases) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " views=" + std::to_string(views) +
+                   " accumulate=" + std::to_string(accumulate));
+      std::vector<T> parent(static_cast<std::size_t>(rows * ldc), sentinel);
+      for (index_t i = 0; i < rows; ++i)
+        for (index_t j = 0; j < ldc; ++j)
+          if (const int v = view_of(i, j); v >= 0 && v < views)
+            parent[i * ldc + j] = static_cast<T>(rng.uniform(-1, 1));
+      const std::vector<T> before = parent;
+      T* view0 = parent.data() + g * ldc + g;
+      if (views == 1) {
+        gemm(MatViewT<T>(view0, m, n, ldc),
+             ConstMatViewT<T>(a.data(), m, k, 2 * k),
+             ConstMatViewT<T>(b.data(), k, n, 2 * n), ws, cfg);
+      } else {
+        OutTermT<T> c_terms[3];
+        for (int v = 0; v < 3; ++v) c_terms[v] = {view0 + v * (n + g), w[v]};
+        fused_multiply<T>(m, n, k, a_terms, 2, 2 * k, b_terms, 2, 2 * n,
+                          c_terms, 3, ldc, ws, cfg, accumulate);
+      }
+      const std::vector<T>& prod = views == 1 ? prod_gemm : prod_fused;
+      double max_err = 0.0;
+      int guard_changed = 0;
+      for (index_t i = 0; i < rows; ++i) {
+        for (index_t j = 0; j < ldc; ++j) {
+          const T got = parent[i * ldc + j];
+          const int v = view_of(i, j);
+          if (v < 0 || v >= views) {
+            guard_changed += std::memcmp(&got, &sentinel, sizeof(T)) != 0;
+            continue;
+          }
+          const index_t jv = j - g - v * (n + g);
+          const double want =
+              (accumulate ? static_cast<double>(before[i * ldc + j]) : 0.0) +
+              (views == 1 ? 1.0 : w[v]) * prod[(i - g) * n + jv];
+          max_err = std::max(max_err, std::abs(got - want));
+        }
+      }
+      EXPECT_LE(max_err, tol);
+      EXPECT_EQ(guard_changed, 0);
+    }
+  }
+}
+
+TEST(Parallel, FringeTilesWriteExactlyTheirViews) {
+  for (const KernelInfo& kern : kernel_registry()) {
+    if (!kern.supported()) continue;
+    if (kern.dtype == DType::kF64) {
+      expect_views_exact<double>(kern);
+    } else {
+      expect_views_exact<float>(kern);
+    }
+  }
 }
 
 TEST(Parallel, SpeedupOnLargeProblem) {

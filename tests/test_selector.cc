@@ -101,13 +101,14 @@ TEST(BestKernelForShape, ReturnsSupportedKernel) {
 }
 
 TEST(BestKernelForShape, PadsAgainstAwkwardShapes) {
-  // A 4-row-tall problem wastes half of an 8-row tile; if a 4-row tile is
-  // registered and reasonably fast, scoring must not pick a kernel whose
-  // row padding doubles the flops while a same-ISA thinner tile exists.
+  // The fused loop runs on C^T, so C's rows fill a tile's nR side.  A
+  // 4-row-tall problem wastes two thirds of a 12-wide tile; scoring must
+  // not pick a kernel whose row padding triples the flops while a
+  // same-ISA tile with a narrower nR exists.
   const KernelInfo* k = best_kernel_for_shape(4, 4096, 4096);
   ASSERT_NE(k, nullptr);
   // Whatever wins must not pad rows by more than 2x.
-  EXPECT_LE(round_up(4, k->mr), 8);
+  EXPECT_LE(round_up(4, k->nr), 8);
 }
 
 TEST(SelectEmpirical, MeasuresTopKAndReturnsWinnerFirst) {
