@@ -15,7 +15,8 @@
 // disabled vs descent at --cutoff — and reports which regime fired and
 // what it cost.  It also shows the determinism contract: a fixed task
 // graph is bitwise reproducible run-to-run, and with the cutoff at the
-// problem size the recursive engine is bitwise identical to flat.
+// problem size the recursive engine is bitwise identical to flat.  It
+// exits non-zero when a multiply returns an error or a check fails.
 //
 //   $ ./hybrid_levels --n 1536 --cutoff 384
 //   $ FMM_RECURSE_CUTOFF=512 ./hybrid_levels     # env default, same knob
@@ -45,6 +46,18 @@ int main(int argc, char** argv) {
   Matrix c = Matrix::zero(n, n);
   Matrix c_ref = Matrix::zero(n, n);
   const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(n) * n;
+  int failures = 0;
+  auto check = [&](const Status& st) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "multiply failed: %s\n", st.to_string().c_str());
+      ++failures;
+    }
+  };
+  auto same_bits = [&](const Matrix& x, const Matrix& y) {
+    const bool same = std::memcmp(x.data(), y.data(), bytes) == 0;
+    if (!same) ++failures;
+    return same ? "yes" : "NO";
+  };
 
   // Two engines, one knob apart.  Precedence for the cutoff is
   // Options::recurse_cutoff > FMM_RECURSE_CUTOFF > derived-from-L3;
@@ -92,7 +105,7 @@ int main(int argc, char** argv) {
     const bool descends = should_recurse(e.plan, n, n, n, cutoff);
     auto run = [&](Engine& eng, Matrix& dst) {
       std::memset(dst.data(), 0, bytes);
-      (void)eng.multiply(e.plan, dst.view(), a.view(), b.view());
+      check(eng.multiply(e.plan, dst.view(), a.view(), b.view()));
     };
     run(flat, c_ref);  // warm (compile executors) + reference result
     run(recursive, c);
@@ -113,10 +126,10 @@ int main(int argc, char** argv) {
   const Plan& two_level = entries[2].plan;
   Matrix r1 = Matrix::zero(n, n);
   Matrix r2 = Matrix::zero(n, n);
-  (void)recursive.multiply(two_level, r1.view(), a.view(), b.view());
-  (void)recursive.multiply(two_level, r2.view(), a.view(), b.view());
+  check(recursive.multiply(two_level, r1.view(), a.view(), b.view()));
+  check(recursive.multiply(two_level, r2.view(), a.view(), b.view()));
   std::printf("two recursive runs bitwise identical: %s\n",
-              std::memcmp(r1.data(), r2.data(), bytes) == 0 ? "yes" : "NO");
+              same_bits(r1, r2));
 
   // Determinism, part 2: with the cutoff at the problem size the engine
   // never descends, and the result is bitwise identical to flat (a
@@ -125,9 +138,11 @@ int main(int argc, char** argv) {
   Engine::Options at_size;
   at_size.recurse_cutoff = n;
   Engine no_descent(at_size);
-  (void)no_descent.multiply(two_level, r1.view(), a.view(), b.view());
-  (void)flat.multiply(two_level, r2.view(), a.view(), b.view());
+  std::memset(r1.data(), 0, bytes);
+  std::memset(r2.data(), 0, bytes);
+  check(no_descent.multiply(two_level, r1.view(), a.view(), b.view()));
+  check(flat.multiply(two_level, r2.view(), a.view(), b.view()));
   std::printf("cutoff-at-size engine bitwise identical to flat: %s\n",
-              std::memcmp(r1.data(), r2.data(), bytes) == 0 ? "yes" : "NO");
-  return 0;
+              same_bits(r1, r2));
+  return failures == 0 ? 0 : 1;
 }

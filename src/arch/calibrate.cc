@@ -26,9 +26,6 @@ struct CalibState {
   std::map<std::string, double> rates;  // kernel_cache_key() -> GFLOP/s
   bool file_loaded = false;
   int timing_runs = 0;
-  // Programmatic cache-path override (beats FMM_CALIB_CACHE when set).
-  bool has_path_override = false;
-  std::string path_override;
   // First cache-file I/O failure this process (load or append).
   Status file_status;
 };
@@ -48,10 +45,9 @@ std::string sanitized_cpu_model() {
   return model;
 }
 
-// The effective cache path: the programmatic override when set, else the
-// FMM_CALIB_CACHE environment variable.  Empty = no persistence.
-std::string cache_path_locked(const CalibState& s) {
-  if (s.has_path_override) return s.path_override;
+// The cache path: the FMM_CALIB_CACHE environment variable.  Empty = no
+// persistence.
+std::string cache_path() {
   const char* path = std::getenv("FMM_CALIB_CACHE");
   return path != nullptr ? std::string(path) : std::string();
 }
@@ -64,7 +60,7 @@ void note_file_error_locked(CalibState& s, StatusCode code,
 // FMM_CALIB_CACHE line format: <cpu-model> <kernel-name> <gflops>
 void load_cache_file_locked(CalibState& s) {
   s.file_loaded = true;
-  const std::string path = cache_path_locked(s);
+  const std::string path = cache_path();
   if (path.empty()) return;
   std::ifstream f(path);
   if (!f) {
@@ -102,7 +98,7 @@ void load_cache_file_locked(CalibState& s) {
 
 void append_cache_file_locked(CalibState& s, const std::string& kernel,
                               double gflops) {
-  const std::string path = cache_path_locked(s);
+  const std::string path = cache_path();
   if (path.empty()) return;
   std::ofstream f(path, std::ios::app);
   if (!f) {
@@ -191,16 +187,6 @@ double kernel_gflops(const KernelInfo& kern) {
 
 std::string calibration_cpu_key() { return sanitized_cpu_model(); }
 
-void set_calibration_cache_path(const std::string& path) {
-  CalibState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.has_path_override = !path.empty();
-  s.path_override = path;
-  // Force a re-load from the new location on the next kernel_gflops();
-  // rates already measured this process stay valid (they are per-machine).
-  s.file_loaded = false;
-}
-
 Status calibration_file_status() {
   CalibState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
@@ -270,8 +256,6 @@ void calibration_reset_for_testing() {
   std::lock_guard<std::mutex> lock(s.mu);
   s.rates.clear();
   s.file_loaded = false;
-  s.has_path_override = false;
-  s.path_override.clear();
   s.file_status = Status{};
 }
 

@@ -58,12 +58,6 @@ double measured_tau_b(DType dtype);
 // same way.
 std::string calibration_cpu_key();
 
-// Process-wide calibration-cache path override: when set (non-empty), it
-// beats the FMM_CALIB_CACHE environment variable; set("") restores the env
-// lookup.  Takes effect on the next cache load/append — call it before the
-// first kernel_gflops() (Engine::Options does this in the constructor).
-void set_calibration_cache_path(const std::string& path);
-
 // The first I/O failure observed while loading or appending the
 // calibration cache file this process (OK when none, or when no file is
 // configured).  Loading silently skipped a malformed file before; serving

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <limits>
 
@@ -22,37 +21,20 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Key hashing.  Equality is exact (same_execution + field compares); the
-// hash only routes lookups to a shard and prunes the scan, so collisions
-// are harmless.
+// hash only prunes the cache scan, so collisions are harmless.
 // ---------------------------------------------------------------------------
 
 std::size_t hash_combine(std::size_t h, std::size_t v) {
   return h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
 }
 
-std::size_t hash_doubles(std::size_t h, const std::vector<double>& v) {
-  for (double d : v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    h = hash_combine(h, static_cast<std::size_t>(bits));
-  }
-  return h;
-}
-
 std::size_t key_hash(const Plan& plan, index_t m, index_t n, index_t k,
                      const GemmConfig& cfg) {
-  std::size_t h = 0xfeedface;
-  h = hash_combine(h, static_cast<std::size_t>(plan.variant));
+  // The plan's arithmetic (variant, dims, coefficients) through the
+  // history store's own fingerprint.
+  std::size_t h = static_cast<std::size_t>(plan_footprint(plan));
   h = hash_combine(h, static_cast<std::size_t>(plan.dtype));
   h = hash_combine(h, std::hash<const void*>{}(plan.kernel));
-  const FmmAlgorithm& f = plan.flat;
-  h = hash_combine(h, static_cast<std::size_t>(f.mt));
-  h = hash_combine(h, static_cast<std::size_t>(f.kt));
-  h = hash_combine(h, static_cast<std::size_t>(f.nt));
-  h = hash_combine(h, static_cast<std::size_t>(f.R));
-  h = hash_doubles(h, f.U);
-  h = hash_doubles(h, f.V);
-  h = hash_doubles(h, f.W);
   h = hash_combine(h, static_cast<std::size_t>(m));
   h = hash_combine(h, static_cast<std::size_t>(n));
   h = hash_combine(h, static_cast<std::size_t>(k));
@@ -129,17 +111,15 @@ Status validate_triple(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b) {
   return Status{};
 }
 
-// Normalizes the dense-default row strides in place, then validates.
+// Validates a strided descriptor whose dense row-stride defaults are
+// already filled in (BatchAccessT's constructor).
 template <typename T>
-Status validate_strided(StridedBatchT<T>& sb) {
+Status validate_strided(const StridedBatchT<T>& sb) {
   if (sb.m < 0 || sb.n < 0 || sb.k < 0) {
     return Status::error(StatusCode::kInvalidShape,
                          "negative batch dimension: " +
                              shape_str(sb.m, sb.n, sb.k));
   }
-  if (sb.ldc == 0) sb.ldc = sb.n;
-  if (sb.lda == 0) sb.lda = sb.k;
-  if (sb.ldb == 0) sb.ldb = sb.n;
   if (sb.ldc < sb.n || sb.lda < sb.k || sb.ldb < sb.n) {
     return Status::error(StatusCode::kInvalidStride,
                          "row stride smaller than the row length");
@@ -236,21 +216,9 @@ std::size_t env_cache_capacity() {
                        : Engine::kDefaultCacheCapacity;
 }
 
-std::size_t env_choice_capacity(std::size_t fallback) {
-  const std::optional<long> v = parse_env_long(
-      "FMM_CHOICE_CACHE", 1, std::numeric_limits<long>::max());
-  return v.has_value() ? static_cast<std::size_t>(*v) : fallback;
-}
-
 int env_workers() {
   // 0 = hardware concurrency (the TaskPool default).
   return static_cast<int>(parse_env_long("FMM_WORKERS", 1, 4096).value_or(0));
-}
-
-std::uint64_t env_history_min() {
-  constexpr std::uint64_t kDefault = PerfHistory::Tuning{}.min_observations;
-  const std::optional<long> v = parse_env_long("FMM_HISTORY_MIN", 1, 1L << 30);
-  return v.has_value() ? static_cast<std::uint64_t>(*v) : kDefault;
 }
 
 std::string env_history_path() {
@@ -292,11 +260,6 @@ struct Engine::Entry {
   std::uint64_t tick = 0;
 };
 
-struct Engine::Shard {
-  std::mutex mu;
-  std::vector<Entry> entries;
-};
-
 struct Engine::ChoiceEntry {
   // (m, n, k, dtype): the auto decision is per element type, so f32 and
   // f64 requests for one shape can never share (or evict into) each
@@ -307,6 +270,42 @@ struct Engine::ChoiceEntry {
   // History revision the decision was computed under; a hit with a stale
   // revision re-ranks (lazy invalidation when an override could flip).
   std::uint64_t hrev = 0;
+};
+
+// What a request's one observation records (observe_request).
+struct Engine::RequestInfo {
+  RequestPath path = RequestPath::kBatch;
+  index_t m = 0, n = 0, k = 0;  // 0x0x0 marks a cross-shape batch
+  std::size_t count = 0;        // multiplies
+  std::uint64_t t0 = 0;         // request_start()
+};
+
+// One validated request, shared by every task that serves it.  The plan is
+// copied once and stamped with the request's element type (empty on the
+// auto path); the item views are copied contiguous per shape group.  So
+// neither the caller's plan nor its item array need outlive an async
+// submit.
+template <typename T>
+struct Engine::Request : Engine::RequestInfo {
+  struct Group {
+    index_t m = 0, n = 0, k = 0;
+    BatchAccessT<T> batch;
+  };
+
+  Request(const Plan* p, const GemmConfig& c) : cfg(c) {
+    if (p != nullptr) {
+      plan = *p;
+      if (plan->dtype != DTypeOf<T>::value) {
+        stamp_dtype(*plan, DTypeOf<T>::value);
+      }
+    }
+  }
+
+  std::optional<Plan> plan;
+  GemmConfig cfg;
+  std::shared_ptr<const AutoChoice>* executed = nullptr;  // single auto
+  std::vector<BatchItemT<T>> items;
+  std::vector<Group> groups;
 };
 
 // ---------------------------------------------------------------------------
@@ -333,9 +332,7 @@ Engine::Engine(const Options& opts)
   lat_batch_ = &metrics_.histogram("engine.request.batch", "us");
   exec_gflops_ = &metrics_.histogram("engine.exec.gflops", "GFLOP/s");
   batch_items_ = &metrics_.histogram("engine.exec.batch_items", "items");
-  metrics_.set_enabled(opts.metrics.has_value()
-                           ? *opts.metrics
-                           : parse_env_flag("FMM_METRICS", true));
+  metrics_.set_enabled(parse_env_flag("FMM_METRICS", true));
 
   // Tracing: join the refcounted process-wide session; the file is written
   // when the last participant is destroyed (first participant's path wins).
@@ -348,37 +345,12 @@ Engine::Engine(const Options& opts)
 
   // Every knob: explicit Options > environment > default.
   if (workers_ <= 0) workers_ = env_workers();
-  cap_total_ =
+  cache_cap_ =
       opts.cache_capacity > 0 ? opts.cache_capacity : env_cache_capacity();
-  int shards = opts.shards > 0 ? opts.shards : kDefaultShards;
-  shards = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(shards), cap_total_));
-  shards = std::max(shards, 1);
-  cap_per_shard_ = (cap_total_ + static_cast<std::size_t>(shards) - 1) /
-                   static_cast<std::size_t>(shards);
-  cap_total_ = cap_per_shard_ * static_cast<std::size_t>(shards);
-  shards_.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  choice_cap_ = opts.choice_capacity > 0
-                    ? opts.choice_capacity
-                    : env_choice_capacity(8 * cap_total_);
-
-  // The calibration rate cache is process-wide; a per-engine path override
-  // therefore applies process-wide too (documented in Options).
-  if (!opts.calib_cache_path.empty()) {
-    arch::set_calibration_cache_path(opts.calib_cache_path);
-  }
 
   history_enabled_ = opts.history.has_value()
                          ? *opts.history
                          : parse_env_flag("FMM_HISTORY", true);
-  PerfHistory::Tuning tuning;
-  tuning.min_observations = opts.history_min_observations > 0
-                                ? opts.history_min_observations
-                                : env_history_min();
-  history_.set_tuning(tuning);
   history_path_ =
       !opts.history_path.empty() ? opts.history_path : env_history_path();
   if (history_enabled_ && !history_path_.empty()) {
@@ -390,8 +362,6 @@ Engine::Engine(const Options& opts)
   } else if (opts.recurse_cutoff == 0) {
     recurse_cutoff_ = env_recurse_cutoff();
   }  // negative: descent disabled, recurse_cutoff_ stays 0
-
-  if (opts.calibrate_now) calibrate();
 }
 
 Engine::~Engine() {
@@ -443,26 +413,31 @@ std::shared_ptr<FmmExecutorT<T>> Engine::executor_for(const Plan& plan,
                                                       const GemmConfig& cfg) {
   assert(plan.dtype == DTypeOf<T>::value);
   const std::size_t hash = key_hash(plan, m, n, k, cfg);
-  Shard& shard = *shards_[hash % shards_.size()];
-  {
-    std::lock_guard<std::mutex> lk(shard.mu);
-    for (Entry& e : shard.entries) {
+  const auto find = [&]() -> Entry* {
+    for (Entry& e : cache_) {
       if (e.hash == hash && e.m == m && e.n == n && e.k == k &&
           e.cfg == cfg && same_execution(e.plan, plan)) {
         e.tick = tick_.fetch_add(1, std::memory_order_relaxed);
-        hits_->add();
-        if (obs::trace_enabled()) {
-          obs::trace_instant("engine.cache.hit", "engine");
-        }
-        // shared_ptr copy: no allocation.  The dtype key match guarantees
-        // the erased pointer is an FmmExecutorT<T>.
-        return std::static_pointer_cast<FmmExecutorT<T>>(e.exec);
+        return &e;
       }
+    }
+    return nullptr;
+  };
+  {
+    std::lock_guard<std::mutex> lk(cache_mu_);
+    if (Entry* e = find()) {
+      hits_->add();
+      if (obs::trace_enabled()) {
+        obs::trace_instant("engine.cache.hit", "engine");
+      }
+      // shared_ptr copy: no allocation.  The dtype key match guarantees
+      // the erased pointer is an FmmExecutorT<T>.
+      return std::static_pointer_cast<FmmExecutorT<T>>(e->exec);
     }
   }
 
-  // Miss: compile outside the shard lock (compilation allocates and can
-  // take a while; concurrent misses on other keys must not serialize).
+  // Miss: compile outside the lock (compilation allocates and can take a
+  // while; concurrent misses on other keys must not serialize).
   misses_->add();
   if (obs::trace_enabled()) {
     obs::trace_instant("engine.cache.miss", "engine");
@@ -471,43 +446,26 @@ std::shared_ptr<FmmExecutorT<T>> Engine::executor_for(const Plan& plan,
 
   // Observation hook, installed before the executor is published to the
   // cache (set_timing_hook is not synchronized against in-flight runs).
-  // The one hook feeds history, metrics, and tracing (observe_execution);
-  // the history key is fixed at compile time: footprint of the plan
-  // (dtype-salted), buckets of the compiled shape, and the *resolved*
-  // kernel/threads the executor froze (the kernel's cache key, so
-  // same-named f32/f64 kernels stay distinct).  One hook invocation = one
+  // The one hook feeds history, metrics, and tracing (observe_execution)
+  // under a history key fixed at compile time.  One hook invocation = one
   // observation (a batch counts its items), so effective GFLOP/s is
   // items * flops / seconds.
-  const double item_flops =
-      2.0 * static_cast<double>(m) * static_cast<double>(n) *
-      static_cast<double>(k);
   std::optional<HistoryKey> hkey;
-  if (history_enabled_ && item_flops > 0.0) {
-    HistoryKey hk;
-    hk.footprint = plan_footprint(plan) ^ dtype_history_salt(plan.dtype);
-    hk.mb = shape_bucket(m);
-    hk.nb = shape_bucket(n);
-    hk.kb = shape_bucket(k);
-    hk.kernel = kernel_cache_key(*exec->config().kernel);
-    hk.threads = exec->threads();
-    hkey = hk;
+  if (history_enabled_ && m > 0 && n > 0 && k > 0) {
+    hkey = history_key_for(&plan, plan.dtype, m, n, k, cfg);
   }
   exec->set_timing_hook([this, hkey](const ExecObservation& o) {
     observe_execution(o, hkey.has_value() ? &*hkey : nullptr);
   });
 
-  std::lock_guard<std::mutex> lk(shard.mu);
+  std::lock_guard<std::mutex> lk(cache_mu_);
   // A racing thread may have compiled the same key; keep the incumbent so
   // every caller shares one executor (ours is dropped).
-  for (Entry& e : shard.entries) {
-    if (e.hash == hash && e.m == m && e.n == n && e.k == k && e.cfg == cfg &&
-        same_execution(e.plan, plan)) {
-      e.tick = tick_.fetch_add(1, std::memory_order_relaxed);
-      return std::static_pointer_cast<FmmExecutorT<T>>(e.exec);
-    }
+  if (Entry* e = find()) {
+    return std::static_pointer_cast<FmmExecutorT<T>>(e->exec);
   }
-  if (shard.entries.size() >= cap_per_shard_) {
-    evict_lru(shard.entries);
+  if (cache_.size() >= cache_cap_) {
+    evict_lru(cache_);
     evictions_->add();
   }
   Entry e;
@@ -519,7 +477,7 @@ std::shared_ptr<FmmExecutorT<T>> Engine::executor_for(const Plan& plan,
   e.cfg = cfg;
   e.exec = exec;
   e.tick = tick_.fetch_add(1, std::memory_order_relaxed);
-  shard.entries.push_back(std::move(e));
+  cache_.push_back(std::move(e));
   return exec;
 }
 
@@ -584,7 +542,8 @@ std::shared_ptr<const AutoChoice> Engine::choice_handle(index_t m, index_t n,
   const double flops = 2.0 * static_cast<double>(m) *
                        static_cast<double>(n) * static_cast<double>(k);
   if (history_enabled_ && flops > 0.0) {
-    if (auto g = history_.confident_gflops(gemm_key_for(m, n, k, cfg_, dtype))) {
+    if (auto g = history_.confident_gflops(
+            history_key_for(nullptr, dtype, m, n, k, cfg_))) {
       best_time = flops / (*g * 1e9);
       best_measured = true;
       best_gflops = *g;
@@ -646,7 +605,7 @@ std::shared_ptr<const AutoChoice> Engine::choice_handle(index_t m, index_t n,
   // under stale parameters.  Serve it (it is a valid algorithm, just
   // possibly suboptimal) but do not cache it past the clear.
   if (gen != params_gen_) return choice;
-  if (choices_.size() >= choice_cap_) {
+  if (choices_.size() >= choice_capacity()) {
     evict_lru(choices_);
     choice_evictions_->add();
   }
@@ -686,88 +645,86 @@ ModelParams Engine::params(DType dtype) const {
 }
 
 // ---------------------------------------------------------------------------
-// Execution bodies.  Operands are pre-validated by the submit_* layer; these
-// run either on a pool worker (async) or inline (nested calls from tasks).
+// The request path: synchronous validation, then dispatch of the shape
+// groups to the one execution body (queued, or inline on a pool worker — a
+// task blocking on another task's future could deadlock a fully busy pool,
+// so nested calls never wait on the queue).
 // ---------------------------------------------------------------------------
 
 template <typename T>
-Status Engine::exec_single(const Plan* plan, MatViewT<T> c, ConstMatViewT<T> a,
-                           ConstMatViewT<T> b, const GemmConfig& cfg,
-                           std::shared_ptr<const AutoChoice>* executed) {
+void Engine::run_group(const Request<T>& req, std::size_t g) {
   constexpr DType kDt = DTypeOf<T>::value;
-  const index_t m = c.rows(), n = c.cols(), k = a.cols();
+  const typename Request<T>::Group& grp = req.groups[g];
+  const Plan* plan = req.plan.has_value() ? &*req.plan : nullptr;
+  std::shared_ptr<const AutoChoice> choice;
   if (plan == nullptr) {
-    std::shared_ptr<const AutoChoice> choice = choice_handle(m, n, k, kDt);
-    if (executed != nullptr) *executed = choice;
+    choice = choice_handle(grp.m, grp.n, grp.k, kDt);
+    if (req.executed != nullptr) *req.executed = choice;
     if (choice->use_gemm) {
-      // The gemm fallback bypasses FmmExecutor and its timing hook, so the
-      // auto path observes it here (explicit-plan calls have no gemm arm).
+      // The gemm arm bypasses FmmExecutor and its timing hook, so the auto
+      // path observes it here (explicit-plan calls have no gemm arm).
       Timer t;
-      gemm(c, a, b, gemm_workspace<T>(), cfg);
-      record_gemm(m, n, k, cfg, kDt, t.seconds(), 1);
-      return Status{};
+      for (std::size_t i = 0; i < grp.batch.size(); ++i) {
+        const BatchItemT<T> it = grp.batch.at(i);
+        gemm(it.c, it.a, it.b, gemm_workspace<T>(), req.cfg);
+      }
+      record_gemm(grp.m, grp.n, grp.k, req.cfg, kDt, t.seconds(),
+                  grp.batch.size());
+      return;
     }
-    executor_for<T>(*choice->plan, m, n, k, cfg)->run(c, a, b);
-    return Status{};
+    plan = &*choice->plan;
   }
-  executor_for<T>(*plan, m, n, k, cfg)->run(c, a, b);
-  return Status{};
+  executor_for<T>(*plan, grp.m, grp.n, grp.k, req.cfg)->run_batch(grp.batch);
 }
 
 template <typename T>
-Status Engine::exec_group(const Plan* plan, index_t m, index_t n, index_t k,
-                          const BatchItemT<T>* items, std::size_t count,
-                          const GemmConfig& cfg) {
-  constexpr DType kDt = DTypeOf<T>::value;
-  const Plan* group_plan = plan;
-  std::shared_ptr<const AutoChoice> choice;
-  if (group_plan == nullptr) {
-    choice = choice_handle(m, n, k, kDt);
-    if (choice->use_gemm) {
-      Timer t;
-      for (std::size_t i = 0; i < count; ++i) {
-        gemm(items[i].c, items[i].a, items[i].b, gemm_workspace<T>(), cfg);
-      }
-      record_gemm(m, n, k, cfg, kDt, t.seconds(), count);
+TaskFuture Engine::dispatch(std::shared_ptr<const Request<T>> req) {
+  const std::size_t groups = req->groups.size();
+  const auto run = [this, req](std::size_t g) {
+    return run_guarded([&] {
+      run_group(*req, g);
       return Status{};
+    });
+  };
+  if (TaskPool::on_worker_thread()) {
+    Status first;
+    for (std::size_t g = 0; g < groups; ++g) {
+      Status st = run(g);
+      if (first.ok()) first = std::move(st);
     }
-    group_plan = &*choice->plan;
+    observe_request(*req);
+    return TaskFuture::ready(std::move(first));
   }
-  executor_for<T>(*group_plan, m, n, k, cfg)->run_batch(items, count);
-  return Status{};
-}
-
-template <typename T>
-Status Engine::exec_strided(const Plan* plan, const StridedBatchT<T>& sb,
-                            const GemmConfig& cfg) {
-  constexpr DType kDt = DTypeOf<T>::value;
-  const Plan* batch_plan = plan;
-  std::shared_ptr<const AutoChoice> choice;
-  if (batch_plan == nullptr) {
-    choice = choice_handle(sb.m, sb.n, sb.k, kDt);
-    if (choice->use_gemm) {
-      Timer t;
-      for (std::size_t i = 0; i < sb.count; ++i) {
-        const index_t off = static_cast<index_t>(i);
-        gemm(MatViewT<T>(sb.c + off * sb.stride_c, sb.m, sb.n, sb.ldc),
-             ConstMatViewT<T>(sb.a + off * sb.stride_a, sb.m, sb.k, sb.lda),
-             ConstMatViewT<T>(sb.b + off * sb.stride_b, sb.k, sb.n, sb.ldb),
-             gemm_workspace<T>(), cfg);
-      }
-      record_gemm(sb.m, sb.n, sb.k, cfg, kDt, t.seconds(), sb.count);
-      return Status{};
-    }
-    batch_plan = &*choice->plan;
+  if (groups == 1) {
+    return pool().submit([this, req, run] {
+      Status st = run(0);
+      observe_request(*req);
+      return st;
+    });
   }
-  executor_for<T>(*batch_plan, sb.m, sb.n, sb.k, cfg)->run_batch_strided(sb);
-  return Status{};
+  // Cross-shape fan-out: one task per shape group (each hits its own cached
+  // executor), plus a finalizer depending on all of them — the request's
+  // completion site.
+  TaskOptions fin_opts;
+  std::vector<TaskFuture> parts;
+  parts.reserve(groups);
+  for (std::size_t g = 0; g < groups; ++g) {
+    TaskOptions opts;
+    opts.tag = pool().fresh_tag();
+    fin_opts.deps.push_back(opts.tag);
+    parts.push_back(
+        pool().submit([run, g] { return run(g); }, std::move(opts)));
+  }
+  return pool().submit(
+      [this, req, parts = std::move(parts)] {
+        observe_request(*req);
+        for (const TaskFuture& part : parts) {
+          if (!part.status().ok()) return part.status();
+        }
+        return Status{};
+      },
+      std::move(fin_opts));
 }
-
-// ---------------------------------------------------------------------------
-// Submit layer: synchronous validation, then queue (or inline on a pool
-// worker — a task blocking on another task's future could deadlock a fully
-// busy pool, so nested calls never wait on the queue).
-// ---------------------------------------------------------------------------
 
 template <typename T>
 RecursiveExecT<T> Engine::recursive_ctx(const Plan& plan,
@@ -810,25 +767,23 @@ TaskFuture Engine::submit_single(const Plan* plan, MatViewT<T> c,
   constexpr DType kDt = DTypeOf<T>::value;
   Status st = validate_triple(c, a, b);
   if (!st.ok()) return TaskFuture::ready(std::move(st));
+  const index_t m = c.rows(), n = c.cols(), k = a.cols();
+  auto req = std::make_shared<Request<T>>(plan, cfg);
   // Request observation starts after validation (a rejected request is not
   // traffic) and follows the work wherever it runs: the span / latency
-  // sample is recorded where the execution finishes, covering queue wait.
-  const std::uint64_t req_t0 = request_start();
-  const RequestPath req_path =
-      plan != nullptr ? RequestPath::kExplicit : RequestPath::kAuto;
-  // Stamp the request's dtype on a local copy before any cache keying.
-  Plan stamped;
-  if (plan != nullptr && plan->dtype != kDt) {
-    stamped = *plan;
-    stamp_dtype(stamped, kDt);
-    plan = &stamped;
-  }
-  const index_t m = c.rows(), n = c.cols(), k = a.cols();
+  // sample is recorded where the request completes, covering queue wait.
+  req->path = plan != nullptr ? RequestPath::kExplicit : RequestPath::kAuto;
+  req->m = m;
+  req->n = n;
+  req->k = k;
+  req->count = 1;
+  req->t0 = request_start();
+  req->executed = executed;
   if (recurse_cutoff_ > 0 && std::min({m, n, k}) > recurse_cutoff_) {
     // Large shape: resolve the plan now (for the auto path the ranking is
     // noise next to an out-of-cutoff multiply) so the recursive task graph
     // can be built host-side instead of inside a queued task.
-    const Plan* rplan = plan;
+    const Plan* rplan = req->plan.has_value() ? &*req->plan : nullptr;
     std::shared_ptr<const AutoChoice> choice;
     if (rplan == nullptr) {
       choice = choice_handle(m, n, k, kDt);
@@ -842,79 +797,56 @@ TaskFuture Engine::submit_single(const Plan* plan, MatViewT<T> c,
         // Nested synchronous call from a task body: the bitwise-identical
         // sequential twin (building a graph and blocking this worker on
         // its finalizer could deadlock a fully busy pool).
-        run_recursive_sequential<T>(ctx, *rplan, c, a, b);
-        observe_request(req_path, m, n, k, 1, req_t0);
-        return TaskFuture::ready(Status{});
+        Status es = run_guarded([&] {
+          run_recursive_sequential<T>(ctx, *rplan, c, a, b);
+          return Status{};
+        });
+        observe_request(*req);
+        return TaskFuture::ready(std::move(es));
       }
-      // The graph's finalizer resolves the future off any single task, so
-      // there is no one completion site to close a span at; the descent is
-      // marked by an instant here and covered by its per-product spans
-      // (recursive.cc) and the TaskPool run spans.
-      if (obs::trace_enabled()) {
-        obs::trace_instant("engine.request.recursive", "engine");
-      }
-      return submit_recursive<T>(ctx, *rplan, c, a, b);
+      // The request completes when the graph does: a task behind the
+      // graph's done tag records the observation and resolves with the
+      // graph's Status.
+      const TaskTag done = pool().fresh_tag();
+      TaskFuture graph = submit_recursive<T>(ctx, *rplan, c, a, b, done);
+      TaskOptions after;
+      after.deps.push_back(done);
+      return pool().submit(
+          [this, req, graph] {
+            observe_request(*req);
+            return graph.status();
+          },
+          std::move(after));
     }
     // The model picked plain GEMM (or the plan does not qualify): fall
     // through to the flat path, which re-resolves the cached choice.
   }
-  if (TaskPool::on_worker_thread()) {
-    Status inline_st = exec_single<T>(plan, c, a, b, cfg, executed);
-    observe_request(req_path, m, n, k, 1, req_t0);
-    return TaskFuture::ready(std::move(inline_st));
-  }
-  if (plan == nullptr) {
-    return pool().submit([this, c, a, b, cfg, executed, req_t0, req_path] {
-      Status es = exec_single<T>(nullptr, c, a, b, cfg, executed);
-      observe_request(req_path, c.rows(), c.cols(), a.cols(), 1, req_t0);
-      return es;
-    });
-  }
-  // The plan is copied: the caller's need not outlive an async submit.
-  return pool().submit([this, p = *plan, c, a, b, cfg, executed, req_t0,
-                        req_path] {
-    Status es = exec_single<T>(&p, c, a, b, cfg, executed);
-    observe_request(req_path, c.rows(), c.cols(), a.cols(), 1, req_t0);
-    return es;
-  });
+  req->items.push_back({c, a, b});
+  req->groups.push_back({m, n, k, BatchAccessT<T>(req->items.data(), 1)});
+  return dispatch<T>(std::move(req));
 }
 
 template <typename T>
 TaskFuture Engine::submit_batch(const Plan* plan, const BatchSpec& batch,
                                 const GemmConfig& cfg) {
-  constexpr DType kDt = DTypeOf<T>::value;
-  if (batch.dtype() != kDt) {
-    return TaskFuture::ready(Status::error(
-        StatusCode::kInvalidArgument,
-        std::string("batch element type is ") + dtype_name(batch.dtype()) +
-            ", expected " + dtype_name(kDt)));
-  }
-  std::shared_ptr<const Plan> plan_copy;
-  if (plan != nullptr) {
-    Plan p = *plan;
-    if (p.dtype != kDt) stamp_dtype(p, kDt);
-    plan_copy = std::make_shared<const Plan>(std::move(p));
-  }
-  const Plan* plan_ptr = plan_copy.get();
-  const std::uint64_t req_t0 = request_start();
+  auto req = std::make_shared<Request<T>>(plan, cfg);
+  req->path = RequestPath::kBatch;
+  req->count = batch.size();
 
   if (batch.is_strided()) {
-    StridedBatchT<T> sb = batch.strided_as<T>();
-    Status st = validate_strided(sb);  // normalizes the dense defaults
+    const BatchAccessT<T> acc(batch.strided_as<T>());
+    const StridedBatchT<T>& sb = acc.strided();
+    Status st = validate_strided(sb);
     if (!st.ok()) return TaskFuture::ready(std::move(st));
     if (sb.count == 0 || sb.m == 0 || sb.n == 0) {
       return TaskFuture::ready(Status{});
     }
-    if (TaskPool::on_worker_thread()) {
-      Status es = exec_strided<T>(plan_ptr, sb, cfg);
-      observe_request(RequestPath::kBatch, sb.m, sb.n, sb.k, sb.count, req_t0);
-      return TaskFuture::ready(std::move(es));
-    }
-    return pool().submit([this, plan_copy, sb, cfg, req_t0] {
-      Status es = exec_strided<T>(plan_copy.get(), sb, cfg);
-      observe_request(RequestPath::kBatch, sb.m, sb.n, sb.k, sb.count, req_t0);
-      return es;
-    });
+    req->m = sb.m;
+    req->n = sb.n;
+    req->k = sb.k;
+    req->t0 = request_start();
+    req->groups.push_back({sb.m, sb.n, sb.k, acc});
+    return dispatch<T>(std::move(req));
   }
 
   const BatchItemT<T>* items = batch.items_as<T>();
@@ -935,77 +867,38 @@ TaskFuture Engine::submit_batch(const Plan* plan, const BatchSpec& batch,
   }
   Status st = check_distinct_outputs(items, count);
   if (!st.ok()) return TaskFuture::ready(std::move(st));
+  req->t0 = request_start();
 
-  // Group by (m, n, k), preserving arrival order per group.  The items are
-  // copied: the caller's array need not outlive an async submit.
-  struct Group {
-    index_t m, n, k;
-    std::vector<BatchItemT<T>> items;
-  };
-  std::vector<Group> groups;
+  // Group by (m, n, k) in order of first appearance.  The copy keeps each
+  // group's items contiguous and in arrival order.
+  std::vector<std::size_t> group_of(count);
   for (std::size_t i = 0; i < count; ++i) {
     const index_t m = items[i].c.rows(), n = items[i].c.cols(),
                   k = items[i].a.cols();
-    Group* g = nullptr;
-    for (Group& cand : groups) {
-      if (cand.m == m && cand.n == n && cand.k == k) {
-        g = &cand;
-        break;
-      }
+    std::size_t g = 0;
+    while (g < req->groups.size() &&
+           !(req->groups[g].m == m && req->groups[g].n == n &&
+             req->groups[g].k == k)) {
+      ++g;
     }
-    if (g == nullptr) {
-      groups.push_back({m, n, k, {}});
-      g = &groups.back();
+    if (g == req->groups.size()) req->groups.push_back({m, n, k, {}});
+    group_of[i] = g;
+  }
+  req->items.reserve(count);  // no reallocation: the accessors point in
+  for (std::size_t g = 0; g < req->groups.size(); ++g) {
+    const std::size_t first = req->items.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      if (group_of[i] == g) req->items.push_back(items[i]);
     }
-    g->items.push_back(items[i]);
+    req->groups[g].batch = BatchAccessT<T>(req->items.data() + first,
+                                           req->items.size() - first);
   }
-
-  if (TaskPool::on_worker_thread()) {
-    for (const Group& g : groups) {
-      Status gs = exec_group<T>(plan_ptr, g.m, g.n, g.k, g.items.data(),
-                                g.items.size(), cfg);
-      if (!gs.ok()) return TaskFuture::ready(std::move(gs));
-    }
-    observe_request(RequestPath::kBatch, 0, 0, 0, count, req_t0);
-    return TaskFuture::ready(Status{});
+  if (req->groups.size() == 1) {
+    req->m = req->groups[0].m;
+    req->n = req->groups[0].n;
+    req->k = req->groups[0].k;
   }
-
-  if (groups.size() == 1) {
-    return pool().submit([this, plan_copy, g = std::move(groups.front()), cfg,
-                          req_t0] {
-      Status es = exec_group<T>(plan_copy.get(), g.m, g.n, g.k, g.items.data(),
-                                g.items.size(), cfg);
-      observe_request(RequestPath::kBatch, g.m, g.n, g.k, g.items.size(),
-                      req_t0);
-      return es;
-    });
-  }
-
-  // Cross-shape fan-out: one task per shape group (each hits its own cached
-  // executor), plus a no-op finalizer depending on all of them whose future
-  // is the batch's.  The tag machinery is the aggregation — no shared
-  // counter, and the finalizer resolves only after every group finished.
-  TaskOptions fin_opts;
-  fin_opts.deps.reserve(groups.size());
-  for (Group& g : groups) {
-    TaskOptions opts;
-    opts.tag = pool().fresh_tag();
-    fin_opts.deps.push_back(opts.tag);
-    pool().submit(
-        [this, plan_copy, g = std::move(g), cfg] {
-          return exec_group<T>(plan_copy.get(), g.m, g.n, g.k, g.items.data(),
-                               g.items.size(), cfg);
-        },
-        std::move(opts));
-  }
-  // The finalizer is the batch's completion site: the request span closes
-  // there, covering every group (shape 0x0x0 marks a cross-shape batch).
-  return pool().submit(
-      [this, count, req_t0] {
-        observe_request(RequestPath::kBatch, 0, 0, 0, count, req_t0);
-        return Status{};
-      },
-      std::move(fin_opts));
+  return dispatch<T>(std::move(req));
 }
 
 // ---------------------------------------------------------------------------
@@ -1094,37 +987,29 @@ template TaskFuture Engine::submit<float>(MatViewF32, ConstMatViewF32,
 // Online performance model plumbing.
 // ---------------------------------------------------------------------------
 
-HistoryKey Engine::history_key(const Plan& plan, index_t m, index_t n,
-                               index_t k) const {
-  // Mirrors what executor_for's hook freezes: the executor resolves the
-  // blocking with the plan's pinned kernel (if any) overriding the config,
-  // and the thread count from the config alone.
+HistoryKey Engine::history_key_for(const Plan* plan, DType dtype, index_t m,
+                                   index_t n, index_t k,
+                                   const GemmConfig& cfg) const {
   HistoryKey key;
-  key.footprint = plan_footprint(plan) ^ dtype_history_salt(plan.dtype);
+  key.footprint = (plan != nullptr ? plan_footprint(*plan) : kGemmFootprint) ^
+                  dtype_history_salt(dtype);
   key.mb = shape_bucket(m);
   key.nb = shape_bucket(n);
   key.kb = shape_bucket(k);
-  GemmConfig kcfg = cfg_;
-  if (plan.kernel != nullptr) kcfg.kernel = plan.kernel;
-  key.kernel = kernel_cache_key(*resolve_blocking(kcfg, plan.dtype).kernel);
-  key.threads = resolve_threads(cfg_);
+  GemmConfig kcfg = cfg;
+  if (plan != nullptr && plan->kernel != nullptr) kcfg.kernel = plan->kernel;
+  key.kernel = kernel_cache_key(*resolve_blocking(kcfg, dtype).kernel);
+  key.threads = resolve_threads(cfg);
   return key;
+}
+
+HistoryKey Engine::history_key(const Plan& plan, index_t m, index_t n,
+                               index_t k) const {
+  return history_key_for(&plan, plan.dtype, m, n, k, cfg_);
 }
 
 HistoryKey Engine::gemm_history_key(index_t m, index_t n, index_t k) const {
-  return gemm_key_for(m, n, k, cfg_, DType::kF64);
-}
-
-HistoryKey Engine::gemm_key_for(index_t m, index_t n, index_t k,
-                                const GemmConfig& cfg, DType dtype) const {
-  HistoryKey key;
-  key.footprint = kGemmFootprint ^ dtype_history_salt(dtype);
-  key.mb = shape_bucket(m);
-  key.nb = shape_bucket(n);
-  key.kb = shape_bucket(k);
-  key.kernel = kernel_cache_key(*resolve_blocking(cfg, dtype).kernel);
-  key.threads = resolve_threads(cfg);
-  return key;
+  return history_key_for(nullptr, DType::kF64, m, n, k, cfg_);
 }
 
 void Engine::record_gemm(index_t m, index_t n, index_t k,
@@ -1143,9 +1028,9 @@ void Engine::record_gemm(index_t m, index_t n, index_t k,
   const double flops = 2.0 * static_cast<double>(m) *
                        static_cast<double>(n) * static_cast<double>(k);
   if (history_enabled_ && seconds > 0.0 && flops > 0.0) {
-    // gemm_key_for resolves the blocking; build it only when a history
-    // record will actually happen.
-    const HistoryKey key = gemm_key_for(m, n, k, cfg, dtype);
+    // The key resolves the blocking; build it only when a history record
+    // will actually happen.
+    const HistoryKey key = history_key_for(nullptr, dtype, m, n, k, cfg);
     observe_execution(o, &key);
   } else {
     observe_execution(o, nullptr);
@@ -1187,27 +1072,25 @@ std::uint64_t Engine::request_start() const {
   return (obs::trace_enabled() || metrics_.enabled()) ? obs::now_ns() : 0;
 }
 
-void Engine::observe_request(RequestPath path, index_t m, index_t n,
-                             index_t k, std::size_t items,
-                             std::uint64_t t0) {
-  if (t0 == 0) return;  // neither tracing nor metrics capture was on
+void Engine::observe_request(const RequestInfo& r) {
+  if (r.t0 == 0) return;  // neither tracing nor metrics capture was on
   const std::uint64_t end = obs::now_ns();
   if (metrics_.enabled()) {
-    obs::Histogram* h = path == RequestPath::kExplicit ? lat_explicit_
-                        : path == RequestPath::kAuto   ? lat_auto_
-                                                       : lat_batch_;
-    h->record(static_cast<double>(end - t0) * 1e-3);  // ns -> us
+    obs::Histogram* h = r.path == RequestPath::kExplicit ? lat_explicit_
+                        : r.path == RequestPath::kAuto   ? lat_auto_
+                                                         : lat_batch_;
+    h->record(static_cast<double>(end - r.t0) * 1e-3);  // ns -> us
   }
   if (obs::trace_enabled()) {
-    const char* name = path == RequestPath::kExplicit
+    const char* name = r.path == RequestPath::kExplicit
                            ? "engine.request.explicit"
-                       : path == RequestPath::kAuto ? "engine.request.auto"
-                                                    : "engine.request.batch";
+                       : r.path == RequestPath::kAuto ? "engine.request.auto"
+                                                      : "engine.request.batch";
     char arg[47];
     std::snprintf(arg, sizeof(arg), "%lldx%lldx%lld items=%zu",
-                  static_cast<long long>(m), static_cast<long long>(n),
-                  static_cast<long long>(k), items);
-    obs::trace_complete(name, "engine", t0, end, arg);
+                  static_cast<long long>(r.m), static_cast<long long>(r.n),
+                  static_cast<long long>(r.k), r.count);
+    obs::trace_complete(name, "engine", r.t0, end, arg);
   }
 }
 
@@ -1231,9 +1114,9 @@ Engine::CacheStats Engine::stats() const {
   s.hits = hits_->value();
   s.misses = misses_->value();
   s.evictions = evictions_->value();
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->mu);
-    s.entries += shard->entries.size();
+  {
+    std::lock_guard<std::mutex> lk(cache_mu_);
+    s.entries = cache_.size();
   }
   s.choice_hits = choice_hits_->value();
   s.choice_misses = choice_misses_->value();
@@ -1251,13 +1134,11 @@ Engine::CacheStats Engine::stats() const {
 }
 
 void Engine::refresh_gauges() {
-  std::size_t entries = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->mu);
-    entries += shard->entries.size();
+  {
+    std::lock_guard<std::mutex> lk(cache_mu_);
+    metrics_.gauge("engine.cache.entries")
+        .set(static_cast<std::int64_t>(cache_.size()));
   }
-  metrics_.gauge("engine.cache.entries")
-      .set(static_cast<std::int64_t>(entries));
   {
     std::lock_guard<std::mutex> lk(choice_mu_);
     metrics_.gauge("engine.choice.entries")

@@ -5,7 +5,7 @@
 // One Engine amortizes every per-shape cost across a request stream that
 // may mix shapes, plans, element types and host threads:
 //
-//   * a bounded, mutex-sharded, LRU-evicting **executor cache** keyed by
+//   * a bounded, LRU-evicting **executor cache** under one mutex, keyed by
 //     (plan — exact coefficient compare, m/n/k, requested GemmConfig).
 //     Explicit-plan and auto-selected calls share the same cache, so a
 //     shape served both ways compiles exactly one executor.  Cache hits
@@ -40,16 +40,19 @@
 //     and returns a TaskFuture<Status> immediately (validation still runs
 //     synchronously — a malformed request resolves before any task is
 //     queued).  Work runs on the engine's TaskPool (task_pool.h); a
-//     cross-shape item batch fans out as one task per shape group, so the
-//     groups that ran sequentially in multiply() execute concurrently.
-//     multiply() itself is submit + wait — one execution path — except
-//     when called *from* a pool worker (a task body doing a nested
-//     synchronous multiply), which executes inline: a task blocking on
-//     another task's future could deadlock a fully busy pool.
+//     cross-shape item batch fans out as one task per shape group.
+//     multiply() itself is submit + wait.  Every form takes one path: a
+//     validated request runs each shape group through one execution body,
+//     queued from a host thread and inline on a pool worker (a task body
+//     doing a nested synchronous multiply; a task blocking on another
+//     task's future could deadlock a fully busy pool).  Every group runs
+//     on both, the request's Status is the first failing group's in
+//     arrival order (an allocation failure included), and each request
+//     records one latency sample / span where it completes.
 //
 // Thread-safety: every public method may be called from any number of host
 // threads concurrently.  Executor run() concurrency is the slot-pool story
-// from executor.h; the caches are sharded/mutexed here.
+// from executor.h; each cache here is one mutex.
 //
 //   Engine engine;                                    // process defaults
 //   engine.multiply(plan, C, A, B);                   // explicit plan
@@ -156,24 +159,24 @@ class BatchSpec {
 
 class Engine {
  public:
+  // The engine never calibrates on its own: it ranks with literature-
+  // default model parameters until calibrate() is called.  Metrics capture
+  // follows FMM_METRICS (metrics().set_enabled() overrides it), and the
+  // calibration rate cache follows FMM_CALIB_CACHE.
   struct Options {
     // Base configuration for every multiply that does not pass its own
     // (threads, blocking overrides, pinned kernel).
     GemmConfig config;
-    // Every knob resolves with explicit-Options > environment > default
-    // precedence: a non-zero / non-empty / engaged value here wins
+    // Every knob below resolves with explicit-Options > environment >
+    // default precedence: a non-zero / non-empty / engaged value here wins
     // outright, 0 / empty / nullopt defers to the named env variable, and
     // an unset env falls back to the built-in default.
 
-    // Executor-cache capacity (entries).  0 = FMM_ENGINE_CACHE env, else
-    // kDefaultCacheCapacity.  Rounded up to a multiple of the shard count.
+    // Executor-cache capacity (entries), the engine's memory budget for
+    // compiled executors.  0 = FMM_ENGINE_CACHE env, else
+    // kDefaultCacheCapacity.  The auto path's choice cache holds 8x as
+    // many decisions.
     std::size_t cache_capacity = 0;
-    // Auto-path choice-cache capacity.  0 = FMM_CHOICE_CACHE env, else 8x
-    // the executor capacity.
-    std::size_t choice_capacity = 0;
-    // Mutex shards for the executor cache.  0 = kDefaultShards, clamped to
-    // the capacity.
-    int shards = 0;
     // Workspace slots per compiled executor (FmmExecutor's `slots`); 0 =
     // the executor default (its resolved thread count).
     int slots = 0;
@@ -185,25 +188,16 @@ class Engine {
     // tasks of this pool, so serving engines that fan out batches usually
     // pair several workers with num_threads = 1.
     int workers = 0;
-    // Run the ~1 s model calibration in the constructor.  When false the
-    // auto path uses literature-default parameters until calibrate().
-    // Construction ignores the calibration Status; call calibrate()
-    // explicitly to observe it.
-    bool calibrate_now = false;
-    // Calibration-cache file for the measured kernel rates.  Non-empty
-    // overrides FMM_CALIB_CACHE *process-wide* (the rate cache is shared
-    // by every engine in the process); empty defers to the env.
-    std::string calib_cache_path;
     // Online performance model (src/model/history.h).  history: engaged
-    // value wins, nullopt = FMM_HISTORY env flag, default on.
+    // value wins, nullopt = FMM_HISTORY env flag, default on.  A measured
+    // rate overrides the analytic ranking once its key has
+    // history().tuning().min_observations observations (10;
+    // history().set_tuning() changes it).
     std::optional<bool> history;
     // Persistence file for the history store: loaded in the constructor,
     // saved in the destructor (and by save_history()).  Empty =
     // FMM_HISTORY_CACHE env; empty everywhere = in-memory only.
     std::string history_path;
-    // Observations before a measured rate may override the analytic
-    // ranking.  0 = FMM_HISTORY_MIN env, else 10.
-    std::size_t history_min_observations = 0;
     // Task-recursive descent cutoff (src/core/recursive.h): multiplies
     // whose every dimension exceeds the cutoff expand one fast-algorithm
     // level into TaskPool tasks and recurse, handing each product below
@@ -218,12 +212,6 @@ class Engine {
     // path wins).  Empty = FMM_TRACE env; empty everywhere = no tracing
     // (cost: one relaxed atomic load per instrumented site).
     std::string trace_path;
-    // Metrics capture gate (src/obs/metrics.h): gates the call sites whose
-    // *capture* costs something (clock reads for the latency / queue-wait
-    // histograms).  The counters that replaced CacheStats' atomics are
-    // always on.  Engaged value wins, nullopt = FMM_METRICS env flag,
-    // default on.
-    std::optional<bool> metrics;
   };
 
   struct CacheStats {
@@ -246,7 +234,6 @@ class Engine {
   };
 
   static constexpr std::size_t kDefaultCacheCapacity = 32;
-  static constexpr int kDefaultShards = 8;
 
   Engine();  // default Options
   explicit Engine(const Options& opts);
@@ -299,8 +286,8 @@ class Engine {
   // untouched until then; the Plan and any item array are copied, so
   // *they* need not outlive the call.  A cross-shape item batch fans out
   // one task per shape group and the returned future resolves when the
-  // whole batch is done.  Results are bitwise identical to the synchronous
-  // forms.
+  // whole batch is done, with the first failing group's Status in arrival
+  // order.  Results are bitwise identical to the synchronous forms.
   template <typename T>
   TaskFuture submit(const Plan& plan, MatViewT<T> c,
                     NonDeduced<ConstMatViewT<T>> a,
@@ -370,7 +357,10 @@ class Engine {
   // --- Observability -------------------------------------------------------
   // The engine's metrics registry: counters (cache traffic, recursive
   // descents), gauges (live entries), and latency / throughput histograms.
-  // Exposed mutable so hosts can hang their own instruments off it.
+  // Exposed mutable so hosts can hang their own instruments off it.  Its
+  // enabled() flag (FMM_METRICS, default on; set_enabled() overrides)
+  // gates the call sites whose *capture* costs something (clock reads for
+  // the latency / queue-wait histograms); counters are always on.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   // Refreshes the level gauges (cache entries, history keys, buffer-pool
@@ -381,8 +371,8 @@ class Engine {
 
   // --- Introspection ------------------------------------------------------
   CacheStats stats() const;
-  std::size_t cache_capacity() const { return cap_total_; }
-  std::size_t choice_capacity() const { return choice_cap_; }
+  std::size_t cache_capacity() const { return cache_cap_; }
+  std::size_t choice_capacity() const { return 8 * cache_cap_; }
   // Resolved async worker count (0 = pool default: hardware concurrency).
   int workers() const { return workers_; }
   // Resolved task-recursive leaf cutoff (0 = descent disabled).
@@ -392,8 +382,11 @@ class Engine {
 
  private:
   struct Entry;
-  struct Shard;
   struct ChoiceEntry;
+  enum class RequestPath { kExplicit, kAuto, kBatch };
+  struct RequestInfo;
+  template <typename T>
+  struct Request;
 
   // The compiled executor for (plan, m, n, k, cfg): cache hit or compile +
   // insert (with LRU eviction).  Never fails; allocation failures throw.
@@ -405,8 +398,9 @@ class Engine {
   std::shared_ptr<FmmExecutorT<T>> executor_for(const Plan& plan, index_t m,
                                                 index_t n, index_t k,
                                                 const GemmConfig& cfg);
-  // submit_* validate, then either queue the work or (on a pool worker
-  // thread) run exec_* inline; every multiply/submit form lands here.
+  // submit_single / submit_batch validate a request and hand it to
+  // dispatch (a single request that descends builds its task graph
+  // instead); every multiply/submit form lands in one of them.
   template <typename T>
   TaskFuture submit_single(const Plan* plan, MatViewT<T> c, ConstMatViewT<T> a,
                            ConstMatViewT<T> b, const GemmConfig& cfg,
@@ -414,17 +408,19 @@ class Engine {
   template <typename T>
   TaskFuture submit_batch(const Plan* plan, const BatchSpec& batch,
                           const GemmConfig& cfg);
+  // Runs every shape group of a validated request through run_group:
+  // inline on a pool worker, else one queued task per group plus, for
+  // several groups, a finalizer.  Either way every group runs, the first
+  // failing group's Status (arrival order) is the request's, and the
+  // request's one observation is recorded where it completes.
   template <typename T>
-  Status exec_single(const Plan* plan, MatViewT<T> c, ConstMatViewT<T> a,
-                     ConstMatViewT<T> b, const GemmConfig& cfg,
-                     std::shared_ptr<const AutoChoice>* executed);
+  TaskFuture dispatch(std::shared_ptr<const Request<T>> req);
+  // The one execution body: shape group `g` of `req`.  The auto choice
+  // (stored through req.executed), then the GEMM arm over the group's
+  // items, otherwise the cached executor's batch entry.  Throws on
+  // allocation failure.
   template <typename T>
-  Status exec_group(const Plan* plan, index_t m, index_t n, index_t k,
-                    const BatchItemT<T>* items, std::size_t count,
-                    const GemmConfig& cfg);
-  template <typename T>
-  Status exec_strided(const Plan* plan, const StridedBatchT<T>& sb,
-                      const GemmConfig& cfg);
+  void run_group(const Request<T>& req, std::size_t g);
   TaskPool& pool();
   // The leaf/buffer/cutoff bundle a descent of `plan` runs with under
   // `cfg`: leaves execute serially through the executor cache (plain GEMM
@@ -435,10 +431,14 @@ class Engine {
   template <typename T>
   RecursiveExecT<T> recursive_ctx(const Plan& plan, const GemmConfig& cfg);
   void ensure_plan_space_locked();
-  // Builds the gemm footprint key under a per-call config and element type
-  // (the f32 key is dtype-salted and names the f32 kernel's cache key).
-  HistoryKey gemm_key_for(index_t m, index_t n, index_t k,
-                          const GemmConfig& cfg, DType dtype) const;
+  // The footprint key an execution of `plan` (nullptr: conventional GEMM)
+  // at (m, n, k) records under `cfg`: the dtype-salted footprint, the shape
+  // buckets, and the kernel and thread count the executor freezes (the
+  // plan's pinned kernel overrides the config's).  history_key() and
+  // gemm_history_key() are its public spellings.
+  HistoryKey history_key_for(const Plan* plan, DType dtype, index_t m,
+                             index_t n, index_t k,
+                             const GemmConfig& cfg) const;
   // Records an auto-path gemm execution (the executor hook's twin for the
   // fallback that bypasses FmmExecutor).
   void record_gemm(index_t m, index_t n, index_t k, const GemmConfig& cfg,
@@ -451,10 +451,8 @@ class Engine {
   // submit-time clock read happens only when tracing or metrics capture is
   // on (0 otherwise, and observe_request is then a no-op).  The span /
   // latency sample covers queue wait + execution per path.
-  enum class RequestPath { kExplicit, kAuto, kBatch };
   std::uint64_t request_start() const;
-  void observe_request(RequestPath path, index_t m, index_t n, index_t k,
-                       std::size_t items, std::uint64_t t0);
+  void observe_request(const RequestInfo& r);
   // Recomputes the level gauges a report should show current (cache and
   // choice entries, history size, recursive buffer-pool footprint).
   void refresh_gauges();
@@ -462,9 +460,7 @@ class Engine {
   GemmConfig cfg_;
   int slots_ = 0;
   int workers_ = 0;
-  std::size_t cap_total_ = 0;      // executor entries, whole engine
-  std::size_t cap_per_shard_ = 0;  // executor entries per shard
-  std::size_t choice_cap_ = 0;
+  std::size_t cache_cap_ = 0;  // executor entries
 
   // Observability.  The registry owns every counter the old CacheStats
   // atomics became (stats() reads them back); the pointers below are
@@ -478,7 +474,9 @@ class Engine {
   obs::Histogram* exec_gflops_ = nullptr;  // effective GFLOP/s per execution
   obs::Histogram* batch_items_ = nullptr;  // items per multi-item batch
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // The executor cache.
+  mutable std::mutex cache_mu_;
+  std::vector<Entry> cache_;
   // The async pool, created on first use (double-checked through
   // pool_ptr_ so the hot path is one acquire load).
   std::mutex pool_mu_;

@@ -272,38 +272,6 @@ void FmmExecutorT<T>::release_slot(Slot* slot) {
 }
 
 template <typename T>
-void FmmExecutorT<T>::run(MatViewT<T> c, ConstMatViewT<T> a,
-                          ConstMatViewT<T> b) {
-  if (!hook_) {
-    run_unobserved(c, a, b);
-    return;
-  }
-  // The slot wait is outside the timed window: it measures contention on
-  // this executor, not the algorithm, and would poison the history.
-  Slot* s = acquire_slot();
-  struct Release {
-    FmmExecutorT* e;
-    Slot* s;
-    ~Release() { e->release_slot(s); }
-  } rel{this, s};
-  Timer t;
-  run_on_slot(*s, c, a, b, frozen_cfg_);
-  hook_(make_observation(t.seconds(), 1));
-}
-
-template <typename T>
-void FmmExecutorT<T>::run_unobserved(MatViewT<T> c, ConstMatViewT<T> a,
-                                     ConstMatViewT<T> b) {
-  Slot* s = acquire_slot();
-  struct Release {
-    FmmExecutorT* e;
-    Slot* s;
-    ~Release() { e->release_slot(s); }
-  } rel{this, s};
-  run_on_slot(*s, c, a, b, frozen_cfg_);
-}
-
-template <typename T>
 void FmmExecutorT<T>::run_on_slot(Slot& slot, MatViewT<T> c,
                                   ConstMatViewT<T> a, ConstMatViewT<T> b,
                                   const GemmConfig& cfg) {
@@ -388,135 +356,91 @@ void FmmExecutorT<T>::run_on_slot(Slot& slot, MatViewT<T> c,
 }
 
 template <typename T>
-void FmmExecutorT<T>::run_batch(const BatchItemT<T>* items,
-                                std::size_t count) {
-  // Edge cases short-circuit before any batch bookkeeping (shared-B scan,
-  // batch mutex, parallel region): an empty batch is a no-op, a single
-  // item is exactly one run().
+void FmmExecutorT<T>::run_batch(const BatchAccessT<T>& batch) {
+  const std::size_t count = batch.size();
   if (count == 0) return;
-  assert(items != nullptr);
-  if (count == 1) {
-    run(items[0].c, items[0].a, items[0].b);
-    return;
-  }
-  // Shared-B viability: every item references one B (same base pointer and
-  // row stride).
-  bool shared_b = shared_b_possible_;
-  for (std::size_t i = 1; shared_b && i < count; ++i) {
-    shared_b = items[i].b.data() == items[0].b.data() &&
-               items[i].b.stride() == items[0].b.stride();
-  }
-  BatchAccess acc;
-  acc.items = items;
-  if (!hook_) {
-    run_batch_impl(acc, count, shared_b);
-    return;
-  }
-  Timer t;
-  run_batch_impl(acc, count, shared_b);
-  // One observation: `count` multiplies.
-  hook_(make_observation(t.seconds(), count));
-}
-
-template <typename T>
-void FmmExecutorT<T>::run_batch_strided(const StridedBatchT<T>& sb) {
-  // Empty first: a default-constructed descriptor is the no-op value, like
-  // run_batch(items, 0), and must not trip the shape assert.
-  if (sb.count == 0) return;
-  assert(sb.m == m_ && sb.n == n_ && sb.k == k_);
-  BatchAccess acc;
-  acc.sb = sb;
-  // Normalize dense defaults once; at() computes views from these.
-  if (acc.sb.ldc == 0) acc.sb.ldc = n_;
-  if (acc.sb.lda == 0) acc.sb.lda = k_;
-  if (acc.sb.ldb == 0) acc.sb.ldb = n_;
-  if (sb.count == 1) {
-    const BatchItemT<T> it = acc.at(0);
-    run(it.c, it.a, it.b);
-    return;
-  }
-  // A batch stride of 0 on B is the shared-operand encoding: every item
-  // reads the one panel, exactly what the prepacked fast path wants.
-  const bool shared_b = shared_b_possible_ && sb.stride_b == 0;
-  if (!hook_) {
-    run_batch_impl(acc, sb.count, shared_b);
-    return;
-  }
-  Timer t;
-  run_batch_impl(acc, sb.count, shared_b);
-  hook_(make_observation(t.seconds(), sb.count));
-}
-
-template <typename T>
-void FmmExecutorT<T>::run_batch_impl(const BatchAccess& acc,
-                                     std::size_t count, bool shared_b) {
 #ifndef NDEBUG
   // Two items writing one C race silently (items execute concurrently in
   // the item-parallel regimes).  Debug builds reject such batches outright.
   for (std::size_t i = 0; i < count; ++i) {
     for (std::size_t j = i + 1; j < count; ++j) {
-      assert(acc.at(i).c.data() != acc.at(j).c.data() &&
+      assert(batch.at(i).c.data() != batch.at(j).c.data() &&
              "run_batch: two batch items write the same C");
     }
   }
 #endif
+  // The slot wait is outside the timed window: it measures contention on
+  // this executor, not the algorithm, and would poison the history.
+  Slot* mine = acquire_slot();
+  struct Release {
+    FmmExecutorT* e;
+    Slot* s;
+    ~Release() { e->release_slot(s); }
+  } rel{this, mine};
+  Timer t;
+  run_leased(*mine, batch);
+  // One observation: `count` multiplies.
+  if (hook_) hook_(make_observation(t.seconds(), count));
+}
+
+template <typename T>
+void FmmExecutorT<T>::run_leased(Slot& mine, const BatchAccessT<T>& batch) {
+  const std::size_t count = batch.size();
+  if (count == 1) {
+    const BatchItemT<T> it = batch.at(0);
+    run_on_slot(mine, it.c, it.a, it.b, frozen_cfg_);
+    return;
+  }
   // Shared-B fast path first: packing every B~_r once pays on any thread
   // count (it removes (count - 1) * R tile packs), and the path
   // parallelizes across r and items on its own.  One batch at a time may
   // own the shared tiles; a concurrent caller falls through to the
   // generic paths below.
-  if (shared_b) {
+  if (shared_b_possible_ && batch.shares_b()) {
     std::unique_lock<std::mutex> lk(batch_mu_, std::try_to_lock);
     if (lk.owns_lock()) {
-      run_batch_shared_b(acc, count);
+      run_batch_shared_b(mine, batch);
       return;
     }
   }
 
-  // Small-shape criterion, shared with the fused driver's mode switch:
-  // when one multiply yields fewer i_c (column) blocks than threads,
-  // internal data parallelism runs on shrunk tiles or in the barrier-heavy
-  // j_r fallback — make the independent items the parallel dimension
-  // instead, each executed serially.  The fused loop sees the interior
-  // *submatrix* columns (ns_), not n_; shapes with no interior are all
-  // peel, which sees n_.
+  // When one multiply yields too few i_c (column) blocks to feed the
+  // threads — the fused loop's own criterion for shrinking m_C — make the
+  // independent items the parallel dimension instead, each executed
+  // serially.  The fused loop sees the interior *submatrix* columns (ns_),
+  // not n_; shapes with no interior are all peel, which sees n_.
   const index_t cols_seen = m1_ > 0 ? ns_ : std::max<index_t>(n_, 1);
-  const bool item_parallel = nth_ > 1 && ceil_div(cols_seen, bp_.mc) < nth_;
-  if (!item_parallel) {
+  if (!too_few_column_blocks(cols_seen, bp_.mc, nth_)) {
     for (std::size_t i = 0; i < count; ++i) {
-      const BatchItemT<T> it = acc.at(i);
-      // Unobserved: the enclosing batch reports one aggregate observation.
-      run_unobserved(it.c, it.a, it.b);
+      const BatchItemT<T> it = batch.at(i);
+      run_on_slot(mine, it.c, it.a, it.b, frozen_cfg_);
     }
     return;
   }
 
   // Generic item-parallel path.  A helper that cannot lease a slot
-  // (concurrent callers hold them) skips the loop; the caller leases its
-  // slot *blocking*, which guarantees progress.
-  Slot* mine = acquire_slot();
+  // (concurrent callers hold them) skips the loop; the caller's own slot
+  // guarantees progress.
   TaskPool::parallel_region(nth_, [&](Team& team) {
-    Slot* s = team.slot() == 0 ? mine : try_acquire_slot();
+    Slot* s = team.slot() == 0 ? &mine : try_acquire_slot();
     if (s == nullptr) return;
     team.for_each(static_cast<std::int64_t>(count), [&](std::int64_t i) {
-      const BatchItemT<T> it = acc.at(static_cast<std::size_t>(i));
+      const BatchItemT<T> it = batch.at(static_cast<std::size_t>(i));
       run_on_slot(*s, it.c, it.a, it.b, serial_cfg_);
     });
-    if (s != mine) release_slot(s);
+    if (s != &mine) release_slot(s);
   });
-  release_slot(mine);
 }
 
 template <typename T>
-void FmmExecutorT<T>::run_batch_shared_b(const BatchAccess& acc,
-                                         std::size_t count) {
-  const ConstMatViewT<T> b = acc.at(0).b;
+void FmmExecutorT<T>::run_batch_shared_b(Slot& mine,
+                                         const BatchAccessT<T>& batch) {
+  const ConstMatViewT<T> b = batch.at(0).b;
   const index_t ldb = b.stride();
   const int R = plan_.R();
   const int mr = bp_.mr;
   T* bpack = shared_b_.data();
 
-  Slot* mine = acquire_slot();
   // Packing overlaps compute: the caller (slot 0) packs the per-r B~
   // tiles *in r order*, publishing each through panels_ready (release),
   // then joins the item loop; helpers start consuming items immediately and
@@ -528,7 +452,7 @@ void FmmExecutorT<T>::run_batch_shared_b(const BatchAccess& acc,
   // one participant this degenerates to pack-everything-then-compute.
   std::atomic<int> panels_ready{0};
   TaskPool::parallel_region(nth_, [&](Team& team) {
-    Slot* s = team.slot() == 0 ? mine : try_acquire_slot();
+    Slot* s = team.slot() == 0 ? &mine : try_acquire_slot();
     if (team.slot() == 0) {
       for (int r = 0; r < R; ++r) {
         const int nb = b_ofs_[r + 1] - b_ofs_[r];
@@ -543,13 +467,12 @@ void FmmExecutorT<T>::run_batch_shared_b(const BatchAccess& acc,
       }
     }
     if (s == nullptr) return;
-    team.for_each(static_cast<std::int64_t>(count), [&](std::int64_t i) {
-      run_item_prepacked(*s, acc.at(static_cast<std::size_t>(i)),
+    team.for_each(static_cast<std::int64_t>(batch.size()), [&](std::int64_t i) {
+      run_item_prepacked(*s, batch.at(static_cast<std::size_t>(i)),
                          panels_ready);
     });
-    if (s != mine) release_slot(s);
+    if (s != &mine) release_slot(s);
   });
-  release_slot(mine);
 }
 
 // One item of a shared-B batch: the serial ABC interior against the per-r

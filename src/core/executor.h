@@ -119,6 +119,55 @@ using StridedBatch = StridedBatchT<double>;
 using BatchItemF32 = BatchItemT<float>;
 using StridedBatchF32 = StridedBatchT<float>;
 
+// Uniform indexed access over the two batch layouts: a BatchItem array, or
+// a StridedBatch expanded one index at a time (branching on the layout per
+// item costs nothing next to a multiply, and no view array is ever
+// materialized).  Does not own the operands.
+template <typename T>
+class BatchAccessT {
+ public:
+  BatchAccessT() = default;
+  BatchAccessT(const BatchItemT<T>* items, std::size_t count)
+      : items_(items), count_(count) {}
+  // The one place the dense row-stride defaults are filled in; strided()
+  // returns the normalized descriptor.
+  explicit BatchAccessT(const StridedBatchT<T>& sb)
+      : sb_(sb), count_(sb.count) {
+    if (sb_.ldc == 0) sb_.ldc = sb_.n;
+    if (sb_.lda == 0) sb_.lda = sb_.k;
+    if (sb_.ldb == 0) sb_.ldb = sb_.n;
+  }
+
+  std::size_t size() const { return count_; }
+  const StridedBatchT<T>& strided() const { return sb_; }
+
+  BatchItemT<T> at(std::size_t i) const {
+    if (items_ != nullptr) return items_[i];
+    const index_t o = static_cast<index_t>(i);
+    return {MatViewT<T>(sb_.c + o * sb_.stride_c, sb_.m, sb_.n, sb_.ldc),
+            ConstMatViewT<T>(sb_.a + o * sb_.stride_a, sb_.m, sb_.k, sb_.lda),
+            ConstMatViewT<T>(sb_.b + o * sb_.stride_b, sb_.k, sb_.n, sb_.ldb)};
+  }
+
+  // Every item reads one B (same base and row stride).  A batch stride of
+  // 0 on B is the strided layout's encoding of that.
+  bool shares_b() const {
+    if (items_ == nullptr) return sb_.stride_b == 0;
+    for (std::size_t i = 1; i < count_; ++i) {
+      if (items_[i].b.data() != items_[0].b.data() ||
+          items_[i].b.stride() != items_[0].b.stride()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  const BatchItemT<T>* items_ = nullptr;  // item layout when non-null
+  StridedBatchT<T> sb_;                   // strided layout otherwise
+  std::size_t count_ = 0;
+};
+
 // What one observed execution looked like — the payload of the executor
 // timing hook (see FmmExecutorT::set_timing_hook).  Shared across element
 // types so a consumer (the Engine) can handle both with one function.
@@ -145,34 +194,41 @@ class FmmExecutorT {
   FmmExecutorT(const FmmExecutorT&) = delete;
   FmmExecutorT& operator=(const FmmExecutorT&) = delete;
 
-  // C += A * B.  Operands must match the compiled shape.  Thread-safe;
-  // zero allocation, zero re-derivation.
-  void run(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b);
-
-  // Executes every item (C_i += A_i * B_i) against the compiled plan.
-  // Items run in parallel (one per thread, serial inside) when the shape
-  // is too small to feed the threads from within one multiply; otherwise
-  // sequentially with full internal parallelism.  Results are bitwise
-  // identical to calling run() per item.  Empty and single-item batches
-  // short-circuit before any batch bookkeeping (no shared-B mutex, no
-  // parallel region).  Debug builds assert that no two items write the
+  // Executes every item (C_i += A_i * B_i) against the compiled plan; the
+  // one entry every spelling below forwards to.  It leases the caller's
+  // workspace slot (outside the timed window), runs the batch, and fires
+  // the timing hook once.  A single item is one plain multiply.  Several
+  // items that share one B run through the prepacked shared-B path when
+  // the plan/shape allow it; otherwise items run in parallel (one per
+  // thread, serial inside) when the shape is too small to feed the threads
+  // from within one multiply, else sequentially with full internal
+  // parallelism.  Results are bitwise identical to one run() per item.
+  // Operands must match the compiled shape.  Thread-safe; zero allocation,
+  // zero re-derivation.  Debug builds assert that no two items write the
   // same C (a silently racy batch otherwise).
-  void run_batch(const BatchItemT<T>* items, std::size_t count);
+  void run_batch(const BatchAccessT<T>& batch);
+
+  // C += A * B.
+  void run(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b) {
+    const BatchItemT<T> item{c, a, b};
+    run_batch(BatchAccessT<T>(&item, 1));
+  }
+  void run_batch(const BatchItemT<T>* items, std::size_t count) {
+    run_batch(BatchAccessT<T>(items, count));
+  }
   void run_batch(const std::vector<BatchItemT<T>>& items) {
     run_batch(items.data(), items.size());
   }
+  // The strided/interleaved layout: per-index views are computed on the
+  // fly from the base pointers; stride_b == 0 is a shared B.
+  void run_batch_strided(const StridedBatchT<T>& sb) {
+    run_batch(BatchAccessT<T>(sb));
+  }
 
-  // run_batch over a strided/interleaved layout: per-index views are
-  // computed on the fly from the base pointers — no BatchItem array is
-  // materialized.  sb's shape must match the compiled shape (the Engine
-  // validates; this layer asserts).  stride_b == 0 routes through the
-  // shared-B prepacked fast path when the plan/shape allow it.
-  void run_batch_strided(const StridedBatchT<T>& sb);
-
-  // Observation hook: called once per top-level run() (items == 1) and
-  // once per multi-item batch (items == count) — a batch is one
-  // observation of `items` multiplies, never double-counted per item.  The
-  // ExecObservation carries everything a consumer needs to attribute the
+  // Observation hook: called once per run_batch (items == count; a run()
+  // is one item) — a batch is one observation of `items` multiplies,
+  // never double-counted per item.  The ExecObservation carries
+  // everything a consumer needs to attribute the
   // timing (the frozen kernel name, element type, and compiled shape), so
   // one hook serves both the online performance model and the tracing
   // layer (src/obs/trace.h).  The hook runs on the calling thread after
@@ -218,22 +274,6 @@ class FmmExecutorT {
     double coeff;
   };
 
-  // Uniform indexed access over the two batch layouts: a BatchItem array,
-  // or a StridedBatch expanded one index at a time (branching on the mode
-  // per item costs nothing next to a multiply, and avoids materializing
-  // views for the strided layout).
-  struct BatchAccess {
-    const BatchItemT<T>* items = nullptr;  // per-item mode when non-null
-    StridedBatchT<T> sb;                   // strided mode otherwise
-    BatchItemT<T> at(std::size_t i) const {
-      if (items != nullptr) return items[i];
-      const index_t off = static_cast<index_t>(i);
-      return {MatViewT<T>(sb.c + off * sb.stride_c, sb.m, sb.n, sb.ldc),
-              ConstMatViewT<T>(sb.a + off * sb.stride_a, sb.m, sb.k, sb.lda),
-              ConstMatViewT<T>(sb.b + off * sb.stride_b, sb.k, sb.n, sb.ldb)};
-    }
-  };
-
   // Fills the hook observation from the frozen compile-time facts.
   ExecObservation make_observation(double seconds, std::size_t items) const {
     ExecObservation o;
@@ -251,19 +291,16 @@ class FmmExecutorT {
   Slot* acquire_slot();
   Slot* try_acquire_slot();
   void release_slot(Slot* slot);
-  // run() minus the timing hook: the batch paths' per-item workhorse (the
-  // enclosing batch reports one aggregate observation instead).
-  void run_unobserved(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b);
   // The full multiply (interior + peel) on one slot.  `cfg` is either the
   // frozen config or its serial twin (batch item-parallel mode).
   void run_on_slot(Slot& slot, MatViewT<T> c, ConstMatViewT<T> a,
                    ConstMatViewT<T> b, const GemmConfig& cfg);
-  void run_batch_impl(const BatchAccess& acc, std::size_t count,
-                      bool shared_b);
-  // Shared-B fast path with pack/compute overlap: one thread packs the
+  // run_batch's regimes, on the caller's leased slot `mine`.
+  void run_leased(Slot& mine, const BatchAccessT<T>& batch);
+  // Shared-B fast path with pack/compute overlap: the caller packs the
   // per-r B~ tiles in order, publishing each through an atomic watermark;
   // the others consume items, gating each item's r step on that watermark.
-  void run_batch_shared_b(const BatchAccess& acc, std::size_t count);
+  void run_batch_shared_b(Slot& mine, const BatchAccessT<T>& batch);
   void run_item_prepacked(Slot& slot, const BatchItemT<T>& item,
                           const std::atomic<int>& panels_ready);
 

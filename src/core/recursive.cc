@@ -272,8 +272,7 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
 
   // The memory throttle: at most `window` products of this node hold
   // buffers at once (prep_r waits for release[r - window]).
-  const int window = std::min(
-      R, ctx.window > 0 ? ctx.window : std::max(2, pool.workers()));
+  const int window = std::min(R, std::max(2, pool.workers()));
 
   std::vector<TaskTag> m_done(static_cast<std::size_t>(R));
   std::vector<TaskTag> rel(static_cast<std::size_t>(R));
@@ -440,10 +439,11 @@ void run_node_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
 template <typename T>
 TaskFuture submit_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
                             MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
-                            NonDeduced<ConstMatViewT<T>> b) {
+                            NonDeduced<ConstMatViewT<T>> b, TaskTag done_tag) {
   assert(ctx.pool != nullptr && ctx.buffers != nullptr && ctx.leaf);
   assert(should_recurse(plan, c.rows(), c.cols(), a.cols(), ctx.cutoff));
-  return build_node(ctx, plan, c, a, b, /*depth=*/0, ctx.pool->fresh_tag());
+  return build_node(ctx, plan, c, a, b, /*depth=*/0,
+                    done_tag != kNoTag ? done_tag : ctx.pool->fresh_tag());
 }
 
 template <typename T>
@@ -458,11 +458,11 @@ void run_recursive_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
 template TaskFuture submit_recursive<double>(const RecursiveExecT<double>&,
                                              const Plan&, MatViewT<double>,
                                              ConstMatViewT<double>,
-                                             ConstMatViewT<double>);
+                                             ConstMatViewT<double>, TaskTag);
 template TaskFuture submit_recursive<float>(const RecursiveExecT<float>&,
                                             const Plan&, MatViewT<float>,
                                             ConstMatViewT<float>,
-                                            ConstMatViewT<float>);
+                                            ConstMatViewT<float>, TaskTag);
 template void run_recursive_sequential<double>(const RecursiveExecT<double>&,
                                                const Plan&, MatViewT<double>,
                                                ConstMatViewT<double>,

@@ -41,8 +41,9 @@
 //     and run as independent tasks;
 //   * S_r/T_r/M_r buffers return to the pool through a release task that
 //     depends on every consumer of M_r, and prep_r (r >= window) depends
-//     on release[r - window] — bounding peak intermediate memory to
-//     ~window products per node without ever blocking a worker.
+//     on release[r - window], window = max(2, pool workers) capped at R —
+//     bounding peak intermediate memory to ~window products per node
+//     without ever blocking a worker.
 
 #include <cstddef>
 #include <functional>
@@ -144,8 +145,6 @@ struct RecursiveExecT {
   BufferPool* buffers = nullptr;
   RecursiveLeafFnT<T> leaf;
   index_t cutoff = 0;           // descend while min(m, n, k) > cutoff
-  int window = 0;               // in-flight products per node; 0 = auto
-                                // (max(2, pool workers), capped at R)
 };
 using RecursiveExec = RecursiveExecT<double>;
 using RecursiveExecF32 = RecursiveExecT<float>;
@@ -159,14 +158,17 @@ bool should_recurse(const Plan& plan, index_t m, index_t n, index_t k,
 
 // Builds the task graph for C += A * B on ctx.pool and returns the
 // finalizer's future (resolves when every update and peel piece has
-// landed).  Callers must keep the operand buffers alive until then; `plan`
-// is copied.  Requires should_recurse(plan, ...) — callers route
-// non-qualifying shapes to a flat executor instead.  A and B are
-// non-deduced, so writable views bind there too.
+// landed).  The finalizer carries `done_tag` (kNoTag: a fresh tag), so a
+// task depending on it runs once the whole graph has.  Callers must keep
+// the operand buffers alive until then; `plan` is copied.  Requires
+// should_recurse(plan, ...) — callers route non-qualifying shapes to a
+// flat executor instead.  A and B are non-deduced, so writable views bind
+// there too.
 template <typename T>
 TaskFuture submit_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
                             MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
-                            NonDeduced<ConstMatViewT<T>> b);
+                            NonDeduced<ConstMatViewT<T>> b,
+                            TaskTag done_tag = kNoTag);
 
 // The sequential twin: the same decomposition, leaf calls, and per-element
 // update order executed inline on the calling thread — bitwise identical
@@ -180,10 +182,10 @@ void run_recursive_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
 
 extern template TaskFuture submit_recursive<double>(
     const RecursiveExecT<double>&, const Plan&, MatViewT<double>,
-    ConstMatViewT<double>, ConstMatViewT<double>);
+    ConstMatViewT<double>, ConstMatViewT<double>, TaskTag);
 extern template TaskFuture submit_recursive<float>(
     const RecursiveExecT<float>&, const Plan&, MatViewT<float>,
-    ConstMatViewT<float>, ConstMatViewT<float>);
+    ConstMatViewT<float>, ConstMatViewT<float>, TaskTag);
 extern template void run_recursive_sequential<double>(
     const RecursiveExecT<double>&, const Plan&, MatViewT<double>,
     ConstMatViewT<double>, ConstMatViewT<double>);

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <exception>
 #include <limits>
 #include <mutex>
 #include <unordered_map>
@@ -181,7 +180,6 @@ TaskFuture TaskFuture::ready(Status status) {
 
 struct TaskPool::Task {
   std::function<Status()> fn;
-  std::function<void(const Status&)> on_complete;
   TaskTag tag = kNoTag;
   int priority = 0;
   std::uint64_t seq = 0;  // FIFO tie-break within a priority level
@@ -203,7 +201,7 @@ struct TaskPool::TagState {
 struct TaskPool::Impl {
   std::mutex mu;
   std::condition_variable work_cv;  // workers: ready task or stop
-  std::condition_variable done_cv;  // wait_all / wait(tag)
+  std::condition_variable done_cv;  // wait_all
   bool stop = false;
   std::uint64_t next_seq = 0;
   std::uint64_t outstanding = 0;  // submitted, not yet finished/cancelled
@@ -312,7 +310,6 @@ TaskFuture TaskPool::submit_impl(std::function<Status()> fn,
                                  TaskOptions opts) {
   auto task = std::make_shared<Task>();
   task->fn = std::move(fn);
-  task->on_complete = std::move(opts.on_complete);
   task->tag = opts.tag;
   task->priority = opts.priority;
   task->state = std::make_shared<TaskFuture::State>();
@@ -399,16 +396,7 @@ void TaskPool::worker_loop(int index) {
     }
     if (tracing && run_start == 0) run_start = obs::now_ns();
 
-    Status status;
-    try {
-      status = task->fn();
-    } catch (const std::exception& e) {
-      status = Status::error(StatusCode::kInvalidArgument,
-                             std::string("task body threw: ") + e.what());
-    } catch (...) {
-      status = Status::error(StatusCode::kInvalidArgument,
-                             "task body threw a non-std exception");
-    }
+    Status status = run_guarded(task->fn);
     task->fn = nullptr;  // release captures before dependents observe done
     if (tr != nullptr) tr->add();
 
@@ -428,9 +416,7 @@ void TaskPool::worker_loop(int index) {
 
     // The future resolves *before* the tag completes: a dependent task
     // (released by the tag) always observes its dependency's future done.
-    // The callback runs *after* successors are released, so a callback
-    // that blocks cannot stall the graph.
-    task->state->resolve(status);
+    task->state->resolve(std::move(status));
 
     lk.lock();
     if (task->tag != kNoTag) {
@@ -447,11 +433,6 @@ void TaskPool::worker_loop(int index) {
       ts.waiters.clear();
       if (released) impl_->work_cv.notify_all();
     }
-    lk.unlock();
-
-    if (task->on_complete) task->on_complete(status);
-
-    lk.lock();
     --impl_->outstanding;
     impl_->done_cv.notify_all();
   }
@@ -464,15 +445,6 @@ void TaskPool::wait_all() {
   assert(tls_pool != this && "wait_all() from a task of the same pool");
   std::unique_lock<std::mutex> lk(impl_->mu);
   impl_->done_cv.wait(lk, [&] { return impl_->outstanding == 0; });
-}
-
-void TaskPool::wait(TaskTag tag) {
-  assert(tls_pool != this && "wait(tag) from a task of the same pool");
-  std::unique_lock<std::mutex> lk(impl_->mu);
-  impl_->done_cv.wait(lk, [&] {
-    auto it = impl_->tags.find(tag);
-    return it != impl_->tags.end() && it->second.done;
-  });
 }
 
 void TaskPool::cancel_pending() {

@@ -6,20 +6,18 @@
 // The scheme is StarPU's (the system Benson & Ballard built their parallel
 // FMM framework on, and the paper's §6 names as the task-parallel
 // comparison): a *task* is a callable plus scheduling metadata — an
-// optional identity **tag**, a list of tags it **depends** on, a
-// **priority**, and an optional completion **callback**.  Tasks whose
-// dependencies are met sit in a priority FIFO (higher priority first,
-// submission order breaking ties); a fixed set of std::thread workers
-// drains it.  The same workers also carry the data parallelism inside one
-// task: parallel_region() forks a team from the calling worker onto its
-// own pool (paper §5.1's i_c-loop schedule runs on it), and a worker that
-// has just helped a region polls ~100 us for the next one before it
-// sleeps.  When a
-// task finishes, its TaskFuture resolves first, then its tag is marked
-// complete and successor tasks whose last dependency that was are
-// released (a dependent task always observes its dependency's future
-// done), and finally its callback runs on the worker (callbacks may
-// submit follow-up tasks: that is how a dataflow pipeline advances).
+// optional identity **tag**, a list of tags it **depends** on, and a
+// **priority**.  Tasks whose dependencies are met sit in a priority FIFO
+// (higher priority first, submission order breaking ties); a fixed set of
+// std::thread workers drains it.  The same workers also carry the data
+// parallelism inside one task: parallel_region() forks a team from the
+// calling worker onto its own pool (paper §5.1's i_c-loop schedule runs
+// on it), and a worker that has just helped a region polls ~100 us for the
+// next one before it sleeps.  When a task finishes, its TaskFuture
+// resolves first, then its tag is marked complete and successor tasks
+// whose last dependency that was are released (a dependent task always
+// observes its dependency's future done).  A dataflow pipeline advances
+// by submitting its successors up front, tied to their producers by tags.
 //
 // Dependency rules:
 //   * A dependency on a tag that already completed is satisfied
@@ -30,18 +28,20 @@
 //   * A completed tag stays complete forever (state is O(distinct tags)).
 //
 // Lifecycle: wait_all() blocks until every submitted task (including ones
-// submitted by callbacks while draining) has finished.  cancel_pending()
-// resolves every not-yet-started task's future with StatusCode::kCancelled
-// (callbacks of cancelled tasks do NOT run, and their tags do NOT
-// complete — cancellation abandons the rest of the graph); tasks already
-// executing run to completion.  The destructor wait_all()s then joins —
+// submitted by running tasks while draining) has finished.
+// cancel_pending() resolves every not-yet-started task's future with
+// StatusCode::kCancelled (their tags do NOT complete — cancellation
+// abandons the rest of the graph); tasks already executing run to
+// completion.  The destructor wait_all()s then joins —
 // destroying a pool with tasks in flight is safe and drains them.  Queued
 // region helpers are tasks like any other: wait_all() covers them, and
 // cancel_pending() drops them without harming their regions.
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -65,8 +65,24 @@ struct TaskOptions {
   TaskTag tag = kNoTag;           // identity (kNoTag: anonymous task)
   std::vector<TaskTag> deps;      // tags that must complete first
   int priority = 0;               // higher runs earlier; FIFO within equal
-  std::function<void(const Status&)> on_complete;  // runs on the worker
 };
+
+// fn()'s Status, with an exception escaping fn turned into kInvalidArgument
+// ("task body threw: ...").  A task body that throws resolves its future
+// with this Status; the Engine applies it to the work it runs inline on a
+// worker, so a request fails the same way wherever it runs.
+template <typename F>
+Status run_guarded(F&& fn) {
+  try {
+    return fn();
+  } catch (const std::exception& e) {
+    return Status::error(StatusCode::kInvalidArgument,
+                         std::string("task body threw: ") + e.what());
+  } catch (...) {
+    return Status::error(StatusCode::kInvalidArgument,
+                         "task body threw a non-std exception");
+  }
+}
 
 // The result handle of a submitted task: resolves exactly once, with the
 // Status the task body returned (Status{} for void bodies, the error for
@@ -161,11 +177,9 @@ class TaskPool {
     }
   }
 
-  // Blocks until no task is queued, blocked, or running (a callback that
+  // Blocks until no task is queued, blocked, or running (a task that
   // submits more work extends the wait — the drain covers the new tasks).
   void wait_all();
-  // Blocks until a task carrying `tag` has completed.
-  void wait(TaskTag tag);
 
   // Resolves every not-yet-started task with kCancelled; running tasks
   // finish normally.  See the lifecycle notes above.

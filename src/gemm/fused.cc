@@ -43,10 +43,14 @@ int resolve_threads(const GemmConfig& cfg) {
   return hw;
 }
 
+bool too_few_column_blocks(index_t n, index_t mc, int threads) {
+  return threads > 1 && ceil_div(n, mc) < threads;
+}
+
 LoopMode choose_loop_mode(index_t n, index_t mc, int mr, int threads) {
   LoopMode mode;
   mode.mc = mc;
-  if (threads > 1 && ceil_div(n, mc) < threads) {
+  if (too_few_column_blocks(n, mc, threads)) {
     mode.mc = std::max<index_t>(
         mr, ceil_div(ceil_div(n, static_cast<index_t>(threads)), mr) * mr);
   }

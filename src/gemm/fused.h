@@ -99,6 +99,10 @@ struct LoopMode {
   bool jr_parallel = false;  // the j_r loop carries the parallelism
 };
 LoopMode choose_loop_mode(index_t n, index_t mc, int mr, int threads);
+// choose_loop_mode's trigger for shrinking m_C: n yields fewer m_C column
+// blocks than threads (threads > 1).  A compiled executor's batch of such
+// problems runs its items in parallel instead.
+bool too_few_column_blocks(index_t n, index_t mc, int threads);
 
 // One step of the 2nd loop (j_r) with the 1st (i_r) inside it: the
 // nR-row A~ panel `a_panel` (C rows [row, row + rows), rows <= nR) meets

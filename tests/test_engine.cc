@@ -26,10 +26,9 @@ Plan strassen_plan(Variant v = Variant::kABC) {
   return make_plan({catalog::best(2, 2, 2)}, v);
 }
 
-Engine::Options small_cache_options(std::size_t cap, int shards = 1) {
+Engine::Options small_cache_options(std::size_t cap) {
   Engine::Options opts;
   opts.cache_capacity = cap;
-  opts.shards = shards;
   return opts;
 }
 
@@ -62,7 +61,7 @@ TEST(EngineExplicit, BitwiseIdenticalToDirectExecutor) {
 }
 
 TEST(EngineCache, HitMissEvictionAccounting) {
-  Engine engine(small_cache_options(/*cap=*/2, /*shards=*/1));
+  Engine engine(small_cache_options(/*cap=*/2));
   ASSERT_EQ(engine.cache_capacity(), 2u);
   const Plan plan = strassen_plan();
   const index_t shapes[3] = {32, 40, 48};
@@ -154,9 +153,7 @@ TEST(EngineCache, EnvKnobSetsDefaultCapacity) {
   ASSERT_EQ(setenv("FMM_ENGINE_CACHE", "3", /*overwrite=*/1), 0);
   {
     Engine engine;
-    // Rounded up to a multiple of the shard count (shards clamp to cap).
-    EXPECT_GE(engine.cache_capacity(), 3u);
-    EXPECT_LE(engine.cache_capacity(), 4u);
+    EXPECT_EQ(engine.cache_capacity(), 3u);
   }
   for (const char* junk : {"not-a-number", "junk", "3junk", "-1", "0"}) {
     ASSERT_EQ(setenv("FMM_ENGINE_CACHE", junk, 1), 0);
@@ -167,7 +164,6 @@ TEST(EngineCache, EnvKnobSetsDefaultCapacity) {
   ASSERT_EQ(unsetenv("FMM_ENGINE_CACHE"), 0);
   Engine::Options explicit_cap;
   explicit_cap.cache_capacity = 5;
-  explicit_cap.shards = 1;
   Engine engine(explicit_cap);
   EXPECT_EQ(engine.cache_capacity(), 5u);
 }
@@ -463,28 +459,32 @@ TEST(EngineAuto, MatchesReference) {
 
 TEST(EngineAuto, ChoiceCacheIsBoundedWithLru) {
   Engine::Options opts;
-  opts.cache_capacity = 4;
-  opts.choice_capacity = 2;
+  opts.cache_capacity = 1;  // the choice cache holds 8x the executors
   Engine engine(opts);
-  ASSERT_EQ(engine.choice_capacity(), 2u);
-  (void)engine.choice_for(512, 512, 512);    // miss
-  (void)engine.choice_for(1024, 1024, 512);  // miss
-  (void)engine.choice_for(512, 512, 512);    // hit
+  ASSERT_EQ(engine.choice_capacity(), 8u);
+  (void)engine.choice_for(512, 512, 512);  // miss
+  for (index_t i = 1; i < 8; ++i) {
+    (void)engine.choice_for(512, 512, 512 + 64 * i);  // 7 more misses
+  }
+  (void)engine.choice_for(512, 512, 512);  // hit: the oldest is now the MRU
   auto s1 = engine.stats();
-  EXPECT_EQ(s1.choice_misses, 2u);
+  EXPECT_EQ(s1.choice_misses, 8u);
   EXPECT_EQ(s1.choice_hits, 1u);
-  EXPECT_EQ(s1.choice_entries, 2u);
+  EXPECT_EQ(s1.choice_entries, 8u);
 
   (void)engine.choice_for(2048, 2048, 256);  // miss + eviction
   auto s2 = engine.stats();
-  EXPECT_EQ(s2.choice_misses, 3u);
+  EXPECT_EQ(s2.choice_misses, 9u);
   EXPECT_EQ(s2.choice_evictions, 1u);
-  EXPECT_EQ(s2.choice_entries, 2u);
+  EXPECT_EQ(s2.choice_entries, 8u);
 
-  // 512^3 was more recently used than 1024: it must still be cached.
+  // 512^3 was more recently used than 512x512x576: it must still be
+  // cached, and the evicted least-recently-used shape must not.
   (void)engine.choice_for(512, 512, 512);
   auto s3 = engine.stats();
   EXPECT_EQ(s3.choice_hits, s2.choice_hits + 1);
+  (void)engine.choice_for(512, 512, 576);
+  EXPECT_EQ(engine.stats().choice_misses, s3.choice_misses + 1);
 }
 
 TEST(EngineAuto, AutoAndExplicitShareCompiledExecutors) {
@@ -514,7 +514,6 @@ TEST(EngineConcurrency, MultiShapeHammeringFromHostThreads) {
   Engine::Options opts;
   opts.config.num_threads = 1;  // host threads are the concurrency under test
   opts.cache_capacity = 3;
-  opts.shards = 2;
   Engine engine(opts);
   const Plan plan = strassen_plan();
 

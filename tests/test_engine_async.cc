@@ -2,14 +2,18 @@
 // Covers bitwise equivalence with the synchronous paths (single, item
 // batch, cross-shape fan-out, strided), immediate resolution of invalid
 // requests, wait_all, nested use from foreign task-pool workers (the
-// inline path), destruction with tasks in flight, and concurrent submit
-// hammering against a tiny executor cache so completions race evictions
-// (the TSan CI leg runs every EngineAsync* suite).
+// inline path), every front-door form from a host thread and from a pool
+// worker (same bits, same Status, one request sample), destruction with
+// tasks in flight, and concurrent submit hammering against a tiny
+// executor cache so completions race evictions (the TSan CI leg runs
+// every Engine* suite).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +22,19 @@
 #include "src/core/task_pool.h"
 #include "src/linalg/ops.h"
 #include "tests/test_support.h"
+
+// The allocation-failure rows of EngineFrontDoor ask for a 512 TiB buffer
+// on purpose.  The sanitizer allocators abort on such a request unless
+// told to fail it; a failed allocation returns null, which AlignedBuffer
+// turns into std::bad_alloc as in an uninstrumented build.
+extern "C" __attribute__((used, visibility("default"))) const char*
+__asan_default_options() {
+  return "allocator_may_return_null=1";
+}
+extern "C" __attribute__((used, visibility("default"))) const char*
+__tsan_default_options() {
+  return "allocator_may_return_null=1";
+}
 
 namespace fmm {
 namespace {
@@ -301,6 +318,264 @@ TEST(EngineAsyncNested, MultiplyFromForeignPoolWorkerRunsInline) {
 }
 
 // ---------------------------------------------------------------------------
+// One request path: every front-door form, from a host thread (queued) and
+// from a pool worker (inline), in both element types.  Each row must give
+// the host thread's bits and Status on the worker, record exactly one
+// sample in its request histogram, and one engine.exec.gflops sample per
+// shape group executed.
+// ---------------------------------------------------------------------------
+
+enum class Form {
+  kExplicit,
+  kAuto,
+  kItems,
+  kItemsCross,
+  kItemsSharedB,
+  kStrided,
+  kStridedSharedB,
+  kDescent,
+  kFailSingle,
+  kFailBatch,
+  kFailCross,
+};
+
+struct FormRow {
+  const char* name;
+  Form form;
+  const char* histogram;     // the request histogram of the one sample
+  std::uint64_t executions;  // engine.exec.gflops samples
+  bool fails;                // kInvalidArgument from std::bad_alloc
+};
+
+constexpr FormRow kFormRows[] = {
+    {"explicit single", Form::kExplicit, "engine.request.explicit", 1, false},
+    {"auto single", Form::kAuto, "engine.request.auto", 1, false},
+    {"items, one shape", Form::kItems, "engine.request.batch", 1, false},
+    {"items, cross-shape", Form::kItemsCross, "engine.request.batch", 3,
+     false},
+    {"items, shared B", Form::kItemsSharedB, "engine.request.batch", 1, false},
+    {"strided", Form::kStrided, "engine.request.batch", 1, false},
+    {"strided, stride_b 0", Form::kStridedSharedB, "engine.request.batch", 1,
+     false},
+    // <2,2,2>^2 at 256^3 with cutoff 128: one level descends, and its seven
+    // 128^3 products run as cached one-level executors.
+    {"descent", Form::kDescent, "engine.request.explicit", 7, false},
+    {"failing single", Form::kFailSingle, "engine.request.explicit", 0, true},
+    {"failing batch", Form::kFailBatch, "engine.request.batch", 0, true},
+    {"cross-shape, one group fails", Form::kFailCross, "engine.request.batch",
+     1, true},
+};
+
+// 2^24 x 2^24 x 2 over 16-element buffers: compiling its AB executor asks
+// for a 512 TiB M_r buffer (beyond any address space), which throws
+// std::bad_alloc before any operand is touched.
+constexpr index_t kHuge = index_t{1} << 24;
+
+template <typename T>
+std::vector<T> seeded(std::size_t n, std::uint64_t seed) {
+  std::vector<T> v(n);
+  std::uint64_t x = seed * 0x9e3779b97f4a7c15ull + 1;
+  for (T& e : v) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    e = static_cast<T>(static_cast<double>((x >> 11) & 0xfffff) / 1048576.0 -
+                       0.5);
+  }
+  return v;
+}
+
+template <typename T>
+struct FormRun {
+  Status status;
+  std::vector<std::vector<T>> c;  // every C buffer after the call
+  std::uint64_t explicit_samples = 0, auto_samples = 0, batch_samples = 0;
+  std::uint64_t executions = 0;
+  std::vector<T> alone;  // kFailCross: its 64^3 item multiplied on its own
+};
+
+// One row on a fresh engine, from this host thread or from the worker of
+// a foreign single-worker pool.
+template <typename T>
+FormRun<T> run_form(Form form, bool on_worker) {
+  Engine::Options opts;
+  opts.workers = 2;
+  opts.recurse_cutoff = 128;
+  Engine engine(opts);
+  engine.metrics().set_enabled(true);
+  const Plan abc = strassen_plan();
+  const Plan ab = strassen_plan(Variant::kAB);
+  const FmmAlgorithm& s222 = catalog::best(2, 2, 2);
+  const Plan two_level = make_plan({s222, s222}, Variant::kABC);
+
+  // Operands: one square problem per listed size.
+  std::vector<std::vector<T>> as, bs;
+  FormRun<T> run;
+  auto problems = [&](std::initializer_list<index_t> sizes) {
+    std::uint64_t seed = 1;
+    for (index_t s : sizes) {
+      const std::size_t elems = static_cast<std::size_t>(s * s);
+      as.push_back(seeded<T>(elems, seed++));
+      bs.push_back(seeded<T>(elems, seed++));
+      run.c.push_back(seeded<T>(elems, seed++));
+    }
+  };
+  auto item = [&](std::size_t i, index_t s) {
+    const T* b = form == Form::kItemsSharedB ? bs.front().data() : bs[i].data();
+    return BatchItemT<T>{MatViewT<T>(run.c[i].data(), s, s, s),
+                         ConstMatViewT<T>(as[i].data(), s, s, s),
+                         ConstMatViewT<T>(b, s, s, s)};
+  };
+  auto huge = [&] {
+    as.push_back(seeded<T>(16, 90));
+    bs.push_back(seeded<T>(16, 91));
+    run.c.push_back(seeded<T>(16, 92));
+    return BatchItemT<T>{MatViewT<T>(run.c.back().data(), kHuge, kHuge, kHuge),
+                         ConstMatViewT<T>(as.back().data(), kHuge, 2, 2),
+                         ConstMatViewT<T>(bs.back().data(), 2, kHuge, kHuge)};
+  };
+  std::vector<BatchItemT<T>> items;
+  StridedBatchT<T> sb;
+  switch (form) {
+    case Form::kExplicit:
+    case Form::kAuto:
+      problems({64});
+      items.push_back(item(0, 64));
+      break;
+    case Form::kFailSingle:
+    case Form::kFailBatch:
+      items.push_back(huge());
+      break;
+    case Form::kItems:
+    case Form::kItemsSharedB:
+      problems({64, 64, 64});
+      for (std::size_t i = 0; i < 3; ++i) items.push_back(item(i, 64));
+      break;
+    case Form::kItemsCross:
+      problems({64, 96, 64, 48});
+      items = {item(0, 64), item(1, 96), item(2, 64), item(3, 48)};
+      break;
+    case Form::kFailCross:
+      problems({64});
+      items.push_back(item(0, 64));
+      items.push_back(huge());
+      break;
+    case Form::kStrided:
+    case Form::kStridedSharedB: {
+      const index_t s = 64;
+      const std::size_t count = 4;
+      as.push_back(seeded<T>(count * s * s, 1));
+      bs.push_back(seeded<T>(count * s * s, 2));
+      run.c.push_back(seeded<T>(count * s * s, 3));
+      sb.m = sb.n = sb.k = s;
+      sb.count = count;
+      sb.c = run.c[0].data();
+      sb.a = as[0].data();
+      sb.b = bs[0].data();
+      sb.stride_c = sb.stride_a = s * s;
+      sb.stride_b = form == Form::kStridedSharedB ? 0 : s * s;
+      break;
+    }
+    case Form::kDescent:
+      problems({256});
+      items.push_back(item(0, 256));
+      break;
+  }
+
+  auto call = [&]() -> Status {
+    const BatchItemT<T>& it = items.empty() ? BatchItemT<T>{} : items.front();
+    switch (form) {
+      case Form::kExplicit:
+        return engine.multiply(abc, it.c, it.a, it.b);
+      case Form::kAuto:
+        return engine.multiply(it.c, it.a, it.b);
+      case Form::kDescent:
+        return engine.multiply(two_level, it.c, it.a, it.b);
+      case Form::kFailSingle:
+        return engine.multiply(ab, it.c, it.a, it.b);
+      case Form::kItems:
+      case Form::kItemsSharedB:
+        return engine.multiply(abc, BatchSpec::items(items));
+      case Form::kItemsCross:
+        return engine.multiply(BatchSpec::items(items));
+      case Form::kFailBatch:
+      case Form::kFailCross:
+        return engine.multiply(ab, BatchSpec::items(items));
+      case Form::kStrided:
+        return engine.multiply(BatchSpec::strided(sb));
+      case Form::kStridedSharedB:
+        return engine.multiply(abc, BatchSpec::strided(sb));
+    }
+    return Status::error(StatusCode::kInvalidArgument, "unknown form");
+  };
+  if (on_worker) {
+    TaskPool pool(1);
+    pool.submit([&] { run.status = call(); }).wait();
+  } else {
+    run.status = call();
+  }
+  obs::MetricsRegistry& m = engine.metrics();
+  run.explicit_samples = m.histogram("engine.request.explicit").count();
+  run.auto_samples = m.histogram("engine.request.auto").count();
+  run.batch_samples = m.histogram("engine.request.batch").count();
+  run.executions = m.histogram("engine.exec.gflops").count();
+  if (form == Form::kFailCross) {
+    run.alone = seeded<T>(64 * 64, 3);  // C_0 before the call
+    const BatchItemT<T>& it = items.front();
+    EXPECT_TRUE(engine
+                    .multiply(ab, MatViewT<T>(run.alone.data(), 64, 64, 64),
+                              it.a, it.b)
+                    .ok());
+  }
+  return run;
+}
+
+template <typename T>
+void check_form_rows(const char* dtype) {
+  for (const FormRow& row : kFormRows) {
+    const FormRun<T> host = run_form<T>(row.form, /*on_worker=*/false);
+    const FormRun<T> worker = run_form<T>(row.form, /*on_worker=*/true);
+    for (const FormRun<T>* run : {&host, &worker}) {
+      SCOPED_TRACE(std::string(row.name) + ", " + dtype + ", " +
+                   (run == &host ? "host thread" : "pool worker"));
+      if (row.fails) {
+        EXPECT_EQ(run->status.code(), StatusCode::kInvalidArgument)
+            << run->status.to_string();
+        EXPECT_NE(run->status.message().find("bad_alloc"), std::string::npos)
+            << run->status.to_string();
+      } else {
+        EXPECT_TRUE(run->status.ok()) << run->status.to_string();
+      }
+      EXPECT_EQ(run->status.to_string(), host.status.to_string());
+      ASSERT_EQ(run->c.size(), host.c.size());
+      for (std::size_t i = 0; i < host.c.size(); ++i) {
+        EXPECT_EQ(std::memcmp(run->c[i].data(), host.c[i].data(),
+                              host.c[i].size() * sizeof(T)),
+                  0)
+            << "C buffer " << i;
+      }
+      auto samples = [&](const char* histogram) -> std::uint64_t {
+        return std::string(row.histogram) == histogram ? 1 : 0;
+      };
+      EXPECT_EQ(run->explicit_samples, samples("engine.request.explicit"));
+      EXPECT_EQ(run->auto_samples, samples("engine.request.auto"));
+      EXPECT_EQ(run->batch_samples, samples("engine.request.batch"));
+      EXPECT_EQ(run->executions, row.executions);
+      if (row.form == Form::kFailCross) {
+        // Every group runs: the item next to the failing one holds the
+        // bits it gets when multiplied on its own.
+        EXPECT_EQ(std::memcmp(run->c[0].data(), run->alone.data(),
+                              run->alone.size() * sizeof(T)),
+                  0);
+      }
+    }
+  }
+}
+
+TEST(EngineFrontDoor, EveryFormFromHostThreadAndPoolWorker) {
+  check_form_rows<double>("f64");
+  check_form_rows<float>("f32");
+}
+
+// ---------------------------------------------------------------------------
 // Lifecycle and concurrency.
 // ---------------------------------------------------------------------------
 
@@ -342,7 +617,6 @@ TEST(EngineAsyncConcurrency, HammerSubmitsAcrossShapesWithEviction) {
   const Plan plan = strassen_plan();
   Engine::Options opts;
   opts.cache_capacity = 2;
-  opts.shards = 1;
   opts.config.num_threads = 1;
   Engine engine(opts);
 

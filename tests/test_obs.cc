@@ -261,7 +261,6 @@ TEST(ObsTrace, ConcurrentRecordingWritesValidTrace) {
 TEST(ObsEngineMetrics, ReportCoherentUnderEvictionChurn) {
   Engine::Options opts;
   opts.cache_capacity = 2;  // three shapes force LRU churn
-  opts.shards = 1;
   Engine engine(opts);
   const Plan plan = make_plan({catalog::best(2, 2, 2)}, Variant::kABC);
   for (int round = 0; round < 3; ++round) {
@@ -301,9 +300,8 @@ TEST(ObsEngineMetrics, ReportCoherentUnderEvictionChurn) {
 }
 
 TEST(ObsEngineMetrics, MetricsOptionDisablesLatencyCapture) {
-  Engine::Options opts;
-  opts.metrics = false;
-  Engine engine(opts);
+  Engine engine;
+  engine.metrics().set_enabled(false);
   EXPECT_FALSE(engine.metrics().enabled());
   const Plan plan = make_plan({catalog::best(2, 2, 2)}, Variant::kABC);
   test::RandomProblem p = test::random_problem(48, 48, 48, 5);

@@ -1,8 +1,7 @@
 // TaskPool — the dependency-driven runtime under Engine::submit and the
 // fork-join regions under the fused loop nest.  Covers execution and
 // future resolution, tag dependencies in every submission order, the
-// priority FIFO, completion callbacks (including callbacks that submit
-// follow-up work), cancellation, destruction with tasks in flight,
+// priority FIFO, cancellation, destruction with tasks in flight,
 // concurrent submission from many host threads, and parallel_region's
 // loops, slots, late joiners and busy pools (the TSan CI leg runs every
 // TaskPool* suite).
@@ -141,7 +140,7 @@ TEST(TaskPoolDeps, CompletedTagSatisfiesImmediately) {
   TaskOptions dep_opts;
   dep_opts.tag = 3;
   pool.submit([] {}, dep_opts);
-  pool.wait(3);  // tag complete before the dependent is even submitted
+  pool.wait_all();  // tag complete before the dependent is even submitted
   TaskOptions opts;
   opts.deps = {3};
   TaskFuture f = pool.submit([] {}, opts);
@@ -192,17 +191,18 @@ TEST(TaskPoolDeps, ChainRunsInOrder) {
   std::vector<int> order;
   std::mutex mu;
   TaskTag prev = kNoTag;
+  TaskFuture last;
   for (int i = 0; i < kLen; ++i) {
     TaskOptions o;
     o.tag = pool.fresh_tag();
     if (prev != kNoTag) o.deps = {prev};
     prev = o.tag;
-    pool.submit([&, i] {
+    last = pool.submit([&, i] {
       std::lock_guard<std::mutex> lk(mu);
       order.push_back(i);
     }, o);
   }
-  pool.wait(prev);
+  last.wait();
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kLen));
   for (int i = 0; i < kLen; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
@@ -254,41 +254,6 @@ TEST(TaskPoolPriority, HigherPriorityRunsFirstFifoWithin) {
 }
 
 // ---------------------------------------------------------------------------
-// Callbacks.
-// ---------------------------------------------------------------------------
-
-TEST(TaskPoolCallback, RunsWithFinalStatus) {
-  TaskPool pool(2);
-  std::atomic<int> calls{0};
-  Status seen;
-  std::mutex mu;
-  TaskOptions o;
-  o.on_complete = [&](const Status& st) {
-    std::lock_guard<std::mutex> lk(mu);
-    seen = st;
-    calls.fetch_add(1);
-  };
-  pool.submit([] { return Status::error(StatusCode::kInvalidStride, "x"); }, o);
-  pool.wait_all();
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(seen.code(), StatusCode::kInvalidStride);
-}
-
-TEST(TaskPoolCallback, CallbackMaySubmitFollowUpsAndWaitAllCoversThem) {
-  TaskPool pool(2);
-  std::atomic<int> ran{0};
-  TaskOptions o;
-  o.on_complete = [&](const Status&) {
-    for (int i = 0; i < 8; ++i) {
-      pool.submit([&] { ran.fetch_add(1); });
-    }
-  };
-  pool.submit([] {}, o);
-  pool.wait_all();  // must cover the callback-submitted tasks
-  EXPECT_EQ(ran.load(), 8);
-}
-
-// ---------------------------------------------------------------------------
 // Cancellation and destruction.
 // ---------------------------------------------------------------------------
 
@@ -307,7 +272,6 @@ TEST(TaskPoolCancel, PendingTasksResolveCancelled) {
   TaskFuture queued = pool.submit([&] { ran.fetch_add(1); });
   TaskOptions o;
   o.deps = {pool.fresh_tag()};  // never completed
-  o.on_complete = [&](const Status&) { ran.fetch_add(100); };
   TaskFuture blocked = pool.submit([&] { ran.fetch_add(1); }, o);
 
   pool.cancel_pending();
@@ -316,7 +280,7 @@ TEST(TaskPoolCancel, PendingTasksResolveCancelled) {
   EXPECT_EQ(queued.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(blocked.status().code(), StatusCode::kCancelled);
   pool.wait_all();
-  // Only the running task's body ran; cancelled callbacks did not.
+  // Only the running task's body ran.
   EXPECT_EQ(ran.load(), 1);
 }
 
@@ -388,18 +352,19 @@ TEST(TaskPoolConcurrency, ConcurrentChainsInterleave) {
   for (int c = 0; c < kChains; ++c) {
     hosts.emplace_back([&, c] {
       TaskTag prev = kNoTag;
+      TaskFuture last;
       for (int i = 0; i < kLen; ++i) {
         TaskOptions o;
         o.tag = pool.fresh_tag();
         if (prev != kNoTag) o.deps = {prev};
         prev = o.tag;
-        pool.submit([&, c, i] {
+        last = pool.submit([&, c, i] {
           // In-order execution within each chain.
           EXPECT_EQ(progress[static_cast<std::size_t>(c)].load(), i);
           progress[static_cast<std::size_t>(c)].store(i + 1);
         }, o);
       }
-      pool.wait(prev);
+      last.wait();
     });
   }
   for (auto& h : hosts) h.join();
