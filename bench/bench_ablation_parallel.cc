@@ -6,7 +6,7 @@
 //   * data-parallel Naive,
 //   * task-parallel: one step of the Engine's recursive descent
 //     (src/core/recursive.h) — one TaskPool task per product M_r with a
-//     serial GEMM inside, the C updates ordered by tag dependencies (the
+//     serial GEMM inside, the C updates chained on task futures (the
 //     deterministic form of Benson & Ballard's scheme [1]).
 
 #include <cstdio>

@@ -3,7 +3,8 @@
 //
 // The matrix is tiled into T x T blocks and the classic four-kernel
 // pipeline (the dw_factolu decomposition from the StarPU examples) is
-// submitted as one task graph up front, wired purely by tag dependencies:
+// submitted as one task graph up front, each task after the futures of the
+// tasks it reads from:
 //
 //   getrf(k)     : unblocked LU of A(k,k)
 //   trsm12(k,j)  : L(k,k) X = A(k,j)                (row panel, j > k)
@@ -16,9 +17,11 @@
 //   trsm21(i,k) <- getrf(k), gemm(k-1,i,k)
 //   gemm(k,i,j) <- trsm21(i,k), trsm12(k,j), gemm(k-1,i,j)
 //
-// No step-k barrier anywhere: a trailing block whose inputs are ready
-// updates while other step-k panels are still solving, and getrf(k+1)
-// starts as soon as its one block is current.  Priorities keep the
+// The k-major loop submits every task after its producers, so each task's
+// dependencies are futures that already exist.  No step-k barrier
+// anywhere: a trailing block whose inputs are ready updates while other
+// step-k panels are still solving, and getrf(k+1) starts as soon as its
+// one block is current.  Priorities keep the
 // critical path (getrf > trsm > gemm, earlier k first) at the queue front.
 // The gemm tasks call Engine::multiply from pool workers — the engine runs
 // those inline (nested submits never block on the pool) with the
@@ -33,6 +36,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <vector>
 
 #include "src/core/engine.h"
@@ -117,10 +121,11 @@ int main(int argc, char** argv) {
   Engine engine(eopts);
   TaskPool pool(workers);
 
-  auto tag = [T](BlockTaskKind kind, index_t k, index_t i,
-                 index_t j) -> TaskTag {
-    return static_cast<TaskTag>(((k * T + i) * T + j) << 2 |
-                                static_cast<TaskTag>(kind));
+  // The future of task (kind, k, i, j), once submitted.
+  std::vector<TaskFuture> futures(static_cast<std::size_t>(4 * T * T * T));
+  auto future = [&futures, T](BlockTaskKind kind, index_t k, index_t i,
+                              index_t j) -> TaskFuture& {
+    return futures[static_cast<std::size_t>(((k * T + i) * T + j) * 4 + kind)];
   };
   // Critical path first: earlier steps beat later ones, getrf beats trsm
   // beats gemm within a step.
@@ -134,62 +139,56 @@ int main(int argc, char** argv) {
               (long long)n, (long long)nb, (long long)T, (long long)T,
               pool.workers());
 
+  // Submits task (kind, k, i, j) after `deps`, skipping the gemm(k-1, ...)
+  // producer at k = 0, where the block is still the original input.
+  auto submit = [&](BlockTaskKind kind, index_t k, index_t i, index_t j,
+                    std::initializer_list<TaskFuture> deps, auto&& fn) {
+    TaskOptions o;
+    if (k > 0) o.after.push_back(future(kGemm, k - 1, i, j));
+    o.after.insert(o.after.end(), deps.begin(), deps.end());
+    o.priority = prio(kind, k);
+    future(kind, k, i, j) = pool.submit(fn, std::move(o));
+  };
+
   Timer total;
-  // The whole DAG is submitted up front; tags do the sequencing.
+  // The whole DAG is submitted up front; the futures do the sequencing.
   for (index_t k = 0; k < T; ++k) {
-    {
-      TaskOptions o;
-      o.tag = tag(kGetrf, k, k, k);
-      if (k > 0) o.deps = {tag(kGemm, k - 1, k, k)};
-      o.priority = prio(kGetrf, k);
-      pool.submit([&a, &block, k] { lu_unblocked(block(a, k, k)); },
-                  std::move(o));
-    }
+    submit(kGetrf, k, k, k, {}, [&a, &block, k] {
+      lu_unblocked(block(a, k, k));
+    });
     for (index_t j = k + 1; j < T; ++j) {
-      TaskOptions o;
-      o.tag = tag(kTrsmRow, k, k, j);
-      o.deps = {tag(kGetrf, k, k, k)};
-      if (k > 0) o.deps.push_back(tag(kGemm, k - 1, k, j));
-      o.priority = prio(kTrsmRow, k);
-      pool.submit([&a, &block, k, j] {
+      submit(kTrsmRow, k, k, j, {future(kGetrf, k, k, k)}, [&a, &block, k, j] {
         trsm_lower_unit(block(a, k, k), block(a, k, j));
-      }, std::move(o));
+      });
     }
     for (index_t i = k + 1; i < T; ++i) {
-      TaskOptions o;
-      o.tag = tag(kTrsmCol, k, i, k);
-      o.deps = {tag(kGetrf, k, k, k)};
-      if (k > 0) o.deps.push_back(tag(kGemm, k - 1, i, k));
-      o.priority = prio(kTrsmCol, k);
-      pool.submit([&a, &neg, &block, k, i] {
-        MatView l = block(a, i, k);
-        trsm_upper(block(a, k, k), l);
-        MatView d = block(neg, i, k);
-        for (index_t r = 0; r < l.rows(); ++r) {
-          const double* s = l.row(r);
-          double* dst = d.row(r);
-          for (index_t c = 0; c < l.cols(); ++c) dst[c] = -s[c];
-        }
-      }, std::move(o));
+      submit(kTrsmCol, k, i, k, {future(kGetrf, k, k, k)},
+             [&a, &neg, &block, k, i] {
+               MatView l = block(a, i, k);
+               trsm_upper(block(a, k, k), l);
+               MatView d = block(neg, i, k);
+               for (index_t r = 0; r < l.rows(); ++r) {
+                 const double* s = l.row(r);
+                 double* dst = d.row(r);
+                 for (index_t c = 0; c < l.cols(); ++c) dst[c] = -s[c];
+               }
+             });
     }
     for (index_t i = k + 1; i < T; ++i) {
       for (index_t j = k + 1; j < T; ++j) {
-        TaskOptions o;
-        o.tag = tag(kGemm, k, i, j);
-        o.deps = {tag(kTrsmCol, k, i, k), tag(kTrsmRow, k, k, j)};
-        if (k > 0) o.deps.push_back(tag(kGemm, k - 1, i, j));
-        o.priority = prio(kGemm, k);
-        pool.submit([&engine, &a, &neg, &block, k, i, j] {
-          // A(i,j) += (-L(i,k)) * U(k,j), model-selected per block shape;
-          // runs inline (this is a pool worker).
-          const Status st =
-              engine.multiply(block(a, i, j), block(neg, i, k), block(a, k, j));
-          if (!st.ok()) {
-            std::fprintf(stderr, "update (%lld,%lld,%lld): %s\n",
-                         (long long)k, (long long)i, (long long)j,
-                         st.to_string().c_str());
-          }
-        }, std::move(o));
+        submit(kGemm, k, i, j,
+               {future(kTrsmCol, k, i, k), future(kTrsmRow, k, k, j)},
+               [&engine, &a, &neg, &block, k, i, j] {
+                 // A(i,j) += (-L(i,k)) * U(k,j), model-selected per block
+                 // shape; runs inline (this is a pool worker).
+                 const Status st = engine.multiply(
+                     block(a, i, j), block(neg, i, k), block(a, k, j));
+                 if (!st.ok()) {
+                   std::fprintf(stderr, "update (%lld,%lld,%lld): %s\n",
+                                (long long)k, (long long)i, (long long)j,
+                                st.to_string().c_str());
+                 }
+               });
       }
     }
   }

@@ -156,6 +156,33 @@ double time_kernel_gflops(const KernelInfo& kern) {
                                    : time_kernel_gflops_t<double>(kern);
 }
 
+// τ_b: seconds per element moved by a read-dominated triad over two
+// 128 MiB arrays of T, a working set far beyond any LLC.  Timed once per
+// element type.
+template <typename T>
+double triad_tau_b() {
+  static const double tau_b = [] {
+    obs::TraceScope span("calibrate.tau_b", "calibrate");
+    if (span.active()) {
+      span.set_argf("%s triad", dtype_name(DTypeOf<T>::value));
+    }
+    const std::size_t words = (std::size_t{128} << 20) / sizeof(T);
+    AlignedBuffer<T> x(words), y(words);
+    for (std::size_t i = 0; i < words; ++i) {
+      x[i] = static_cast<T>(i & 1023);
+      y[i] = T(0);
+    }
+    double best = best_time_of(3, [&] {
+      for (std::size_t i = 0; i < words; ++i) y[i] = T(2) * x[i] + y[i];
+    });
+    volatile T sink = y[123];
+    (void)sink;
+    // Three streams per iteration (read x, read y, write y).
+    return best / (3.0 * static_cast<double>(words));
+  }();
+  return tau_b;
+}
+
 }  // namespace
 
 double kernel_gflops_hint(const KernelInfo& kern) {
@@ -193,56 +220,17 @@ Status calibration_file_status() {
   return s.file_status;
 }
 
-double measured_tau_b() {
+double measured_tau_b() { return measured_tau_b(DType::kF64); }
+
+double measured_tau_b(DType dtype) {
   // Nominal per-core stream rate (~12 GB/s, matching the ModelParams
   // default) when timing is disabled: keeps τ_b consistent with the
   // hint-based τ_a instead of mixing a live measurement into a nominal
   // model — and skips the 256 MiB triad the flag promises to avoid.
-  if (!calibration_enabled()) return 8.0 / 12e9;
-  static const double tau_b = [] {
-    obs::TraceScope span("calibrate.tau_b", "calibrate");
-    if (span.active()) span.set_argf("f64 triad");
-    // Read-dominated triad over a working set far beyond any LLC.
-    const std::size_t words = 1u << 24;  // 128 MiB of doubles
-    AlignedBuffer<double> x(words), y(words);
-    for (std::size_t i = 0; i < words; ++i) {
-      x[i] = static_cast<double>(i & 1023);
-      y[i] = 0.0;
-    }
-    double best = best_time_of(3, [&] {
-      for (std::size_t i = 0; i < words; ++i) y[i] = 2.0 * x[i] + y[i];
-    });
-    volatile double sink = y[123];
-    (void)sink;
-    // Three 8-byte streams per iteration (read x, read y, write y).
-    return best / (3.0 * static_cast<double>(words));
-  }();
-  return tau_b;
-}
-
-double measured_tau_b(DType dtype) {
-  if (dtype == DType::kF64) return measured_tau_b();
-  // Same nominal ~12 GB/s stream rate, 4-byte elements.
-  if (!calibration_enabled()) return 4.0 / 12e9;
-  static const double tau_b = [] {
-    obs::TraceScope span("calibrate.tau_b", "calibrate");
-    if (span.active()) span.set_argf("f32 triad");
-    // Same 128 MiB working set as the f64 triad, in 4-byte elements.
-    const std::size_t words = 1u << 25;
-    AlignedBuffer<float> x(words), y(words);
-    for (std::size_t i = 0; i < words; ++i) {
-      x[i] = static_cast<float>(i & 1023);
-      y[i] = 0.0f;
-    }
-    double best = best_time_of(3, [&] {
-      for (std::size_t i = 0; i < words; ++i) y[i] = 2.0f * x[i] + y[i];
-    });
-    volatile float sink = y[123];
-    (void)sink;
-    // Three 4-byte streams per iteration (read x, read y, write y).
-    return best / (3.0 * static_cast<double>(words));
-  }();
-  return tau_b;
+  if (!calibration_enabled()) {
+    return static_cast<double>(dtype_size(dtype)) / 12e9;
+  }
+  return dtype == DType::kF32 ? triad_tau_b<float>() : triad_tau_b<double>();
 }
 
 int calibration_timing_runs() {

@@ -703,18 +703,14 @@ TaskFuture Engine::dispatch(std::shared_ptr<const Request<T>> req) {
     });
   }
   // Cross-shape fan-out: one task per shape group (each hits its own cached
-  // executor), plus a finalizer depending on all of them — the request's
+  // executor), plus a finalizer after all of them — the request's
   // completion site.
-  TaskOptions fin_opts;
   std::vector<TaskFuture> parts;
   parts.reserve(groups);
   for (std::size_t g = 0; g < groups; ++g) {
-    TaskOptions opts;
-    opts.tag = pool().fresh_tag();
-    fin_opts.deps.push_back(opts.tag);
-    parts.push_back(
-        pool().submit([run, g] { return run(g); }, std::move(opts)));
+    parts.push_back(pool().submit([run, g] { return run(g); }));
   }
+  TaskOptions fin{parts};
   return pool().submit(
       [this, req, parts = std::move(parts)] {
         observe_request(*req);
@@ -723,7 +719,7 @@ TaskFuture Engine::dispatch(std::shared_ptr<const Request<T>> req) {
         }
         return Status{};
       },
-      std::move(fin_opts));
+      std::move(fin));
 }
 
 template <typename T>
@@ -804,19 +800,16 @@ TaskFuture Engine::submit_single(const Plan* plan, MatViewT<T> c,
         observe_request(*req);
         return TaskFuture::ready(std::move(es));
       }
-      // The request completes when the graph does: a task behind the
-      // graph's done tag records the observation and resolves with the
+      // The request completes when the graph does: a task after the
+      // graph's future records the observation and resolves with the
       // graph's Status.
-      const TaskTag done = pool().fresh_tag();
-      TaskFuture graph = submit_recursive<T>(ctx, *rplan, c, a, b, done);
-      TaskOptions after;
-      after.deps.push_back(done);
+      const TaskFuture graph = submit_recursive<T>(ctx, *rplan, c, a, b);
       return pool().submit(
           [this, req, graph] {
             observe_request(*req);
             return graph.status();
           },
-          std::move(after));
+          TaskOptions{{graph}});
     }
     // The model picked plain GEMM (or the plan does not qualify): fall
     // through to the flat path, which re-resolves the cached choice.

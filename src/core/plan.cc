@@ -19,24 +19,6 @@ const char* variant_name(Variant v) {
   return "?";
 }
 
-std::vector<GridLevel> Plan::a_grid() const {
-  std::vector<GridLevel> g;
-  for (const auto& l : levels) g.push_back({l.mt, l.kt});
-  return g;
-}
-
-std::vector<GridLevel> Plan::b_grid() const {
-  std::vector<GridLevel> g;
-  for (const auto& l : levels) g.push_back({l.kt, l.nt});
-  return g;
-}
-
-std::vector<GridLevel> Plan::c_grid() const {
-  std::vector<GridLevel> g;
-  for (const auto& l : levels) g.push_back({l.mt, l.nt});
-  return g;
-}
-
 std::string Plan::name() const {
   std::string s;
   for (std::size_t i = 0; i < levels.size(); ++i) {

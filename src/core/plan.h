@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/core/algorithm.h"
-#include "src/core/partition.h"
 #include "src/gemm/dtype.h"
 
 namespace fmm {
@@ -47,11 +46,6 @@ struct Plan {
   int R() const { return flat.R; }    // Π R_l
 
   int num_levels() const { return static_cast<int>(levels.size()); }
-
-  // Grid level descriptors for each operand (for block_coords / offsets).
-  std::vector<GridLevel> a_grid() const;
-  std::vector<GridLevel> b_grid() const;
-  std::vector<GridLevel> c_grid() const;
 
   // e.g. "<2,2,2>+<2,3,2> ABC" for a two-level hybrid.
   std::string name() const;

@@ -127,7 +127,7 @@ std::size_t lease_doubles(index_t elems) {
 // Shared state of one expanded fast-algorithm step.  Task bodies hold it
 // via shared_ptr (std::function requires copyable callables); the per-r
 // buffer slots are written by prep tasks and cleared by release tasks, with
-// every access ordered by the tag dependencies.
+// every access ordered by the task dependencies.
 template <typename T>
 struct Node {
   RecursiveExecT<T> ctx;
@@ -258,12 +258,15 @@ std::vector<PeelPiece> fringe_pieces(const Node<T>& node) {
   return pieces;
 }
 
-// Builds one expanded step plus its children on ctx.pool.  The finalizer
-// task carries `done_tag` and its future is the node's completion.
+// Builds one expanded step plus its children on ctx.pool, each task
+// submitted after the futures it waits on.  Returns the finalizer's future:
+// the first failure among the products, the updates and the fringes, in
+// that order.  A valid `done` (a pending future) is resolved with the same
+// Status — a descending product's completion in the parent node.
 template <typename T>
 TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
                       MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b,
-                      int depth, TaskTag done_tag) {
+                      int depth, TaskFuture done) {
   TaskPool& pool = *ctx.pool;
   auto node = std::make_shared<Node<T>>();
   init_node(*node, ctx, plan, c, a, b, depth);
@@ -274,26 +277,25 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
   // buffers at once (prep_r waits for release[r - window]).
   const int window = std::min(R, std::max(2, pool.workers()));
 
-  std::vector<TaskTag> m_done(static_cast<std::size_t>(R));
-  std::vector<TaskTag> rel(static_cast<std::size_t>(R));
+  std::vector<TaskFuture> products, updates, releases;
+  // The last update of each C quadrant so far (invalid: none yet).
+  std::vector<TaskFuture> chain(static_cast<std::size_t>(alg.rows_w()));
   for (int r = 0; r < R; ++r) {
-    m_done[static_cast<std::size_t>(r)] = pool.fresh_tag();
-    rel[static_cast<std::size_t>(r)] = pool.fresh_tag();
-  }
-
-  // Prep (and, for leaves, compute) tasks.  Deeper nodes run at higher
-  // priority so open subtrees drain before new products start.
-  for (int r = 0; r < R; ++r) {
+    // Prep (and, for leaves, compute).  Deeper nodes run at higher
+    // priority so open subtrees drain before new products start.  A leaf
+    // prep *is* the product; a descending prep builds the child graph,
+    // whose finalizer resolves the product's pending future (the prep
+    // does, with its failure, if the child never gets built).
     TaskOptions po;
     po.priority = depth;
-    if (r >= window) po.deps.push_back(rel[static_cast<std::size_t>(r - window)]);
-    const TaskTag mt = m_done[static_cast<std::size_t>(r)];
-    // A leaf prep *is* the product, so it carries the m_done tag itself; a
-    // descending prep submits the child graph whose finalizer carries it.
-    if (!node->descend) po.tag = mt;
-    pool.submit(
-        [node, r, mt] {
-          {
+    if (r >= window) {
+      po.after = {releases[static_cast<std::size_t>(r - window)]};
+    }
+    const TaskFuture pending =
+        node->descend ? TaskFuture::pending() : TaskFuture{};
+    const TaskFuture prep_task = pool.submit(
+        [node, r, pending] {
+          Status st = run_guarded([&] {
             obs::TraceScope prep("recurse.prep", "recurse");
             if (prep.active()) {
               prep.set_argf("r=%d d=%d %lldx%lldx%lld", r, node->depth,
@@ -301,11 +303,16 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
                             (long long)node->ks);
             }
             prep_product(*node, r);
+            return Status{};
+          });
+          if (!st.ok()) {
+            if (pending.valid()) pending.resolve(st);
+            return st;
           }
           auto& rb = node->rb[static_cast<std::size_t>(r)];
           if (node->descend) {
             build_node(node->ctx, *node->child, rb.mv, rb.sv, rb.tv,
-                       node->depth + 1, mt);
+                       node->depth + 1, pending);
           } else {
             obs::TraceScope leaf("recurse.leaf", "recurse");
             if (leaf.active()) {
@@ -315,71 +322,65 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
             }
             node->ctx.leaf(node->child.get(), rb.mv, rb.sv, rb.tv);
           }
+          return Status{};
         },
         std::move(po));
-  }
+    products.push_back(node->descend ? pending : prep_task);
+    const TaskFuture& product = products.back();
 
-  // C updates: per quadrant p one chain of tasks, r ascending, serialized
-  // by tag deps — the fixed per-element accumulation order that makes the
-  // graph deterministic under any schedule.
-  std::vector<std::vector<TaskTag>> consumers(static_cast<std::size_t>(R));
-  std::vector<TaskTag> chain_last;
-  for (int p = 0; p < alg.rows_w(); ++p) {
-    const MatViewT<T> cp =
-        c.block((p / alg.nt) * node->ms, (p % alg.nt) * node->ns, node->ms,
-                node->ns);
-    TaskTag prev = kNoTag;
-    for (int r = 0; r < R; ++r) {
+    // C updates: per quadrant p one chain of tasks, r ascending — the fixed
+    // per-element accumulation order that makes the graph deterministic
+    // under any schedule.  An update whose product failed adds nothing.
+    std::vector<TaskFuture> consumers;
+    for (int p = 0; p < alg.rows_w(); ++p) {
       const double w = alg.w(p, r);
       if (w == 0.0) continue;
+      TaskFuture& prev = chain[static_cast<std::size_t>(p)];
       TaskOptions uo;
-      uo.tag = pool.fresh_tag();
       uo.priority = depth;
-      uo.deps.push_back(m_done[static_cast<std::size_t>(r)]);
-      if (prev != kNoTag) uo.deps.push_back(prev);
-      consumers[static_cast<std::size_t>(r)].push_back(uo.tag);
-      prev = uo.tag;
-      pool.submit(
-          [node, w, r, cp] {
+      uo.after = {product, prev};
+      const MatViewT<T> cp =
+          c.block((p / alg.nt) * node->ms, (p % alg.nt) * node->ns, node->ms,
+                  node->ns);
+      prev = pool.submit(
+          [node, w, r, cp, product] {
+            if (!product.status().ok()) return product.status();
             obs::TraceScope upd("recurse.update", "recurse");
             if (upd.active()) upd.set_argf("r=%d d=%d", r, node->depth);
             scaled_add<T>(w, node->rb[static_cast<std::size_t>(r)].mv, cp,
                           /*width=*/1);
+            return Status{};
           },
           std::move(uo));
+      consumers.push_back(prev);
     }
-    if (prev != kNoTag) chain_last.push_back(prev);
-  }
+    updates.insert(updates.end(), consumers.begin(), consumers.end());
 
-  // Release tasks recycle S/T/M once every consumer of M_r has run.
-  for (int r = 0; r < R; ++r) {
+    // The release recycles S/T/M once every consumer of M_r has run.
     TaskOptions ro;
-    ro.tag = rel[static_cast<std::size_t>(r)];
     ro.priority = depth;
-    ro.deps = consumers[static_cast<std::size_t>(r)].empty()
-                  ? std::vector<TaskTag>{m_done[static_cast<std::size_t>(r)]}
-                  : consumers[static_cast<std::size_t>(r)];
-    pool.submit(
+    ro.after = consumers.empty() ? std::vector<TaskFuture>{product}
+                                 : std::move(consumers);
+    releases.push_back(pool.submit(
         [node, r] {
           node->rb[static_cast<std::size_t>(r)] = typename Node<T>::RBuf{};
         },
-        std::move(ro));
+        std::move(ro)));
   }
 
   // Fringe GEMMs.  The k fringe writes the interior C region and must
   // follow every update chain; the n/m fringes write disjoint regions and
   // run free.
-  std::vector<TaskTag> fin_deps = chain_last;
+  std::vector<TaskFuture> held = products;  // reported in this order
+  held.insert(held.end(), updates.begin(), updates.end());
   for (const PeelPiece& p : fringe_pieces(*node)) {
-    TaskOptions po;
-    po.tag = pool.fresh_tag();
-    po.priority = depth;
-    if (p.k0 > 0) po.deps = chain_last;
-    fin_deps.push_back(po.tag);
+    TaskOptions fo;
+    fo.priority = depth;
+    if (p.k0 > 0) fo.after = chain;
     const MatViewT<T> cp = c.block(p.m0, p.n0, p.m1 - p.m0, p.n1 - p.n0);
     const ConstMatViewT<T> ap = a.block(p.m0, p.k0, p.m1 - p.m0, p.k1 - p.k0);
     const ConstMatViewT<T> bp = b.block(p.k0, p.n0, p.k1 - p.k0, p.n1 - p.n0);
-    pool.submit(
+    held.push_back(pool.submit(
         [node, cp, ap, bp] {
           obs::TraceScope fringe("recurse.fringe", "recurse");
           if (fringe.active()) {
@@ -389,14 +390,26 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
           }
           node->ctx.leaf(nullptr, cp, ap, bp);
         },
-        std::move(po));
+        std::move(fo)));
   }
 
-  TaskOptions fo;
-  fo.tag = done_tag;
-  fo.priority = depth;
-  fo.deps = std::move(fin_deps);
-  return pool.submit([] { return Status{}; }, std::move(fo));
+  // The finalizer runs after every future it reports on.
+  TaskOptions fin;
+  fin.priority = depth;
+  fin.after = held;
+  return pool.submit(
+      [held = std::move(held), done] {
+        Status st;
+        for (const TaskFuture& f : held) {
+          if (!f.status().ok()) {
+            st = f.status();
+            break;
+          }
+        }
+        if (done.valid()) done.resolve(st);
+        return st;
+      },
+      std::move(fin));
 }
 
 // The sequential twin: identical decomposition and operation order, inline.
@@ -439,11 +452,10 @@ void run_node_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
 template <typename T>
 TaskFuture submit_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
                             MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
-                            NonDeduced<ConstMatViewT<T>> b, TaskTag done_tag) {
+                            NonDeduced<ConstMatViewT<T>> b) {
   assert(ctx.pool != nullptr && ctx.buffers != nullptr && ctx.leaf);
   assert(should_recurse(plan, c.rows(), c.cols(), a.cols(), ctx.cutoff));
-  return build_node(ctx, plan, c, a, b, /*depth=*/0,
-                    done_tag != kNoTag ? done_tag : ctx.pool->fresh_tag());
+  return build_node(ctx, plan, c, a, b, /*depth=*/0, TaskFuture{});
 }
 
 template <typename T>
@@ -458,11 +470,11 @@ void run_recursive_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
 template TaskFuture submit_recursive<double>(const RecursiveExecT<double>&,
                                              const Plan&, MatViewT<double>,
                                              ConstMatViewT<double>,
-                                             ConstMatViewT<double>, TaskTag);
+                                             ConstMatViewT<double>);
 template TaskFuture submit_recursive<float>(const RecursiveExecT<float>&,
                                             const Plan&, MatViewT<float>,
                                             ConstMatViewT<float>,
-                                            ConstMatViewT<float>, TaskTag);
+                                            ConstMatViewT<float>);
 template void run_recursive_sequential<double>(const RecursiveExecT<double>&,
                                                const Plan&, MatViewT<double>,
                                                ConstMatViewT<double>,

@@ -16,34 +16,42 @@
 //      per-r prep tasks compute S_r = Σ_i u_ir A_i and T_r = Σ_j v_jr B_j
 //      into pooled buffers (quadrant views are aliased directly when the
 //      column has a single +1 term), each product M_r = S_r T_r recurses,
-//      and the C_p += w_pr M_r updates are sequenced by tag dependencies;
+//      and the C_p += w_pr M_r updates wait on the products' futures;
 //   2. compiled fast-leaf regime — at the cutoff each product becomes one
 //      cached FmmExecutor running the *remaining* plan levels serially;
 //   3. plain GEMM               — products that arrive with no levels left
 //      (and the dynamic-peeling fringes) run as ordinary blocked GEMMs.
 //
 // Determinism.  The task graph for a given (plan, shape, cutoff) is fixed,
-// and every C quadrant is written by one per-p chain of update tasks whose
-// tag deps force increasing-r order, so results are **bitwise deterministic**
-// across runs, schedules, and worker counts — and bitwise identical to
-// run_recursive_sequential(), which executes the same operation sequence
-// inline (the Engine uses it for nested calls from pool workers).  Results
-// are *not* bitwise identical to the flat FmmExecutor (summing u2·(Σ u1·a)
-// per level associates differently from the flat Kronecker gather); with
-// the cutoff at or above the problem size no descent happens and the flat
-// path runs unchanged.
+// and every C quadrant is written by one per-p chain of update tasks, each
+// after the one before, in increasing-r order, so results are **bitwise
+// deterministic** across runs, schedules, and worker counts — and bitwise
+// identical to run_recursive_sequential(), which executes the same
+// operation sequence inline (the Engine uses it for nested calls from pool
+// workers).  Results are *not* bitwise identical to the flat FmmExecutor
+// (summing u2·(Σ u1·a) per level associates differently from the flat
+// Kronecker gather); with the cutoff at or above the problem size no
+// descent happens and the flat path runs unchanged.
 //
-// Write-after-write hazards and ordering:
-//   * updates into one C quadrant: serialized per p by a tag chain, r
-//     ascending (the only order both drivers produce);
-//   * the k-fringe peel GEMM writes the interior C region, so it depends
-//     on every chain's last tag; the n/m fringes write disjoint regions
-//     and run as independent tasks;
-//   * S_r/T_r/M_r buffers return to the pool through a release task that
-//     depends on every consumer of M_r, and prep_r (r >= window) depends
-//     on release[r - window], window = max(2, pool workers) capped at R —
-//     bounding peak intermediate memory to ~window products per node
-//     without ever blocking a worker.
+// The graph, submitted per product r in ascending r so every task is
+// submitted after the futures it waits on:
+//   * prep_r runs after release[r - window], window = max(2, pool
+//     workers) capped at R — bounding peak intermediate memory to ~window
+//     products per node without ever blocking a worker.  A leaf prep also
+//     computes M_r, so its future is product r's completion; a descending
+//     prep builds the child graph, whose finalizer resolves product r's
+//     pending future (the prep resolves it itself if it fails first);
+//   * update(p, r) runs after product r and the previous update of C
+//     quadrant p — the write-after-write order of one quadrant; an update
+//     whose product failed adds nothing;
+//   * release_r returns S_r/T_r/M_r to the BufferPool after every update
+//     of r;
+//   * the k-fringe peel GEMM writes the interior C region, so it runs
+//     after every chain's last update; the n/m fringes write disjoint
+//     regions and run free;
+//   * the finalizer runs after the products, the updates and the fringes,
+//     and resolves with the first failure among them, in that order.  C
+//     then holds a partial result.
 
 #include <cstddef>
 #include <functional>
@@ -157,18 +165,16 @@ bool should_recurse(const Plan& plan, index_t m, index_t n, index_t k,
                     index_t cutoff);
 
 // Builds the task graph for C += A * B on ctx.pool and returns the
-// finalizer's future (resolves when every update and peel piece has
-// landed).  The finalizer carries `done_tag` (kNoTag: a fresh tag), so a
-// task depending on it runs once the whole graph has.  Callers must keep
-// the operand buffers alive until then; `plan` is copied.  Requires
-// should_recurse(plan, ...) — callers route non-qualifying shapes to a
-// flat executor instead.  A and B are non-deduced, so writable views bind
-// there too.
+// finalizer's future: it resolves once every update and peel piece has
+// landed, with the first failing task's Status (OK when none failed).
+// Callers must keep the operand buffers alive until then; `plan` is
+// copied.  Requires should_recurse(plan, ...) — callers route
+// non-qualifying shapes to a flat executor instead.  A and B are
+// non-deduced, so writable views bind there too.
 template <typename T>
 TaskFuture submit_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
                             MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
-                            NonDeduced<ConstMatViewT<T>> b,
-                            TaskTag done_tag = kNoTag);
+                            NonDeduced<ConstMatViewT<T>> b);
 
 // The sequential twin: the same decomposition, leaf calls, and per-element
 // update order executed inline on the calling thread — bitwise identical
@@ -182,10 +188,10 @@ void run_recursive_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
 
 extern template TaskFuture submit_recursive<double>(
     const RecursiveExecT<double>&, const Plan&, MatViewT<double>,
-    ConstMatViewT<double>, ConstMatViewT<double>, TaskTag);
+    ConstMatViewT<double>, ConstMatViewT<double>);
 extern template TaskFuture submit_recursive<float>(
     const RecursiveExecT<float>&, const Plan&, MatViewT<float>,
-    ConstMatViewT<float>, ConstMatViewT<float>, TaskTag);
+    ConstMatViewT<float>, ConstMatViewT<float>);
 extern template void run_recursive_sequential<double>(
     const RecursiveExecT<double>&, const Plan&, MatViewT<double>,
     ConstMatViewT<double>, ConstMatViewT<double>);

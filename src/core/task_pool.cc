@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <limits>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -18,7 +17,6 @@ namespace fmm {
 namespace {
 
 thread_local TaskPool* tls_pool = nullptr;
-thread_local int tls_worker_index = -1;
 // Set when this worker's last task was a region helper.
 thread_local bool tls_helped = false;
 
@@ -128,8 +126,9 @@ void Team::run_loop(std::int64_t n, LoopFn fn, const void* ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Future state: one mutex/cv pair per task keeps resolution independent of
-// the pool lock (a waiter never contends with the scheduler).
+// Future state: one mutex/cv pair per future keeps resolution independent of
+// the pool lock (a waiter never contends with the scheduler).  The tasks
+// waiting on a future hang off its state, so they go when it goes.
 // ---------------------------------------------------------------------------
 
 struct TaskFuture::State {
@@ -137,16 +136,12 @@ struct TaskFuture::State {
   std::condition_variable cv;
   bool done = false;
   Status status;
+  // Tasks submitted after this future, each counting it in `blockers`.
+  std::vector<std::shared_ptr<TaskPool::Task>> waiters;
+  // Joins the trace's flow arrows from the producer to its dependents.
+  const std::uint64_t id = next_id++;
 
-  void resolve(Status st) {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      assert(!done && "task future resolved twice");
-      status = std::move(st);
-      done = true;
-    }
-    cv.notify_all();
-  }
+  static inline std::atomic<std::uint64_t> next_id{1};
 };
 
 bool TaskFuture::done() const {
@@ -167,11 +162,25 @@ const Status& TaskFuture::status() const {
 }
 
 TaskFuture TaskFuture::ready(Status status) {
-  TaskFuture f;
-  f.state_ = std::make_shared<State>();
+  TaskFuture f = pending();
   f.state_->status = std::move(status);
   f.state_->done = true;
   return f;
+}
+
+TaskFuture TaskFuture::pending() {
+  TaskFuture f;
+  f.state_ = std::make_shared<State>();
+  return f;
+}
+
+void TaskFuture::resolve(Status status) const {
+  assert(valid());
+  // From a task body, `now` lies inside that task's run span, which then
+  // anchors the arrow to the tasks this releases.
+  if (TaskPool::resolve(*state_, std::move(status)) && obs::trace_enabled()) {
+    obs::trace_flow_start("dep", "pool", state_->id, obs::now_ns());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -180,22 +189,17 @@ TaskFuture TaskFuture::ready(Status status) {
 
 struct TaskPool::Task {
   std::function<Status()> fn;
-  TaskTag tag = kNoTag;
+  Impl* pool = nullptr;
   int priority = 0;
   std::uint64_t seq = 0;  // FIFO tie-break within a priority level
-  int remaining_deps = 0;
+  // Unresolved dependencies, plus one while submit_impl registers them.
+  std::atomic<std::size_t> blockers{1};
   std::shared_ptr<TaskFuture::State> state;
   // Observability (stamped only while tracing or metrics capture is on):
   // when the task last became *ready* (queued runnable, all deps met), and
-  // the dependency tags for the trace's flow arrows.
+  // the dependencies' ids for the trace's flow arrows.
   std::uint64_t enqueue_ns = 0;
-  std::vector<TaskTag> trace_deps;
-};
-
-struct TaskPool::TagState {
-  bool done = false;
-  // Tasks blocked on this tag (each also counted in its remaining_deps).
-  std::vector<std::shared_ptr<Task>> waiters;
+  std::vector<std::uint64_t> trace_deps;
 };
 
 struct TaskPool::Impl {
@@ -204,12 +208,10 @@ struct TaskPool::Impl {
   std::condition_variable done_cv;  // wait_all
   bool stop = false;
   std::uint64_t next_seq = 0;
-  std::uint64_t outstanding = 0;  // submitted, not yet finished/cancelled
+  std::uint64_t outstanding = 0;  // submitted, not yet finished
   std::vector<std::shared_ptr<Task>> ready;  // max-heap (priority, FIFO)
   // ready.size(), for idle workers to poll without the lock.
   std::atomic<std::size_t> ready_count{0};
-  std::unordered_map<TaskTag, TagState> tags;
-  std::atomic<TaskTag> next_fresh{kNoTag - 1};
 
   // Observability instruments (set_metrics; read under mu when a task is
   // popped, so workers always see a consistent attachment).
@@ -245,6 +247,31 @@ struct TaskPool::Impl {
     return t;
   }
 };
+
+bool TaskPool::resolve(TaskFuture::State& state, Status status) {
+  std::vector<std::shared_ptr<Task>> waiters;
+  {
+    std::lock_guard<std::mutex> lk(state.mu);
+    assert(!state.done && "task future resolved twice");
+    state.status = std::move(status);
+    state.done = true;
+    waiters.swap(state.waiters);
+  }
+  state.cv.notify_all();
+  const bool waited_on = !waiters.empty();
+  for (std::shared_ptr<Task>& w : waiters) unblock(std::move(w));
+  return waited_on;
+}
+
+void TaskPool::unblock(std::shared_ptr<Task> task) {
+  if (--task->blockers != 0) return;
+  Impl& impl = *task->pool;
+  {
+    std::lock_guard<std::mutex> lk(impl.mu);
+    impl.push_ready_locked(std::move(task));
+  }
+  impl.work_cv.notify_one();
+}
 
 TaskPool::TaskPool(int workers) : impl_(std::make_unique<Impl>()) {
   int n = workers > 0 ? workers
@@ -290,12 +317,6 @@ void TaskPool::run_region(int width, Team::RegionFn body,
 
 bool TaskPool::on_worker_thread() { return tls_pool != nullptr; }
 
-int TaskPool::current_worker_index() { return tls_worker_index; }
-
-TaskTag TaskPool::fresh_tag() {
-  return impl_->next_fresh.fetch_sub(1, std::memory_order_relaxed);
-}
-
 void TaskPool::set_metrics(obs::MetricsRegistry* registry) {
   std::lock_guard<std::mutex> lk(impl_->mu);
   impl_->metrics = registry;
@@ -310,36 +331,45 @@ TaskFuture TaskPool::submit_impl(std::function<Status()> fn,
                                  TaskOptions opts) {
   auto task = std::make_shared<Task>();
   task->fn = std::move(fn);
-  task->tag = opts.tag;
+  task->pool = impl_.get();
   task->priority = opts.priority;
   task->state = std::make_shared<TaskFuture::State>();
   TaskFuture future;
   future.state_ = task->state;
 
-  // Dependency tags are copied for the trace's flow arrows only while
-  // recording — the hot path carries no extra allocation otherwise.
-  if (obs::trace_enabled() && !opts.deps.empty()) task->trace_deps = opts.deps;
+  // The ids of the dependencies the task waits on are kept for the trace's
+  // flow arrows only while recording — the hot path carries no extra
+  // allocation otherwise.
+  const bool tracing = obs::trace_enabled();
+  for (const TaskFuture& dep : opts.after) {
+    if (!dep.valid()) continue;
+    TaskFuture::State& ds = *dep.state_;
+    std::lock_guard<std::mutex> lk(ds.mu);
+    if (!ds.done) {
+      ds.waiters.push_back(task);
+      ++task->blockers;
+      if (tracing) task->trace_deps.push_back(ds.id);
+    }
+  }
 
+  bool queued = false;
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
     task->seq = impl_->next_seq++;
     ++impl_->outstanding;
-    for (TaskTag dep : opts.deps) {
-      TagState& ts = impl_->tags[dep];  // created on first reference
-      if (!ts.done) {
-        ts.waiters.push_back(task);
-        ++task->remaining_deps;
-      }
+    // Drop the registration count.  A dependency resolving meanwhile could
+    // not queue the task; whichever count drops last does.
+    if (--task->blockers == 0) {
+      impl_->push_ready_locked(std::move(task));
+      queued = true;
     }
-    if (task->remaining_deps == 0) impl_->push_ready_locked(std::move(task));
   }
-  impl_->work_cv.notify_one();
+  if (queued) impl_->work_cv.notify_one();
   return future;
 }
 
 void TaskPool::worker_loop(int index) {
   tls_pool = this;
-  tls_worker_index = index;
   if (obs::trace_enabled()) {
     char nm[32];
     std::snprintf(nm, sizeof(nm), "worker %d", index);
@@ -400,39 +430,26 @@ void TaskPool::worker_loop(int index) {
     task->fn = nullptr;  // release captures before dependents observe done
     if (tr != nullptr) tr->add();
 
+    std::uint64_t run_end = 0;
     if (tracing && run_start != 0 && obs::trace_enabled()) {
-      const std::uint64_t run_end = obs::now_ns();
+      run_end = obs::now_ns();
       obs::trace_complete("task.run", "pool", run_start, run_end, "", index);
       // Flow arrows: each dependency this task consumed binds to this run
       // slice (timestamps inside the slice anchor the arrow endpoints);
       // the producing side is emitted at the producer's run end below.
-      for (TaskTag dep : task->trace_deps) {
+      for (std::uint64_t dep : task->trace_deps) {
         obs::trace_flow_end("dep", "pool", dep, run_start);
       }
-      if (task->tag != kNoTag) {
-        obs::trace_flow_start("dep", "pool", task->tag, run_end);
-      }
     }
 
-    // The future resolves *before* the tag completes: a dependent task
-    // (released by the tag) always observes its dependency's future done.
-    task->state->resolve(std::move(status));
+    // The future resolves *before* its waiters are released: a dependent
+    // task always observes its dependency's future done.
+    if (resolve(*task->state, std::move(status)) && run_end != 0) {
+      obs::trace_flow_start("dep", "pool", task->state->id, run_end);
+    }
+    task.reset();  // the future's state is now its handles' alone
 
     lk.lock();
-    if (task->tag != kNoTag) {
-      TagState& ts = impl_->tags[task->tag];
-      assert(!ts.done && "two tasks completed the same tag");
-      ts.done = true;
-      bool released = false;
-      for (std::shared_ptr<Task>& w : ts.waiters) {
-        if (--w->remaining_deps == 0) {
-          impl_->push_ready_locked(std::move(w));
-          released = true;
-        }
-      }
-      ts.waiters.clear();
-      if (released) impl_->work_cv.notify_all();
-    }
     --impl_->outstanding;
     impl_->done_cv.notify_all();
   }
@@ -445,34 +462,6 @@ void TaskPool::wait_all() {
   assert(tls_pool != this && "wait_all() from a task of the same pool");
   std::unique_lock<std::mutex> lk(impl_->mu);
   impl_->done_cv.wait(lk, [&] { return impl_->outstanding == 0; });
-}
-
-void TaskPool::cancel_pending() {
-  std::vector<std::shared_ptr<Task>> cancelled;
-  {
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    for (std::shared_ptr<Task>& t : impl_->ready) {
-      cancelled.push_back(std::move(t));
-    }
-    impl_->ready.clear();
-    impl_->ready_count.store(0, std::memory_order_relaxed);
-    for (auto& [tag, ts] : impl_->tags) {
-      for (std::shared_ptr<Task>& t : ts.waiters) {
-        cancelled.push_back(std::move(t));
-      }
-      ts.waiters.clear();
-    }
-    // A task blocked on several tags sat in several waiter lists; resolve
-    // (and count) it once.
-    std::sort(cancelled.begin(), cancelled.end());
-    cancelled.erase(std::unique(cancelled.begin(), cancelled.end()),
-                    cancelled.end());
-    impl_->outstanding -= cancelled.size();
-  }
-  impl_->done_cv.notify_all();
-  for (const std::shared_ptr<Task>& t : cancelled) {
-    t->state->resolve(Status::error(StatusCode::kCancelled, "task cancelled"));
-  }
 }
 
 }  // namespace fmm

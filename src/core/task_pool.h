@@ -1,41 +1,42 @@
 #pragma once
 
 // A small dependency-driven task runtime — the execution substrate for
-// asynchronous serving (engine.h) and dataflow examples.
+// asynchronous serving (engine.h), the recursive descent (recursive.h) and
+// dataflow examples.
 //
-// The scheme is StarPU's (the system Benson & Ballard built their parallel
-// FMM framework on, and the paper's §6 names as the task-parallel
-// comparison): a *task* is a callable plus scheduling metadata — an
-// optional identity **tag**, a list of tags it **depends** on, and a
-// **priority**.  Tasks whose dependencies are met sit in a priority FIFO
-// (higher priority first, submission order breaking ties); a fixed set of
-// std::thread workers drains it.  The same workers also carry the data
+// After StarPU (the system Benson & Ballard built their parallel FMM
+// framework on, and the paper's §6 names as the task-parallel comparison):
+// a *task* is a callable plus the futures it runs **after** and a
+// **priority**.  Tasks whose dependencies have resolved sit in a priority
+// FIFO (higher priority first, submission order breaking ties); a fixed set
+// of std::thread workers drains it.  The same workers also carry the data
 // parallelism inside one task: parallel_region() forks a team from the
-// calling worker onto its own pool (paper §5.1's i_c-loop schedule runs
-// on it), and a worker that has just helped a region polls ~100 us for the
-// next one before it sleeps.  When a task finishes, its TaskFuture
-// resolves first, then its tag is marked complete and successor tasks
-// whose last dependency that was are released (a dependent task always
-// observes its dependency's future done).  A dataflow pipeline advances
-// by submitting its successors up front, tied to their producers by tags.
+// calling worker onto its own pool (paper §5.1's i_c-loop schedule runs on
+// it), and a worker that has just helped a region polls ~100 us for the
+// next one before it sleeps.
 //
-// Dependency rules:
-//   * A dependency on a tag that already completed is satisfied
-//     immediately; on a tag not yet seen, the task waits until some task
-//     carrying that tag completes (so submission order is free).
-//   * Tags are never reused within a pool's lifetime; completing twice is
-//     an error (asserted in debug builds).
-//   * A completed tag stays complete forever (state is O(distinct tags)).
+// Dependency rules — the one dependency handle is the TaskFuture that
+// submit() returns:
+//   * A task runs once every future in its `after` list has resolved,
+//     whatever their Status.  A task that must not act on a failed input
+//     reads that input's status() (resolved, so it does not block).
+//   * A future that has already resolved (TaskFuture::ready included) is
+//     met at once; an invalid (default-constructed) one is no dependency.
+//   * A future resolves first, then releases the tasks waiting on it, so a
+//     dependent always observes its dependencies done.
+//   * TaskFuture::pending() is a future no task owns, settled exactly once
+//     by resolve(): it stands in for work whose tasks are submitted later,
+//     so a graph can be submitted in dependency order.  A task after a
+//     pending future that is never resolved never runs (and wait_all()
+//     waits for it).
+//   * A future's state, its waiter list included, is freed with its last
+//     handle: the pool keeps nothing per finished task.
 //
 // Lifecycle: wait_all() blocks until every submitted task (including ones
-// submitted by running tasks while draining) has finished.
-// cancel_pending() resolves every not-yet-started task's future with
-// StatusCode::kCancelled (their tags do NOT complete — cancellation
-// abandons the rest of the graph); tasks already executing run to
-// completion.  The destructor wait_all()s then joins —
-// destroying a pool with tasks in flight is safe and drains them.  Queued
-// region helpers are tasks like any other: wait_all() covers them, and
-// cancel_pending() drops them without harming their regions.
+// submitted by running tasks while draining) has finished.  The destructor
+// wait_all()s then joins — destroying a pool with tasks in flight is safe
+// and drains them.  Queued region helpers are tasks like any other:
+// wait_all() covers them.
 
 #include <cstdint>
 #include <exception>
@@ -54,18 +55,6 @@ namespace fmm {
 namespace obs {
 class MetricsRegistry;
 }  // namespace obs
-
-// Task identity for dependency tracking.  Any value except kNoTag is
-// usable; fresh_tag() hands out values from a reserved high range so
-// caller-chosen small tags never collide with generated ones.
-using TaskTag = std::uint64_t;
-inline constexpr TaskTag kNoTag = ~static_cast<TaskTag>(0);
-
-struct TaskOptions {
-  TaskTag tag = kNoTag;           // identity (kNoTag: anonymous task)
-  std::vector<TaskTag> deps;      // tags that must complete first
-  int priority = 0;               // higher runs earlier; FIFO within equal
-};
 
 // fn()'s Status, with an exception escaping fn turned into kInvalidArgument
 // ("task body threw: ...").  A task body that throws resolves its future
@@ -86,8 +75,8 @@ Status run_guarded(F&& fn) {
 
 // The result handle of a submitted task: resolves exactly once, with the
 // Status the task body returned (Status{} for void bodies, the error for
-// bodies that threw, kCancelled for cancelled tasks).  Copyable; all
-// copies share one state.  A default-constructed future is invalid.
+// bodies that threw).  Copyable; all copies share one state.  A
+// default-constructed future is invalid.
 class TaskFuture {
  public:
   TaskFuture() = default;
@@ -102,11 +91,21 @@ class TaskFuture {
 
   // An already-resolved future (validation errors on the submit path).
   static TaskFuture ready(Status status);
+  // A future no task owns; resolve() settles it.
+  static TaskFuture pending();
+  // Settles a pending() future and releases the tasks waiting on it.  Once
+  // per pending future (a second call asserts); never on a task's future.
+  void resolve(Status status) const;
 
  private:
   friend class TaskPool;
   struct State;
   std::shared_ptr<State> state_;
+};
+
+struct TaskOptions {
+  std::vector<TaskFuture> after;  // must resolve before the task runs
+  int priority = 0;               // higher runs earlier; FIFO within equal
 };
 
 // One participant's handle on a fork-join region (TaskPool::
@@ -162,7 +161,7 @@ class TaskPool {
   TaskPool& operator=(const TaskPool&) = delete;
 
   // Submits a callable returning Status or void.  Runs as soon as a worker
-  // is free and every dependency in opts.deps has completed.
+  // is free and every future in opts.after has resolved.
   template <typename F>
   TaskFuture submit(F&& fn, TaskOptions opts = TaskOptions{}) {
     if constexpr (std::is_void_v<std::invoke_result_t<F&>>) {
@@ -180,14 +179,6 @@ class TaskPool {
   // Blocks until no task is queued, blocked, or running (a task that
   // submits more work extends the wait — the drain covers the new tasks).
   void wait_all();
-
-  // Resolves every not-yet-started task with kCancelled; running tasks
-  // finish normally.  See the lifecycle notes above.
-  void cancel_pending();
-
-  // A tag guaranteed distinct from every caller-chosen and every other
-  // generated tag (values descend from just below kNoTag).
-  TaskTag fresh_tag();
 
   // Attaches a metrics registry (src/obs/metrics.h): the pool then records
   // a per-task queue-wait histogram ("pool.queue_wait", ready -> running)
@@ -228,16 +219,18 @@ class TaskPool {
   // instead of submitting (a task blocking on another task's future could
   // deadlock a fully busy pool).
   static bool on_worker_thread();
-  // This thread's worker index within its pool, or -1 off-pool.  Stable
-  // for the thread's lifetime: usable as a per-worker workspace index.
-  static int current_worker_index();
 
  private:
+  friend class TaskFuture;
   struct Task;
-  struct TagState;
   struct Impl;
 
   static void run_region(int width, Team::RegionFn body, const void* ctx);
+  // Publishes a future's Status, then releases the tasks waiting on it;
+  // true when any was.
+  static bool resolve(TaskFuture::State& state, Status status);
+  // Drops one of the task's blocking counts; the last one queues it.
+  static void unblock(std::shared_ptr<Task> task);
 
   TaskFuture submit_impl(std::function<Status()> fn, TaskOptions opts);
   void worker_loop(int index);

@@ -28,8 +28,11 @@ class Matrix {
   // out of the benchmark harness.
   Matrix clone() const {
     Matrix out(rows_, cols_, stride_);
-    std::memcpy(out.data(), data(),
-                static_cast<std::size_t>(rows_ * stride_) * sizeof(double));
+    // An empty matrix has no buffer, and memcpy's pointers must not be null.
+    if (rows_ * stride_ > 0) {
+      std::memcpy(out.data(), data(),
+                  static_cast<std::size_t>(rows_ * stride_) * sizeof(double));
+    }
     return out;
   }
 
@@ -48,7 +51,10 @@ class Matrix {
   ConstMatView cview() const { return view(); }
 
   void set_zero() {
-    std::memset(data(), 0, static_cast<std::size_t>(rows_ * stride_) * sizeof(double));
+    if (rows_ * stride_ > 0) {
+      std::memset(data(), 0,
+                  static_cast<std::size_t>(rows_ * stride_) * sizeof(double));
+    }
   }
 
   void fill(double v) {

@@ -24,7 +24,6 @@ enum class StatusCode {
   kInvalidStride,  // a row or batch stride cannot describe the claimed operand
   kAliasing,       // an output aliases an input or another batch output
   kInvalidArgument,  // anything else malformed (null data, bad counts, ...)
-  kCancelled,      // an async task was cancelled before it started
   kIOError,        // a cache/history file could not be read or written
   kCorruptData,    // a persisted file failed version/format validation
 };
@@ -82,8 +81,6 @@ inline const char* status_code_name(StatusCode code) {
       return "ALIASING";
     case StatusCode::kInvalidArgument:
       return "INVALID_ARGUMENT";
-    case StatusCode::kCancelled:
-      return "CANCELLED";
     case StatusCode::kIOError:
       return "IO_ERROR";
     case StatusCode::kCorruptData:

@@ -1,5 +1,5 @@
 // Plan tests: Kronecker flattening of multi-level (and hybrid) plans,
-// grid descriptors, naming, and validation.
+// naming, and validation.
 
 #include <gtest/gtest.h>
 
@@ -42,23 +42,6 @@ TEST(Plan, HybridLevelsFlattenInOrder) {
   EXPECT_LT(p.flat.brent_residual(), 1e-9);
 }
 
-TEST(Plan, GridDescriptorsFollowLevels) {
-  const Plan p = make_plan(
-      {catalog::best(2, 3, 2), catalog::best(3, 2, 3)}, Variant::kABC);
-  const auto ag = p.a_grid();
-  ASSERT_EQ(ag.size(), 2u);
-  EXPECT_EQ(ag[0].rows, 2);
-  EXPECT_EQ(ag[0].cols, 3);
-  EXPECT_EQ(ag[1].rows, 3);
-  EXPECT_EQ(ag[1].cols, 2);
-  const auto bg = p.b_grid();
-  EXPECT_EQ(bg[0].rows, 3);
-  EXPECT_EQ(bg[0].cols, 2);
-  const auto cg = p.c_grid();
-  EXPECT_EQ(cg[1].rows, 3);
-  EXPECT_EQ(cg[1].cols, 3);
-}
-
 TEST(Plan, NameEncodesLevelsAndVariant) {
   const Plan p = make_plan(
       {catalog::best(2, 2, 2), catalog::best(3, 3, 3)}, Variant::kNaive);
@@ -93,7 +76,6 @@ TEST(Plan, ThreeLevelFlattenedDims) {
   const Plan p = make_uniform_plan(catalog::best(2, 2, 2), 3, Variant::kABC);
   EXPECT_EQ(p.Mt(), 8);
   EXPECT_EQ(p.R(), 343);
-  EXPECT_EQ(p.a_grid().size(), 3u);
 }
 
 }  // namespace

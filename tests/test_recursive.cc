@@ -1,7 +1,8 @@
 // Task-recursive multi-level execution (src/core/recursive.h): the
 // BufferPool allocator, the descent predicate and cutoff resolution, the
 // determinism contract (graph == sequential twin, bitwise, under any worker
-// count), peeling/degenerate shapes under recursion, and the nested-call /
+// count), failures (every descent ends with its first failure's Status),
+// peeling/degenerate shapes under recursion, and the nested-call /
 // slot-pool regressions.
 
 #include <gtest/gtest.h>
@@ -9,7 +10,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/core/catalog.h"
 #include "src/core/engine.h"
@@ -17,6 +20,19 @@
 #include "src/gemm/gemm.h"
 #include "src/model/perf_model.h"
 #include "tests/test_support.h"
+
+// RecursiveFailure.DescendingPrepAllocationFailureResolvesTheGraph asks for
+// a 16 TiB buffer on purpose.  The sanitizer allocators abort on such a
+// request unless told to fail it; a failed allocation returns null, which
+// AlignedBuffer turns into std::bad_alloc as in an uninstrumented build.
+extern "C" __attribute__((used, visibility("default"))) const char*
+__asan_default_options() {
+  return "allocator_may_return_null=1";
+}
+extern "C" __attribute__((used, visibility("default"))) const char*
+__tsan_default_options() {
+  return "allocator_may_return_null=1";
+}
 
 namespace fmm {
 namespace {
@@ -304,6 +320,95 @@ TEST(RecursiveExecution, BitwiseDeterministicAcrossSchedules) {
   // And the answer is actually right.
   ref_gemm(p.want.view(), p.a.view(), p.b.view());
   EXPECT_LE(max_abs_diff(c_seq.view(), p.want.view()), tol_for(n, 1));
+}
+
+// ---------------------------------------------------------------------------
+// Failures: every descent ends with a Status.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+RecursiveExecT<T> throwing_leaf_ctx(TaskPool* pool, BufferPool* buffers,
+                                    index_t cutoff) {
+  RecursiveExecT<T> ctx;
+  ctx.pool = pool;
+  ctx.buffers = buffers;
+  ctx.cutoff = cutoff;
+  ctx.leaf = [](const Plan*, MatViewT<T>, ConstMatViewT<T>,
+                ConstMatViewT<T>) { throw std::runtime_error("leaf failed"); };
+  return ctx;
+}
+
+// The graph resolves with the Status a task gives the sequential twin's
+// throw, under any worker count, and returns every lease.
+template <typename T>
+void expect_throwing_leaf_fails_descent(const Plan& plan, index_t n,
+                                        index_t cutoff) {
+  const std::vector<T> a(static_cast<std::size_t>(n * n), T(1));
+  const std::vector<T> b = a;
+  std::vector<T> c(a.size(), T(0));
+  const MatViewT<T> cv(c.data(), n, n, n);
+  const ConstMatViewT<T> av(a.data(), n, n, n), bv(b.data(), n, n, n);
+  BufferPool buffers;
+  const Status seq = run_guarded([&] {
+    run_recursive_sequential(throwing_leaf_ctx<T>(nullptr, &buffers, cutoff),
+                             plan, cv, av, bv);
+    return Status{};
+  });
+  ASSERT_FALSE(seq.ok());
+  for (int workers : {1, 4}) {
+    TaskPool pool(workers);
+    const Status graph =
+        submit_recursive(throwing_leaf_ctx<T>(&pool, &buffers, cutoff), plan,
+                         cv, av, bv)
+            .status();
+    EXPECT_EQ(graph.code(), seq.code()) << graph.to_string();
+    EXPECT_EQ(graph.message(), seq.message());
+    pool.wait_all();
+  }
+  EXPECT_EQ(buffers.outstanding(), 0u);
+}
+
+TEST(RecursiveFailure, ThrowingLeafFailsTheDescent) {
+  // One level (the products are leaves) and two levels (a failed child
+  // graph resolves its product in the parent), in f64 and f32.
+  for (const Plan& plan : {one_level_plan(), two_level_plan()}) {
+    SCOPED_TRACE(plan.name());
+    expect_throwing_leaf_fails_descent<double>(plan, 96, 20);
+    expect_throwing_leaf_fails_descent<float>(plan, 96, 20);
+  }
+}
+
+// A descending product whose prep cannot allocate M_r fails the graph
+// instead of leaving it unresolved, and every lease comes back.
+TEST(RecursiveFailure, DescendingPrepAllocationFailureResolvesTheGraph) {
+  // Two <2,2,2> levels at cutoff 1: the top node's products descend, and
+  // each M_r asks for (m / 2) x (n / 2) = 2^42 elements.  A and B are four
+  // columns / rows wide (64 MiB each in f32); C is never touched, so 16
+  // elements back it.
+  const Plan plan = two_level_plan();
+  const index_t m = index_t{1} << 22, n = m, k = 4;
+  const std::vector<float> a(static_cast<std::size_t>(m * k), 1.0f);
+  const std::vector<float> b(static_cast<std::size_t>(k * n), 1.0f);
+  std::vector<float> c(16, 0.0f);
+  BufferPool buffers;
+  TaskPool pool(2);
+  RecursiveExecF32 ctx;
+  ctx.pool = &pool;
+  ctx.buffers = &buffers;
+  ctx.cutoff = 1;
+  ctx.leaf = [](const Plan*, MatViewF32, ConstMatViewF32, ConstMatViewF32) {
+    ADD_FAILURE() << "no product gets as far as a leaf";
+  };
+  const Status st =
+      submit_recursive(ctx, plan, MatViewF32(c.data(), m, n, n),
+                       ConstMatViewF32(a.data(), m, k, k),
+                       ConstMatViewF32(b.data(), k, n, n))
+          .status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.to_string();
+  EXPECT_NE(st.message().find("bad_alloc"), std::string::npos)
+      << st.to_string();
+  pool.wait_all();
+  EXPECT_EQ(buffers.outstanding(), 0u);
 }
 
 // Nested synchronous multiply from a TaskPool worker takes the sequential

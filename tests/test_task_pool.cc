@@ -1,10 +1,10 @@
-// TaskPool — the dependency-driven runtime under Engine::submit and the
-// fork-join regions under the fused loop nest.  Covers execution and
-// future resolution, tag dependencies in every submission order, the
-// priority FIFO, cancellation, destruction with tasks in flight,
-// concurrent submission from many host threads, and parallel_region's
-// loops, slots, late joiners and busy pools (the TSan CI leg runs every
-// TaskPool* suite).
+// TaskPool — the dependency-driven runtime under Engine::submit, the
+// recursive descent and the fork-join regions under the fused loop nest.
+// Covers execution and future resolution, future dependencies (pending,
+// resolved, failed, fan-in, chains), the priority FIFO, destruction with
+// tasks in flight, concurrent submission from many host threads, and
+// parallel_region's loops, slots, late joiners and busy pools (the TSan CI
+// leg runs every TaskPool* suite).
 
 #include <gtest/gtest.h>
 
@@ -77,92 +77,105 @@ TEST(TaskPoolBasic, WorkerIndexIsStableAndInRange) {
   TaskPool pool(3);
   EXPECT_EQ(pool.workers(), 3);
   EXPECT_FALSE(TaskPool::on_worker_thread());
-  EXPECT_EQ(TaskPool::current_worker_index(), -1);
-  std::mutex mu;
-  std::vector<int> seen;
   for (int i = 0; i < 32; ++i) {
-    pool.submit([&] {
-      EXPECT_TRUE(TaskPool::on_worker_thread());
-      std::lock_guard<std::mutex> lk(mu);
-      seen.push_back(TaskPool::current_worker_index());
-    });
+    pool.submit([&] { EXPECT_TRUE(TaskPool::on_worker_thread()); });
   }
   pool.wait_all();
-  for (int idx : seen) {
-    EXPECT_GE(idx, 0);
-    EXPECT_LT(idx, 3);
-  }
 }
 
 // ---------------------------------------------------------------------------
-// Tag dependencies.
+// Future dependencies.
 // ---------------------------------------------------------------------------
 
 TEST(TaskPoolDeps, DependentRunsAfterDependency) {
   TaskPool pool(4);
   std::atomic<int> stage{0};
-  TaskOptions dep_opts;
-  dep_opts.tag = 1;
-  pool.submit([&] {
+  TaskFuture dep = pool.submit([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     stage.store(1);
-  }, dep_opts);
-  TaskOptions opts;
-  opts.deps = {1};
+  });
   TaskFuture f = pool.submit([&] {
     // The dependency fully finished before this task started.
     EXPECT_EQ(stage.load(), 1);
     stage.store(2);
-  }, opts);
+  }, TaskOptions{{dep}});
   EXPECT_TRUE(f.status().ok());
   EXPECT_EQ(stage.load(), 2);
 }
 
+// A forward reference: the dependent is submitted after a pending future
+// that stands in for work no task has been submitted for yet.
 TEST(TaskPoolDeps, DependencySubmittedLater) {
   TaskPool pool(2);
   std::atomic<int> stage{0};
-  // The dependent arrives first, blocked on a tag nobody has carried yet.
-  TaskOptions opts;
-  opts.deps = {7};
-  TaskFuture f = pool.submit([&] { stage.fetch_add(10); }, opts);
+  TaskFuture later = TaskFuture::pending();
+  TaskFuture f =
+      pool.submit([&] { stage.fetch_add(10); }, TaskOptions{{later}});
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(f.done());
   EXPECT_EQ(stage.load(), 0);
-  TaskOptions dep_opts;
-  dep_opts.tag = 7;
-  pool.submit([&] { stage.fetch_add(1); }, dep_opts);
+  pool.submit([&, later] {
+    stage.fetch_add(1);
+    later.resolve(Status{});
+  });
   EXPECT_TRUE(f.status().ok());
   EXPECT_EQ(stage.load(), 11);
+  EXPECT_TRUE(later.done());
 }
 
 TEST(TaskPoolDeps, CompletedTagSatisfiesImmediately) {
+  // Futures that resolved before the dependent was submitted — a task's,
+  // a pending one's and TaskFuture::ready's — are met at once.
   TaskPool pool(2);
-  TaskOptions dep_opts;
-  dep_opts.tag = 3;
-  pool.submit([] {}, dep_opts);
-  pool.wait_all();  // tag complete before the dependent is even submitted
-  TaskOptions opts;
-  opts.deps = {3};
-  TaskFuture f = pool.submit([] {}, opts);
+  TaskFuture ran = pool.submit([] {});
+  pool.wait_all();
+  TaskFuture settled = TaskFuture::pending();
+  settled.resolve(Status{});
+  TaskFuture f = pool.submit([] {}, TaskOptions{{ran, settled,
+                                                 TaskFuture::ready(Status{})}});
   EXPECT_TRUE(f.status().ok());
+}
+
+TEST(TaskPoolDeps, FailedDependencyStillReleasesItsDependents) {
+  // The pool does not judge a dependency's Status: the dependent runs and
+  // reads it.
+  TaskPool pool(2);
+  TaskFuture bad = pool.submit(
+      [] { return Status::error(StatusCode::kInvalidShape, "bad input"); });
+  TaskFuture thrown =
+      pool.submit([]() -> Status { throw std::runtime_error("kaput"); });
+  TaskFuture failed = TaskFuture::pending();
+  failed.resolve(Status::error(StatusCode::kAliasing, "overlap"));
+  TaskFuture fin = pool.submit(
+      [bad, thrown, failed] {
+        EXPECT_EQ(bad.status().code(), StatusCode::kInvalidShape);
+        EXPECT_EQ(thrown.status().code(), StatusCode::kInvalidArgument);
+        return failed.status();
+      },
+      TaskOptions{{bad, thrown, failed}});
+  EXPECT_EQ(fin.status().code(), StatusCode::kAliasing);
 }
 
 TEST(TaskPoolDeps, FanInWaitsForEveryDependency) {
   TaskPool pool(4);
   constexpr int kDeps = 8;
   std::atomic<int> done{0};
-  TaskOptions fin_opts;
-  for (TaskTag t = 1; t <= kDeps; ++t) fin_opts.deps.push_back(t);
+  std::vector<TaskFuture> gates, deps;
+  for (int i = 0; i < kDeps; ++i) {
+    gates.push_back(TaskFuture::pending());
+    deps.push_back(pool.submit(
+        [&] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          done.fetch_add(1);
+        },
+        TaskOptions{{gates.back()}}));
+  }
   TaskFuture fin = pool.submit([&] {
     EXPECT_EQ(done.load(), kDeps);  // all dependencies fully ran
-  }, fin_opts);
-  for (TaskTag t = 1; t <= kDeps; ++t) {
-    TaskOptions o;
-    o.tag = t;
-    pool.submit([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      done.fetch_add(1);
-    }, o);
+  }, TaskOptions{deps});
+  // Open the gates in reverse: the last dependency to finish is the first.
+  for (int i = kDeps - 1; i >= 0; --i) {
+    gates[static_cast<std::size_t>(i)].resolve(Status{});
   }
   EXPECT_TRUE(fin.status().ok());
 }
@@ -170,17 +183,13 @@ TEST(TaskPoolDeps, FanInWaitsForEveryDependency) {
 TEST(TaskPoolDeps, DependentObservesDependencyFutureResolved) {
   TaskPool pool(4);
   for (int round = 0; round < 50; ++round) {
-    TaskOptions dep_opts;
-    dep_opts.tag = pool.fresh_tag();
-    TaskFuture dep_future = pool.submit([] {}, dep_opts);
-    TaskOptions opts;
-    opts.deps = {dep_opts.tag};
+    TaskFuture dep_future = pool.submit([] {});
     TaskFuture f = pool.submit([dep_future] {
       // The runtime resolves a task's future before releasing its
       // successors; a dependent must never observe it pending.
       EXPECT_TRUE(dep_future.done());
       EXPECT_TRUE(dep_future.status().ok());
-    }, opts);
+    }, TaskOptions{{dep_future}});
     EXPECT_TRUE(f.status().ok());
   }
 }
@@ -190,29 +199,18 @@ TEST(TaskPoolDeps, ChainRunsInOrder) {
   constexpr int kLen = 32;
   std::vector<int> order;
   std::mutex mu;
-  TaskTag prev = kNoTag;
-  TaskFuture last;
+  TaskFuture prev;
   for (int i = 0; i < kLen; ++i) {
     TaskOptions o;
-    o.tag = pool.fresh_tag();
-    if (prev != kNoTag) o.deps = {prev};
-    prev = o.tag;
-    last = pool.submit([&, i] {
+    if (prev.valid()) o.after = {prev};
+    prev = pool.submit([&, i] {
       std::lock_guard<std::mutex> lk(mu);
       order.push_back(i);
     }, o);
   }
-  last.wait();
+  prev.wait();
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kLen));
   for (int i = 0; i < kLen; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(TaskPoolDeps, FreshTagsAreDistinct) {
-  TaskPool pool(1);
-  TaskTag a = pool.fresh_tag(), b = pool.fresh_tag(), c = pool.fresh_tag();
-  EXPECT_NE(a, b);
-  EXPECT_NE(b, c);
-  EXPECT_NE(a, kNoTag);
 }
 
 // ---------------------------------------------------------------------------
@@ -254,67 +252,18 @@ TEST(TaskPoolPriority, HigherPriorityRunsFirstFifoWithin) {
 }
 
 // ---------------------------------------------------------------------------
-// Cancellation and destruction.
+// Destruction.
 // ---------------------------------------------------------------------------
-
-TEST(TaskPoolCancel, PendingTasksResolveCancelled) {
-  TaskPool pool(1);
-  std::atomic<bool> started{false}, release{false};
-  std::atomic<int> ran{0};
-  TaskFuture running = pool.submit([&] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-    ran.fetch_add(1);
-  });
-  // Everything below must queue *behind* an already-running task.
-  while (!started.load()) std::this_thread::yield();
-  // Queued behind the running task and behind an unseen tag, respectively.
-  TaskFuture queued = pool.submit([&] { ran.fetch_add(1); });
-  TaskOptions o;
-  o.deps = {pool.fresh_tag()};  // never completed
-  TaskFuture blocked = pool.submit([&] { ran.fetch_add(1); }, o);
-
-  pool.cancel_pending();
-  release.store(true);
-  EXPECT_TRUE(running.status().ok());  // in-flight tasks finish normally
-  EXPECT_EQ(queued.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(blocked.status().code(), StatusCode::kCancelled);
-  pool.wait_all();
-  // Only the running task's body ran.
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(TaskPoolCancel, MultiDepTaskCancelsOnce) {
-  TaskPool pool(2);
-  TaskOptions o;
-  o.deps = {pool.fresh_tag(), pool.fresh_tag(), pool.fresh_tag()};
-  TaskFuture f = pool.submit([] {}, o);
-  pool.cancel_pending();  // the task sits in three waiter lists
-  EXPECT_EQ(f.status().code(), StatusCode::kCancelled);
-  pool.wait_all();
-}
-
-TEST(TaskPoolCancel, PoolIsUsableAfterCancel) {
-  TaskPool pool(2);
-  TaskOptions o;
-  o.deps = {pool.fresh_tag()};
-  pool.submit([] {}, o);
-  pool.cancel_pending();
-  TaskFuture f = pool.submit([] { return Status{}; });
-  EXPECT_TRUE(f.status().ok());
-}
 
 TEST(TaskPoolLifecycle, DestructionDrainsInFlightTasks) {
   std::atomic<int> ran{0};
   {
     TaskPool pool(4);
     for (int i = 0; i < 32; ++i) {
-      TaskOptions o;
-      o.tag = pool.fresh_tag();
       pool.submit([&] {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
         ran.fetch_add(1);
-      }, o);
+      });
     }
     // No wait_all: the destructor must drain, not drop.
   }
@@ -351,20 +300,17 @@ TEST(TaskPoolConcurrency, ConcurrentChainsInterleave) {
   std::vector<std::thread> hosts;
   for (int c = 0; c < kChains; ++c) {
     hosts.emplace_back([&, c] {
-      TaskTag prev = kNoTag;
-      TaskFuture last;
+      TaskFuture prev;
       for (int i = 0; i < kLen; ++i) {
         TaskOptions o;
-        o.tag = pool.fresh_tag();
-        if (prev != kNoTag) o.deps = {prev};
-        prev = o.tag;
-        last = pool.submit([&, c, i] {
+        if (prev.valid()) o.after = {prev};
+        prev = pool.submit([&, c, i] {
           // In-order execution within each chain.
           EXPECT_EQ(progress[static_cast<std::size_t>(c)].load(), i);
           progress[static_cast<std::size_t>(c)].store(i + 1);
         }, o);
       }
-      last.wait();
+      prev.wait();
     });
   }
   for (auto& h : hosts) h.join();
@@ -531,40 +477,6 @@ TEST(TaskPoolRegion, WidthOneSubmitsNoTask) {
   pool.wait_all();
   EXPECT_EQ(sum, 45);
   EXPECT_EQ(tasks.value(), 1u);  // the outer task only
-}
-
-TEST(TaskPoolRegion, CancelPendingWithHelpersQueuedLeavesRegionComplete) {
-  TaskPool pool(2);
-  std::atomic<bool> parked{false}, release{false};
-  std::atomic<bool> in_region{false}, cancelled{false};
-  pool.submit([&] {
-    parked.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!parked.load()) std::this_thread::yield();
-
-  constexpr int kLoops = 50, kN = 33;
-  std::vector<std::atomic<int>> runs(kLoops * kN);
-  TaskFuture region = pool.submit([&] {
-    TaskPool::parallel_region(4, [&](Team& team) {
-      for (int l = 0; l < kLoops; ++l) {
-        team.for_each(kN, [&](std::int64_t i) {
-          if (l == 0 && i == 0) {
-            in_region.store(true);
-            while (!cancelled.load()) std::this_thread::yield();
-          }
-          runs[static_cast<std::size_t>(l * kN + i)].fetch_add(1);
-        });
-      }
-    });
-  });
-  while (!in_region.load()) std::this_thread::yield();
-  pool.cancel_pending();  // the queued helper
-  cancelled.store(true);
-  EXPECT_TRUE(region.status().ok());
-  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
-  release.store(true);
-  pool.wait_all();
 }
 
 TEST(TaskPoolRegion, ConcurrentRegionsFromSeveralWorkersAllFinish) {
