@@ -380,8 +380,9 @@ Engine::~Engine() {
   if (owns_trace_) obs::trace_end();
 }
 
-TaskPool& Engine::pool() {
-  if (TaskPool* p = pool_ptr_.load(std::memory_order_acquire)) return *p;
+TaskPool* Engine::request_pool() {
+  if (TaskPool::on_worker_thread()) return nullptr;
+  if (TaskPool* p = pool_ptr_.load(std::memory_order_acquire)) return p;
   std::lock_guard<std::mutex> lk(pool_mu_);
   if (!pool_) {
     pool_ = std::make_unique<TaskPool>(workers_);
@@ -390,7 +391,7 @@ TaskPool& Engine::pool() {
     pool_->set_metrics(&metrics_);
     pool_ptr_.store(pool_.get(), std::memory_order_release);
   }
-  return *pool_;
+  return pool_.get();
 }
 
 void Engine::wait_all() {
@@ -645,10 +646,11 @@ ModelParams Engine::params(DType dtype) const {
 }
 
 // ---------------------------------------------------------------------------
-// The request path: synchronous validation, then dispatch of the shape
-// groups to the one execution body (queued, or inline on a pool worker — a
-// task blocking on another task's future could deadlock a fully busy pool,
-// so nested calls never wait on the queue).
+// The request path: synchronous validation, then the request's tasks — the
+// shape groups' execution body, or a descent's graph — submitted where
+// request_pool() says: queued on the engine's pool, or inline on a pool
+// worker (a task blocking on another task's future could deadlock a fully
+// busy pool, so nested calls never wait on the queue).
 // ---------------------------------------------------------------------------
 
 template <typename T>
@@ -679,25 +681,14 @@ void Engine::run_group(const Request<T>& req, std::size_t g) {
 
 template <typename T>
 TaskFuture Engine::dispatch(std::shared_ptr<const Request<T>> req) {
+  TaskPool* const target = request_pool();
   const std::size_t groups = req->groups.size();
-  const auto run = [this, req](std::size_t g) {
-    return run_guarded([&] {
-      run_group(*req, g);
-      return Status{};
-    });
-  };
-  if (TaskPool::on_worker_thread()) {
-    Status first;
-    for (std::size_t g = 0; g < groups; ++g) {
-      Status st = run(g);
-      if (first.ok()) first = std::move(st);
-    }
-    observe_request(*req);
-    return TaskFuture::ready(std::move(first));
-  }
   if (groups == 1) {
-    return pool().submit([this, req, run] {
-      Status st = run(0);
+    return TaskPool::submit_to(target, [this, req] {
+      Status st = run_guarded([&] {
+        run_group(*req, 0);
+        return Status{};
+      });
       observe_request(*req);
       return st;
     });
@@ -708,10 +699,12 @@ TaskFuture Engine::dispatch(std::shared_ptr<const Request<T>> req) {
   std::vector<TaskFuture> parts;
   parts.reserve(groups);
   for (std::size_t g = 0; g < groups; ++g) {
-    parts.push_back(pool().submit([run, g] { return run(g); }));
+    parts.push_back(
+        TaskPool::submit_to(target, [this, req, g] { run_group(*req, g); }));
   }
   TaskOptions fin{parts};
-  return pool().submit(
+  return TaskPool::submit_to(
+      target,
       [this, req, parts = std::move(parts)] {
         observe_request(*req);
         for (const TaskFuture& part : parts) {
@@ -724,22 +717,23 @@ TaskFuture Engine::dispatch(std::shared_ptr<const Request<T>> req) {
 
 template <typename T>
 RecursiveExecT<T> Engine::recursive_ctx(const Plan& plan,
-                                        const GemmConfig& cfg) {
+                                        const GemmConfig& cfg,
+                                        TaskPool* target) {
   RecursiveExecT<T> ctx;
-  ctx.pool = &pool();
+  ctx.pool = target;
   ctx.buffers = &recurse_buffers_;
   ctx.cutoff = recurse_cutoff_;
   // Leaves run serially — the node's task fan-out is the parallelism — and
   // share the executor cache with every other path.  The cached executor's
-  // slot pool grows to the worker count once, so concurrent leaf tasks
-  // never serialize on workspace leases (nor stall behind a parent call
-  // that holds a slot of the same executor).  The plan's pinned kernel is
-  // resolved once here, as FmmExecutor does, so the GEMM leaves and fringes
-  // run on it like the plan leaves do.
-  GemmConfig leaf_cfg = cfg;
+  // slot pool grows to the engine's worker count once (whether or not its
+  // pool has started), so concurrent leaf tasks and concurrent nested
+  // descents never serialize on workspace leases (nor stall behind a parent
+  // call that holds a slot of the same executor).  The plan's pinned kernel
+  // is resolved once here, as FmmExecutor does, so the GEMM leaves and
+  // fringes run on it like the plan leaves do.
+  GemmConfig leaf_cfg = plan_config(plan, cfg);
   leaf_cfg.num_threads = 1;
-  if (plan.kernel != nullptr) leaf_cfg.kernel = plan.kernel;
-  const int slot_target = std::max(1, ctx.pool->workers());
+  const int slot_target = TaskPool::worker_count(workers_);
   ctx.leaf = [this, leaf_cfg, slot_target](const Plan* leaf_plan,
                                            MatViewT<T> c, ConstMatViewT<T> a,
                                            ConstMatViewT<T> b) {
@@ -788,23 +782,23 @@ TaskFuture Engine::submit_single(const Plan* plan, MatViewT<T> c,
     if (rplan != nullptr && should_recurse(*rplan, m, n, k, recurse_cutoff_)) {
       if (executed != nullptr && choice) *executed = choice;
       recursive_runs_->add();
-      const RecursiveExecT<T> ctx = recursive_ctx<T>(*rplan, cfg);
-      if (TaskPool::on_worker_thread()) {
-        // Nested synchronous call from a task body: the bitwise-identical
-        // sequential twin (building a graph and blocking this worker on
-        // its finalizer could deadlock a fully busy pool).
-        Status es = run_guarded([&] {
-          run_recursive_sequential<T>(ctx, *rplan, c, a, b);
-          return Status{};
-        });
-        observe_request(*req);
-        return TaskFuture::ready(std::move(es));
-      }
+      // The graph goes where the request's tasks go (inline, it has run by
+      // the time submit_recursive returns).  Its top node is built here,
+      // outside any task, so a throw while building it is the request's
+      // Status as a task's throw would be.
+      TaskPool* const target = request_pool();
+      TaskFuture graph;
+      const Status built = run_guarded([&] {
+        graph = submit_recursive<T>(recursive_ctx<T>(*rplan, cfg, target),
+                                    *rplan, c, a, b);
+        return Status{};
+      });
+      if (!built.ok()) graph = TaskFuture::ready(built);
       // The request completes when the graph does: a task after the
       // graph's future records the observation and resolves with the
       // graph's Status.
-      const TaskFuture graph = submit_recursive<T>(ctx, *rplan, c, a, b);
-      return pool().submit(
+      return TaskPool::submit_to(
+          target,
           [this, req, graph] {
             observe_request(*req);
             return graph.status();
@@ -989,8 +983,7 @@ HistoryKey Engine::history_key_for(const Plan* plan, DType dtype, index_t m,
   key.mb = shape_bucket(m);
   key.nb = shape_bucket(n);
   key.kb = shape_bucket(k);
-  GemmConfig kcfg = cfg;
-  if (plan != nullptr && plan->kernel != nullptr) kcfg.kernel = plan->kernel;
+  const GemmConfig kcfg = plan != nullptr ? plan_config(*plan, cfg) : cfg;
   key.kernel = kernel_cache_key(*resolve_blocking(kcfg, dtype).kernel);
   key.threads = resolve_threads(cfg);
   return key;

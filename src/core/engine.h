@@ -40,14 +40,17 @@
 //     and returns a TaskFuture<Status> immediately (validation still runs
 //     synchronously — a malformed request resolves before any task is
 //     queued).  Work runs on the engine's TaskPool (task_pool.h); a
-//     cross-shape item batch fans out as one task per shape group.
+//     cross-shape item batch fans out as one task per shape group, and a
+//     shape above the recursion cutoff as a descent's task graph.
 //     multiply() itself is submit + wait.  Every form takes one path: a
-//     validated request runs each shape group through one execution body,
-//     queued from a host thread and inline on a pool worker (a task body
-//     doing a nested synchronous multiply; a task blocking on another
-//     task's future could deadlock a fully busy pool).  Every group runs
-//     on both, the request's Status is the first failing group's in
-//     arrival order (an allocation failure included), and each request
+//     validated request builds its tasks once, and they go where the
+//     engine decides once per request — queued on its pool from a host
+//     thread, inline (TaskPool::submit_to with no pool) on any pool's
+//     worker, for a task body doing a nested synchronous multiply (a task
+//     blocking on another task's future could deadlock a fully busy pool,
+//     and the engine's own pool is never started for it).  Every group
+//     runs either way, the request's Status is the first failing group's
+//     in arrival order (an allocation failure included), and each request
 //     records one latency sample / span where it completes.
 //
 // Thread-safety: every public method may be called from any number of host
@@ -182,11 +185,12 @@ class Engine {
     int slots = 0;
     // Worker threads for the async submit path (multiply() is submit +
     // wait, so these serve the synchronous calls too).  0 = FMM_WORKERS
-    // env, else hardware concurrency.  The pool is created lazily on first
-    // use.  These are all the engine's threads: a multiply with
-    // config.num_threads > 1 forks its data-parallel loops onto helper
-    // tasks of this pool, so serving engines that fan out batches usually
-    // pair several workers with num_threads = 1.
+    // env, else hardware concurrency.  The pool is created lazily by the
+    // first request from a host thread (a request from any pool's worker
+    // runs inline and starts none).  These are all the engine's threads: a
+    // multiply with config.num_threads > 1 forks its data-parallel loops
+    // onto helper tasks of this pool, so serving engines that fan out
+    // batches usually pair several workers with num_threads = 1.
     int workers = 0;
     // Online performance model (src/model/history.h).  history: engaged
     // value wins, nullopt = FMM_HISTORY env flag, default on.  A measured
@@ -281,7 +285,9 @@ class Engine {
   // --- Async surface ------------------------------------------------------
   // Every submit mirrors a multiply form: validation runs now (an invalid
   // request returns an already-resolved future), the arithmetic runs on
-  // the engine's task pool, and the future resolves when it finishes.
+  // the engine's task pool (inline when called from any pool's worker, in
+  // which case the future has resolved on return), and the future
+  // resolves when it finishes.
   // Operand buffers — and a non-null `executed` — must stay alive and
   // untouched until then; the Plan and any item array are copied, so
   // *they* need not outlive the call.  A cross-shape item batch fans out
@@ -335,10 +341,6 @@ class Engine {
   PerfHistory& history() { return history_; }
   const PerfHistory& history() const { return history_; }
   bool history_enabled() const { return history_enabled_; }
-  // Sorted aggregate dump for observability (benches print it).
-  std::vector<PerfHistory::Entry> history_snapshot() const {
-    return history_.snapshot();
-  }
   // Persist the store to the configured history path now (the destructor
   // also saves).  kInvalidArgument when no path is configured, kIOError on
   // write failure.
@@ -408,11 +410,11 @@ class Engine {
   template <typename T>
   TaskFuture submit_batch(const Plan* plan, const BatchSpec& batch,
                           const GemmConfig& cfg);
-  // Runs every shape group of a validated request through run_group:
-  // inline on a pool worker, else one queued task per group plus, for
-  // several groups, a finalizer.  Either way every group runs, the first
-  // failing group's Status (arrival order) is the request's, and the
-  // request's one observation is recorded where it completes.
+  // Runs every shape group of a validated request through run_group, as
+  // one task per group plus, for several groups, a finalizer, submitted to
+  // request_pool().  Every group runs, the first failing group's Status
+  // (arrival order) is the request's, and the request's one observation is
+  // recorded where it completes.
   template <typename T>
   TaskFuture dispatch(std::shared_ptr<const Request<T>> req);
   // The one execution body: shape group `g` of `req`.  The auto choice
@@ -421,15 +423,20 @@ class Engine {
   // allocation failure.
   template <typename T>
   void run_group(const Request<T>& req, std::size_t g);
-  TaskPool& pool();
-  // The leaf/buffer/cutoff bundle a descent of `plan` runs with under
-  // `cfg`: leaves execute serially through the executor cache (plain GEMM
-  // for nullptr plans and fringes), growing the cached executor's slot
-  // pool to the worker count so concurrent leaf tasks never serialize on
-  // workspace leases.  The plan's pinned kernel, if any, replaces the
-  // config's for every leaf, GEMM leaves and fringes included.
+  // Where a request's tasks go, decided once per request: nullptr (inline,
+  // TaskPool::submit_to) when the caller is any pool's worker, else the
+  // engine's pool, started on first use.
+  TaskPool* request_pool();
+  // The pool/leaf/buffer/cutoff bundle a descent of `plan` runs with under
+  // `cfg`, its tasks going to `target` (request_pool()): leaves execute
+  // serially through the executor cache (plain GEMM for nullptr plans and
+  // fringes), growing the cached executor's slot pool to the engine's
+  // worker count so concurrent leaf tasks never serialize on workspace
+  // leases.  The plan's pinned kernel, if any, replaces the config's for
+  // every leaf, GEMM leaves and fringes included.
   template <typename T>
-  RecursiveExecT<T> recursive_ctx(const Plan& plan, const GemmConfig& cfg);
+  RecursiveExecT<T> recursive_ctx(const Plan& plan, const GemmConfig& cfg,
+                                  TaskPool* target);
   void ensure_plan_space_locked();
   // The footprint key an execution of `plan` (nullptr: conventional GEMM)
   // at (m, n, k) records under `cfg`: the dtype-salted footprint, the shape
@@ -477,8 +484,9 @@ class Engine {
   // The executor cache.
   mutable std::mutex cache_mu_;
   std::vector<Entry> cache_;
-  // The async pool, created on first use (double-checked through
-  // pool_ptr_ so the hot path is one acquire load).
+  // The async pool, created on first use by a host thread's request
+  // (double-checked through pool_ptr_ so the hot path is one acquire
+  // load).
   std::mutex pool_mu_;
   std::unique_ptr<TaskPool> pool_;
   std::atomic<TaskPool*> pool_ptr_{nullptr};

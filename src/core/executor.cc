@@ -99,9 +99,7 @@ FmmExecutorT<T>::FmmExecutorT(const Plan& plan, index_t m, index_t n,
 
   // Resolve the blocking once, with the plan's kernel threaded by value —
   // no GemmConfig is ever mutated after this constructor returns.
-  GemmConfig resolve_cfg = cfg;
-  if (plan_.kernel != nullptr) resolve_cfg.kernel = plan_.kernel;
-  bp_ = resolve_blocking(resolve_cfg, plan_.dtype);
+  bp_ = resolve_blocking(plan_config(plan_, cfg), plan_.dtype);
   // Clamp the cache blocks to the problem so a small-shape executor carries
   // small workspaces.  The fused loop runs on C^T, so m_C blocks C's
   // columns and n_C its rows.  The clamps never change the loop geometry

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "src/core/transforms.h"
+#include "src/gemm/blocking.h"
 #include "src/gemm/kernel.h"
 
 namespace fmm {
@@ -49,6 +50,12 @@ bool same_execution(const Plan& a, const Plan& b) {
   return a.variant == b.variant && a.kernel == b.kernel &&
          a.dtype == b.dtype && x.mt == y.mt && x.kt == y.kt && x.nt == y.nt &&
          x.R == y.R && x.U == y.U && x.V == y.V && x.W == y.W;
+}
+
+GemmConfig plan_config(const Plan& plan, const GemmConfig& cfg) {
+  GemmConfig run = cfg;
+  if (plan.kernel != nullptr) run.kernel = plan.kernel;
+  return run;
 }
 
 Plan make_plan(std::vector<FmmAlgorithm> levels, Variant variant) {

@@ -19,6 +19,7 @@
 namespace fmm {
 
 struct KernelInfo;  // src/gemm/kernel.h
+struct GemmConfig;  // src/gemm/blocking.h
 
 enum class Variant { kNaive, kAB, kABC };
 
@@ -59,6 +60,10 @@ struct Plan {
 // this is the equality side of the Engine's executor-cache key (the hash
 // side lives in engine.cc).
 bool same_execution(const Plan& a, const Plan& b);
+
+// The config an execution of `plan` runs under: `cfg`, with the plan's
+// pinned kernel, when it has one, in place of the config's.
+GemmConfig plan_config(const Plan& plan, const GemmConfig& cfg);
 
 // Builds a plan from per-level algorithms (outermost first).  Validates
 // shapes; the Kronecker flattening is performed eagerly.

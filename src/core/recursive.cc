@@ -107,10 +107,11 @@ bool should_recurse(const Plan& plan, index_t m, index_t n, index_t k,
 }
 
 // ---------------------------------------------------------------------------
-// Node expansion.  Both drivers (task graph and sequential) run the exact
-// same operation sequence per C element — prep_product and the per-p
-// ascending-r update order are the shared single source of truth — which is
-// what makes them bitwise identical.
+// Node expansion.  One graph, two schedules: build_node submits every task
+// through TaskPool::submit_to, so with ctx.pool null the same tasks run
+// inline on the caller in submission order.  prep_product and the per-p
+// ascending-r update chains fix the operation sequence per C element,
+// which is what makes every schedule, inline included, bitwise identical.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -134,7 +135,6 @@ struct Node {
   FmmAlgorithm alg;                   // the consumed outermost level
   std::shared_ptr<const Plan> child;  // remaining levels (null: GEMM leaves)
   bool descend = false;               // products recurse one level further
-  MatViewT<T> c;
   ConstMatViewT<T> a, b;
   index_t ms = 0, ks = 0, ns = 0;     // quadrant sizes
   int depth = 0;
@@ -219,63 +219,41 @@ std::shared_ptr<const Plan> child_plan(const Plan& plan) {
   return std::make_shared<const Plan>(std::move(child));
 }
 
-// Sets up one step of `plan` over C += A * B: the consumed outermost
-// level, the child plan, the quadrant sizes of the divisible interior, and
-// whether the products descend further.  Shared by both drivers.
-template <typename T>
-void init_node(Node<T>& node, const RecursiveExecT<T>& ctx, const Plan& plan,
-               MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b,
-               int depth) {
-  const FmmAlgorithm& alg = plan.levels.front();
-  node.ctx = ctx;
-  node.alg = alg;
-  node.child = child_plan(plan);
-  node.c = c;
-  node.a = a;
-  node.b = b;
-  node.ms = c.rows() / alg.mt;
-  node.ks = a.cols() / alg.kt;
-  node.ns = c.cols() / alg.nt;
-  node.depth = depth;
-  node.rb.resize(static_cast<std::size_t>(alg.R));
-  node.descend = node.child != nullptr &&
-                 should_recurse(*node.child, node.ms, node.ns, node.ks,
-                                ctx.cutoff);
-}
-
-// The non-empty fringe GEMMs that complete the node's divisible interior.
-template <typename T>
-std::vector<PeelPiece> fringe_pieces(const Node<T>& node) {
-  std::vector<PeelPiece> pieces = peel_pieces(
-      node.c.rows(), node.c.cols(), node.a.cols(), node.ms * node.alg.mt,
-      node.ns * node.alg.nt, node.ks * node.alg.kt);
-  pieces.erase(std::remove_if(pieces.begin(), pieces.end(),
-                              [](const PeelPiece& p) {
-                                return p.m1 <= p.m0 || p.n1 <= p.n0 ||
-                                       p.k1 <= p.k0;
-                              }),
-               pieces.end());
-  return pieces;
-}
-
-// Builds one expanded step plus its children on ctx.pool, each task
-// submitted after the futures it waits on.  Returns the finalizer's future:
-// the first failure among the products, the updates and the fringes, in
-// that order.  A valid `done` (a pending future) is resolved with the same
-// Status — a descending product's completion in the parent node.
+// Builds one expanded step plus its children on ctx.pool (inline when it
+// is null), each task submitted after the futures it waits on.  Returns
+// the finalizer's future: the first failure among the products, the
+// updates and the fringes, in that order.  A valid `done` (a pending
+// future) is resolved with the same Status — a descending product's
+// completion in the parent node.
 template <typename T>
 TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
                       MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b,
                       int depth, TaskFuture done) {
-  TaskPool& pool = *ctx.pool;
+  // The step: the consumed outermost level, the child plan, the quadrant
+  // sizes of the divisible interior, and whether the products descend.
   auto node = std::make_shared<Node<T>>();
-  init_node(*node, ctx, plan, c, a, b, depth);
+  node->ctx = ctx;
+  node->alg = plan.levels.front();
+  node->child = child_plan(plan);
+  node->a = a;
+  node->b = b;
   const FmmAlgorithm& alg = node->alg;
+  node->ms = c.rows() / alg.mt;
+  node->ks = a.cols() / alg.kt;
+  node->ns = c.cols() / alg.nt;
+  node->depth = depth;
+  node->rb.resize(static_cast<std::size_t>(alg.R));
+  node->descend = node->child != nullptr &&
+                  should_recurse(*node->child, node->ms, node->ns, node->ks,
+                                 ctx.cutoff);
+  TaskPool* const pool = ctx.pool;
   const int R = alg.R;
 
   // The memory throttle: at most `window` products of this node hold
-  // buffers at once (prep_r waits for release[r - window]).
-  const int window = std::min(R, std::max(2, pool.workers()));
+  // buffers at once (prep_r waits for release[r - window]).  Inline, the
+  // caller counts as no workers.
+  const int window =
+      std::min(R, std::max(2, pool != nullptr ? pool->workers() : 0));
 
   std::vector<TaskFuture> products, updates, releases;
   // The last update of each C quadrant so far (invalid: none yet).
@@ -293,7 +271,8 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
     }
     const TaskFuture pending =
         node->descend ? TaskFuture::pending() : TaskFuture{};
-    const TaskFuture prep_task = pool.submit(
+    const TaskFuture prep_task = TaskPool::submit_to(
+        pool,
         [node, r, pending] {
           Status st = run_guarded([&] {
             obs::TraceScope prep("recurse.prep", "recurse");
@@ -342,7 +321,8 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
       const MatViewT<T> cp =
           c.block((p / alg.nt) * node->ms, (p % alg.nt) * node->ns, node->ms,
                   node->ns);
-      prev = pool.submit(
+      prev = TaskPool::submit_to(
+          pool,
           [node, w, r, cp, product] {
             if (!product.status().ok()) return product.status();
             obs::TraceScope upd("recurse.update", "recurse");
@@ -361,7 +341,8 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
     ro.priority = depth;
     ro.after = consumers.empty() ? std::vector<TaskFuture>{product}
                                  : std::move(consumers);
-    releases.push_back(pool.submit(
+    releases.push_back(TaskPool::submit_to(
+        pool,
         [node, r] {
           node->rb[static_cast<std::size_t>(r)] = typename Node<T>::RBuf{};
         },
@@ -373,14 +354,18 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
   // run free.
   std::vector<TaskFuture> held = products;  // reported in this order
   held.insert(held.end(), updates.begin(), updates.end());
-  for (const PeelPiece& p : fringe_pieces(*node)) {
+  for (const PeelPiece& p :
+       peel_pieces(c.rows(), c.cols(), a.cols(), node->ms * alg.mt,
+                   node->ns * alg.nt, node->ks * alg.kt)) {
+    if (p.m1 <= p.m0 || p.n1 <= p.n0 || p.k1 <= p.k0) continue;  // empty
     TaskOptions fo;
     fo.priority = depth;
     if (p.k0 > 0) fo.after = chain;
     const MatViewT<T> cp = c.block(p.m0, p.n0, p.m1 - p.m0, p.n1 - p.n0);
     const ConstMatViewT<T> ap = a.block(p.m0, p.k0, p.m1 - p.m0, p.k1 - p.k0);
     const ConstMatViewT<T> bp = b.block(p.k0, p.n0, p.k1 - p.k0, p.n1 - p.n0);
-    held.push_back(pool.submit(
+    held.push_back(TaskPool::submit_to(
+        pool,
         [node, cp, ap, bp] {
           obs::TraceScope fringe("recurse.fringe", "recurse");
           if (fringe.active()) {
@@ -397,7 +382,8 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
   TaskOptions fin;
   fin.priority = depth;
   fin.after = held;
-  return pool.submit(
+  return TaskPool::submit_to(
+      pool,
       [held = std::move(held), done] {
         Status st;
         for (const TaskFuture& f : held) {
@@ -412,59 +398,15 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
       std::move(fin));
 }
 
-// The sequential twin: identical decomposition and operation order, inline.
-template <typename T>
-void run_node_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
-                         MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b,
-                         int depth) {
-  Node<T> node;
-  init_node(node, ctx, plan, c, a, b, depth);
-  const FmmAlgorithm& alg = node.alg;
-
-  for (int r = 0; r < alg.R; ++r) {
-    prep_product(node, r);
-    auto& rb = node.rb[static_cast<std::size_t>(r)];
-    if (node.descend) {
-      run_node_sequential(ctx, *node.child, rb.mv, rb.sv, rb.tv, depth + 1);
-    } else {
-      ctx.leaf(node.child.get(), rb.mv, rb.sv, rb.tv);
-    }
-    for (int p = 0; p < alg.rows_w(); ++p) {
-      const double w = alg.w(p, r);
-      if (w == 0.0) continue;
-      scaled_add<T>(w, rb.mv,
-                    c.block((p / alg.nt) * node.ms, (p % alg.nt) * node.ns,
-                            node.ms, node.ns),
-                    /*width=*/1);
-    }
-    rb = typename Node<T>::RBuf{};  // recycle before the next product
-  }
-
-  for (const PeelPiece& p : fringe_pieces(node)) {
-    ctx.leaf(nullptr, c.block(p.m0, p.n0, p.m1 - p.m0, p.n1 - p.n0),
-             a.block(p.m0, p.k0, p.m1 - p.m0, p.k1 - p.k0),
-             b.block(p.k0, p.n0, p.k1 - p.k0, p.n1 - p.n0));
-  }
-}
-
 }  // namespace
 
 template <typename T>
 TaskFuture submit_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
                             MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
                             NonDeduced<ConstMatViewT<T>> b) {
-  assert(ctx.pool != nullptr && ctx.buffers != nullptr && ctx.leaf);
-  assert(should_recurse(plan, c.rows(), c.cols(), a.cols(), ctx.cutoff));
-  return build_node(ctx, plan, c, a, b, /*depth=*/0, TaskFuture{});
-}
-
-template <typename T>
-void run_recursive_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
-                              MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
-                              NonDeduced<ConstMatViewT<T>> b) {
   assert(ctx.buffers != nullptr && ctx.leaf);
   assert(should_recurse(plan, c.rows(), c.cols(), a.cols(), ctx.cutoff));
-  run_node_sequential(ctx, plan, c, a, b, /*depth=*/0);
+  return build_node(ctx, plan, c, a, b, /*depth=*/0, TaskFuture{});
 }
 
 template TaskFuture submit_recursive<double>(const RecursiveExecT<double>&,
@@ -475,13 +417,5 @@ template TaskFuture submit_recursive<float>(const RecursiveExecT<float>&,
                                             const Plan&, MatViewT<float>,
                                             ConstMatViewT<float>,
                                             ConstMatViewT<float>);
-template void run_recursive_sequential<double>(const RecursiveExecT<double>&,
-                                               const Plan&, MatViewT<double>,
-                                               ConstMatViewT<double>,
-                                               ConstMatViewT<double>);
-template void run_recursive_sequential<float>(const RecursiveExecT<float>&,
-                                              const Plan&, MatViewT<float>,
-                                              ConstMatViewT<float>,
-                                              ConstMatViewT<float>);
 
 }  // namespace fmm

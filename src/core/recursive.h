@@ -25,22 +25,26 @@
 // Determinism.  The task graph for a given (plan, shape, cutoff) is fixed,
 // and every C quadrant is written by one per-p chain of update tasks, each
 // after the one before, in increasing-r order, so results are **bitwise
-// deterministic** across runs, schedules, and worker counts — and bitwise
-// identical to run_recursive_sequential(), which executes the same
-// operation sequence inline (the Engine uses it for nested calls from pool
-// workers).  Results are *not* bitwise identical to the flat FmmExecutor
-// (summing u2·(Σ u1·a) per level associates differently from the flat
-// Kronecker gather); with the cutoff at or above the problem size no
-// descent happens and the flat path runs unchanged.
+// deterministic** across runs, schedules, and worker counts.  One routine
+// submits the graph through TaskPool::submit_to: on a pool its workers
+// drive it, and with no pool (ctx.pool null) the caller runs the same
+// tasks inline in submission order — the Engine's route for nested calls
+// from pool workers, and the same bits.  Results are *not* bitwise
+// identical to the flat FmmExecutor (summing u2·(Σ u1·a) per level
+// associates differently from the flat Kronecker gather); with the cutoff
+// at or above the problem size no descent happens and the flat path runs
+// unchanged.
 //
 // The graph, submitted per product r in ascending r so every task is
-// submitted after the futures it waits on:
+// submitted after the futures it waits on (which is what lets it run
+// inline):
 //   * prep_r runs after release[r - window], window = max(2, pool
-//     workers) capped at R — bounding peak intermediate memory to ~window
-//     products per node without ever blocking a worker.  A leaf prep also
-//     computes M_r, so its future is product r's completion; a descending
-//     prep builds the child graph, whose finalizer resolves product r's
-//     pending future (the prep resolves it itself if it fails first);
+//     workers) capped at R (2 inline) — bounding peak intermediate memory
+//     to ~window products per node without ever blocking a worker.  A
+//     leaf prep also computes M_r, so its future is product r's
+//     completion; a descending prep builds the child graph, whose
+//     finalizer resolves product r's pending future (the prep resolves it
+//     itself if it fails first);
 //   * update(p, r) runs after product r and the previous update of C
 //     quadrant p — the write-after-write order of one quadrant; an update
 //     whose product failed adds nothing;
@@ -149,7 +153,7 @@ using RecursiveLeafFnF32 = RecursiveLeafFnT<float>;
 // doubles), so mixed-precision serving shares one intermediate pool.
 template <typename T>
 struct RecursiveExecT {
-  TaskPool* pool = nullptr;     // required by submit_recursive
+  TaskPool* pool = nullptr;     // null: the graph runs inline on the caller
   BufferPool* buffers = nullptr;
   RecursiveLeafFnT<T> leaf;
   index_t cutoff = 0;           // descend while min(m, n, k) > cutoff
@@ -167,35 +171,20 @@ bool should_recurse(const Plan& plan, index_t m, index_t n, index_t k,
 // Builds the task graph for C += A * B on ctx.pool and returns the
 // finalizer's future: it resolves once every update and peel piece has
 // landed, with the first failing task's Status (OK when none failed).
-// Callers must keep the operand buffers alive until then; `plan` is
-// copied.  Requires should_recurse(plan, ...) — callers route
-// non-qualifying shapes to a flat executor instead.  A and B are
-// non-deduced, so writable views bind there too.
+// With ctx.pool null every task runs inline before this returns, and the
+// future is already resolved.  Callers must keep the operand buffers alive
+// until then; `plan` is copied.  Requires should_recurse(plan, ...) —
+// callers route non-qualifying shapes to a flat executor instead.  A and B
+// are non-deduced, so writable views bind there too.
 template <typename T>
 TaskFuture submit_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
                             MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
                             NonDeduced<ConstMatViewT<T>> b);
 
-// The sequential twin: the same decomposition, leaf calls, and per-element
-// update order executed inline on the calling thread — bitwise identical
-// to the task graph.  Used for nested synchronous multiplies on pool
-// workers (blocking a worker on child tasks could deadlock a busy pool)
-// and as the determinism oracle in tests.  ctx.pool may be null.
-template <typename T>
-void run_recursive_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
-                              MatViewT<T> c, NonDeduced<ConstMatViewT<T>> a,
-                              NonDeduced<ConstMatViewT<T>> b);
-
 extern template TaskFuture submit_recursive<double>(
     const RecursiveExecT<double>&, const Plan&, MatViewT<double>,
     ConstMatViewT<double>, ConstMatViewT<double>);
 extern template TaskFuture submit_recursive<float>(
-    const RecursiveExecT<float>&, const Plan&, MatViewT<float>,
-    ConstMatViewT<float>, ConstMatViewT<float>);
-extern template void run_recursive_sequential<double>(
-    const RecursiveExecT<double>&, const Plan&, MatViewT<double>,
-    ConstMatViewT<double>, ConstMatViewT<double>);
-extern template void run_recursive_sequential<float>(
     const RecursiveExecT<float>&, const Plan&, MatViewT<float>,
     ConstMatViewT<float>, ConstMatViewT<float>);
 

@@ -273,10 +273,14 @@ void TaskPool::unblock(std::shared_ptr<Task> task) {
   impl.work_cv.notify_one();
 }
 
+int TaskPool::worker_count(int workers) {
+  return std::max(1, workers > 0 ? workers
+                                 : static_cast<int>(
+                                       std::thread::hardware_concurrency()));
+}
+
 TaskPool::TaskPool(int workers) : impl_(std::make_unique<Impl>()) {
-  int n = workers > 0 ? workers
-                      : static_cast<int>(std::thread::hardware_concurrency());
-  n = std::max(n, 1);
+  const int n = worker_count(workers);
   threads_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });

@@ -32,12 +32,21 @@
 //   * A future's state, its waiter list included, is freed with its last
 //     handle: the pool keeps nothing per finished task.
 //
+// Queued or inline: submit_to(pool, fn, opts) is pool->submit(fn, opts),
+// and with a null pool runs fn on the caller at submission.  A graph
+// submitted in dependency order therefore runs two ways from the same code
+// — on a pool's workers, or on its caller walking the tasks in submission
+// order — with the same tasks, dependencies and per-task results.  The Engine
+// runs a request inline when it is made from any pool's worker.
+//
 // Lifecycle: wait_all() blocks until every submitted task (including ones
 // submitted by running tasks while draining) has finished.  The destructor
 // wait_all()s then joins — destroying a pool with tasks in flight is safe
 // and drains them.  Queued region helpers are tasks like any other:
 // wait_all() covers them.
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -58,8 +67,8 @@ class MetricsRegistry;
 
 // fn()'s Status, with an exception escaping fn turned into kInvalidArgument
 // ("task body threw: ...").  A task body that throws resolves its future
-// with this Status; the Engine applies it to the work it runs inline on a
-// worker, so a request fails the same way wherever it runs.
+// with this Status, queued or inline (submit_to), so a task fails the same
+// way wherever it runs.
 template <typename F>
 Status run_guarded(F&& fn) {
   try {
@@ -152,8 +161,11 @@ class Team {
 
 class TaskPool {
  public:
-  // `workers` threads; 0 = hardware concurrency (at least 1).
+  // worker_count(workers) threads.
   explicit TaskPool(int workers = 0);
+  // The threads TaskPool(workers) starts: `workers`, or hardware
+  // concurrency for 0; at least 1.
+  static int worker_count(int workers);
   // Drains every submitted task, then joins the workers.
   ~TaskPool();
 
@@ -164,16 +176,28 @@ class TaskPool {
   // is free and every future in opts.after has resolved.
   template <typename F>
   TaskFuture submit(F&& fn, TaskOptions opts = TaskOptions{}) {
-    if constexpr (std::is_void_v<std::invoke_result_t<F&>>) {
-      return submit_impl(
-          [f = std::forward<F>(fn)]() mutable {
-            f();
-            return Status{};
-          },
-          std::move(opts));
-    } else {
-      return submit_impl(std::forward<F>(fn), std::move(opts));
+    return submit_impl(as_status_fn(std::forward<F>(fn)), std::move(opts));
+  }
+
+  // The one spelling of "where a task goes": pool->submit(fn, opts), or,
+  // when `pool` is null, fn run now on the calling thread under
+  // run_guarded, returning its already-resolved future.  An inline run
+  // requires every future in opts.after to have resolved (asserted in
+  // debug builds) — a graph submitted in dependency order meets this, so
+  // running it inline runs its tasks in submission order.  Inline runs
+  // ignore the priority and record no pool spans, flows or metrics.
+  template <typename F>
+  static TaskFuture submit_to(TaskPool* pool, F&& fn,
+                              TaskOptions opts = TaskOptions{}) {
+    if (pool != nullptr) {
+      return pool->submit(std::forward<F>(fn), std::move(opts));
     }
+    assert(std::all_of(opts.after.begin(), opts.after.end(),
+                       [](const TaskFuture& f) {
+                         return !f.valid() || f.done();
+                       }) &&
+           "inline task submitted before its dependencies resolved");
+    return TaskFuture::ready(run_guarded(as_status_fn(std::forward<F>(fn))));
   }
 
   // Blocks until no task is queued, blocked, or running (a task that
@@ -215,15 +239,28 @@ class TaskPool {
   }
 
   // True when the calling thread is a worker of *any* TaskPool — the
-  // engine uses this to execute nested synchronous multiplies inline
-  // instead of submitting (a task blocking on another task's future could
-  // deadlock a fully busy pool).
+  // engine then submits a request's tasks inline (submit_to with a null
+  // pool) instead of queueing them: a task blocking on another task's
+  // future could deadlock a fully busy pool.
   static bool on_worker_thread();
 
  private:
   friend class TaskFuture;
   struct Task;
   struct Impl;
+
+  // A body returning void becomes one returning Status{}.
+  template <typename F>
+  static auto as_status_fn(F&& fn) {
+    if constexpr (std::is_void_v<std::invoke_result_t<F&>>) {
+      return [f = std::forward<F>(fn)]() mutable {
+        f();
+        return Status{};
+      };
+    } else {
+      return std::forward<F>(fn);
+    }
+  }
 
   static void run_region(int width, Team::RegionFn body, const void* ctx);
   // Publishes a future's Status, then releases the tasks waiting on it;

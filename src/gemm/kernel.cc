@@ -290,16 +290,6 @@ void microkernel_generic(int mr, int nr, index_t k, const float* a_panel,
   microkernel_generic_impl<float>(mr, nr, k, a_panel, b_panel, acc);
 }
 
-void microkernel_portable(index_t k, const double* a_panel,
-                          const double* b_panel, double* acc) {
-  portable_microkernel<double, 8, 6>(k, a_panel, b_panel, acc);
-}
-
-void microkernel_portable(index_t k, const float* a_panel,
-                          const float* b_panel, float* acc) {
-  portable_microkernel<float, 8, 6>(k, a_panel, b_panel, acc);
-}
-
 void epilogue_update(const OutTerm* targets, int num_targets, index_t rs,
                      index_t cs, index_t m_sub, index_t n_sub,
                      const double* acc, int mr, int nr, bool accumulate) {

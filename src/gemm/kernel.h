@@ -145,12 +145,6 @@ void microkernel_generic(int mr, int nr, index_t k, const double* a_panel,
 void microkernel_generic(int mr, int nr, index_t k, const float* a_panel,
                          const float* b_panel, float* acc);
 
-// The portable 8x6 kernels (the registries' "portable" entries).
-void microkernel_portable(index_t k, const double* a_panel,
-                          const double* b_panel, double* acc);
-void microkernel_portable(index_t k, const float* a_panel,
-                          const float* b_panel, float* acc);
-
 // Epilogue: for each target t, every element (r, j) of the accumulator
 // block with r < m_sub, j < n_sub updates
 //

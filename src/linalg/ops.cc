@@ -45,24 +45,6 @@ double max_abs(ConstMatView a) {
   return worst;
 }
 
-void axpy(double alpha, ConstMatView x, MatView y) {
-  assert(x.rows() == y.rows() && x.cols() == y.cols());
-  for (index_t i = 0; i < x.rows(); ++i) {
-    const double* px = x.row(i);
-    double* py = y.row(i);
-    for (index_t j = 0; j < x.cols(); ++j) py[j] += alpha * px[j];
-  }
-}
-
-void scale_copy(double alpha, ConstMatView x, MatView y) {
-  assert(x.rows() == y.rows() && x.cols() == y.cols());
-  for (index_t i = 0; i < x.rows(); ++i) {
-    const double* px = x.row(i);
-    double* py = y.row(i);
-    for (index_t j = 0; j < x.cols(); ++j) py[j] = alpha * px[j];
-  }
-}
-
 double rel_error_fro(ConstMatView a, ConstMatView b) {
   assert(a.rows() == b.rows() && a.cols() == b.cols());
   double num = 0.0, den = 0.0;

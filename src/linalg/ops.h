@@ -1,7 +1,7 @@
 #pragma once
 
-// Small dense operations on views: comparisons, axpy-style updates, and the
-// dense solvers used by the ALS search (Cholesky on small Gram matrices).
+// Small dense operations on views: comparisons, error norms, and the dense
+// solvers used by the ALS search (Cholesky on small Gram matrices).
 
 #include <vector>
 
@@ -15,12 +15,6 @@ double max_abs_diff(ConstMatViewF32 a, ConstMatViewF32 b);
 
 // max_ij |a(i,j)|.
 double max_abs(ConstMatView a);
-
-// y += alpha * x (elementwise over equal-shaped views).
-void axpy(double alpha, ConstMatView x, MatView y);
-
-// y = alpha * x.
-void scale_copy(double alpha, ConstMatView x, MatView y);
 
 // Frobenius-norm relative error ||a-b||_F / max(||b||_F, tiny).
 double rel_error_fro(ConstMatView a, ConstMatView b);

@@ -41,9 +41,8 @@ ModelInput model_input(const Plan& plan, index_t m, index_t n, index_t k,
   in.variant = plan.variant;
   // Kernel precedence: the plan's recorded choice, then the config, then
   // the cpuid-dispatched default; blocking is the rounded runtime blocking.
-  GemmConfig kcfg = cfg;
-  if (plan.kernel != nullptr) kcfg.kernel = plan.kernel;
-  const BlockingParams bp = resolve_blocking(kcfg, plan.dtype);
+  const BlockingParams bp =
+      resolve_blocking(plan_config(plan, cfg), plan.dtype);
   in.mc = static_cast<double>(bp.mc);
   in.kc = static_cast<double>(bp.kc);
   in.nc = static_cast<double>(bp.nc);

@@ -25,9 +25,10 @@
 //
 // The registry carries an `enabled` flag (one relaxed load) so call sites
 // with non-trivial capture cost (clock reads on the request path) can be
-// switched off: Engine wires it to FMM_METRICS / Options::metrics.
-// Counters that replaced pre-existing always-on statistics (CacheStats)
-// ignore the flag — they cost what the old atomics cost.
+// switched off: Engine wires it to FMM_METRICS, and
+// Engine::metrics().set_enabled() overrides it.  Counters that replaced
+// pre-existing always-on statistics (CacheStats) ignore the flag — they
+// cost what the old atomics cost.
 //
 // Snapshot coherence: report_text()/report_json() read each instrument
 // atomically per value but not atomically across instruments — a report

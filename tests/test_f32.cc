@@ -231,8 +231,9 @@ TEST(F32Engine, AsyncSubmitMatchesSynchronousBits) {
 }
 
 // --------------------------------------------------------------------------
-// Recursive descent, f32: the task graph is bitwise identical to the
-// sequential twin (the same determinism contract the f64 suite checks).
+// Recursive descent, f32: the task graph on a pool is bitwise identical to
+// the same graph run inline (the same determinism contract the f64 suite
+// checks).
 // --------------------------------------------------------------------------
 
 TEST(F32Recursive, GraphBitwiseMatchesSequentialOracle) {
@@ -257,12 +258,13 @@ TEST(F32Recursive, GraphBitwiseMatchesSequentialOracle) {
     return ctx;
   };
 
-  FloatMat c_seq = p.c.clone();
-  {
-    RecursiveExecF32 ctx = make_ctx(nullptr);
-    run_recursive_sequential(ctx, plan, c_seq.view(), p.a.cview(),
-                             p.b.cview());
-  }
+  // Inline (no pool): the same graph run on this thread in submission
+  // order.
+  FloatMat c_inline = p.c.clone();
+  const TaskFuture inline_run = submit_recursive(
+      make_ctx(nullptr), plan, c_inline.view(), p.a.cview(), p.b.cview());
+  ASSERT_TRUE(inline_run.done());
+  ASSERT_TRUE(inline_run.status().ok());
 
   for (int workers : {1, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
@@ -273,12 +275,13 @@ TEST(F32Recursive, GraphBitwiseMatchesSequentialOracle) {
         submit_recursive(ctx, plan, c.view(), p.a.cview(), p.b.cview());
     f.wait();
     ASSERT_TRUE(f.status().ok());
-    expect_bitwise_equal_f32(c, c_seq);
+    expect_bitwise_equal_f32(c, c_inline);
   }
 
   // And the answer is actually right.
   ref_gemm(p.want.view(), p.a.cview(), p.b.cview());
-  EXPECT_LE(max_abs_diff(c_seq.cview(), p.want.cview()), tol_for_f32(n, 1));
+  EXPECT_LE(max_abs_diff(c_inline.cview(), p.want.cview()),
+            tol_for_f32(n, 1));
 }
 
 TEST(F32Recursive, EngineDescentMatchesReference) {

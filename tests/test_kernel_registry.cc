@@ -154,21 +154,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-TEST(KernelRegistry, PortableEntryIsMicrokernelPortable) {
-  const KernelInfo* p = find_kernel("portable");
-  ASSERT_NE(p, nullptr);
-  const index_t k = 33;
-  std::vector<double> a, b;
-  random_panels(p->mr, p->nr, k, a, b, 42);
-  alignas(64) double via_entry[kMaxAccElems];
-  alignas(64) double via_alias[kMaxAccElems];
-  p->fn(k, a.data(), b.data(), via_entry);
-  microkernel_portable(k, a.data(), b.data(), via_alias);
-  for (int i = 0; i < p->mr * p->nr; ++i) {
-    EXPECT_DOUBLE_EQ(via_entry[i], via_alias[i]);
-  }
-}
-
 TEST(Kernel, ComputesOuterProductAccumulation) {
   // k=2 hand check on the portable 8x6 tile:
   // acc[j*MR+r] = a0[r] b0[j] + a1[r] b1[j].
@@ -182,8 +167,12 @@ TEST(Kernel, ComputesOuterProductAccumulation) {
     b[j] = j + 1;
     b[NR + j] = -(j + 1);
   }
+  const KernelInfo* portable = find_kernel("portable");
+  ASSERT_NE(portable, nullptr);
+  ASSERT_EQ(portable->mr, MR);
+  ASSERT_EQ(portable->nr, NR);
   alignas(64) double acc[MR * NR];
-  microkernel_portable(2, a.data(), b.data(), acc);
+  portable->fn(2, a.data(), b.data(), acc);
   for (int r = 0; r < MR; ++r) {
     for (int j = 0; j < NR; ++j) {
       const double want = (r + 1.0) * (j + 1.0) + 10.0 * (r + 1) * -(j + 1.0);
@@ -495,8 +484,8 @@ TEST(KernelRegistry, PlanKernelHonoredByBothDrivers) {
     EXPECT_LE(max_abs_diff(c_task.view(), want.view()), 1e-10 * k)
         << "recursive driver, " << kern.name;
 
-    // The oracle: the same step run sequentially, every leaf a GEMM on the
-    // pinned kernel.
+    // The oracle: the same step run inline (no pool), every leaf a GEMM on
+    // the pinned kernel.
     BufferPool buffers;
     RecursiveExec ctx;
     ctx.buffers = &buffers;
@@ -510,7 +499,10 @@ TEST(KernelRegistry, PlanKernelHonoredByBothDrivers) {
       gemm(cv, av, bv, cfg);
     };
     Matrix c_oracle = Matrix::zero(m, n);
-    run_recursive_sequential(ctx, plan, c_oracle.view(), a.view(), b.view());
+    ASSERT_TRUE(
+        submit_recursive(ctx, plan, c_oracle.view(), a.view(), b.view())
+            .status()
+            .ok());
     EXPECT_EQ(std::memcmp(c_task.data(), c_oracle.data(),
                           static_cast<std::size_t>(m * n) * sizeof(double)),
               0)

@@ -59,23 +59,6 @@ TEST(Ops, MaxAbsDiff) {
   EXPECT_DOUBLE_EQ(max_abs_diff(a.view(), b.view()), 0.5);
 }
 
-TEST(Ops, Axpy) {
-  Matrix x(2, 2), y(2, 2);
-  x.fill(2.0);
-  y.fill(1.0);
-  axpy(3.0, x.view(), y.view());
-  EXPECT_DOUBLE_EQ(y(0, 0), 7.0);
-  EXPECT_DOUBLE_EQ(y(1, 1), 7.0);
-}
-
-TEST(Ops, ScaleCopy) {
-  Matrix x(2, 3), y(2, 3);
-  x.fill(4.0);
-  y.fill(123.0);
-  scale_copy(-0.25, x.view(), y.view());
-  EXPECT_DOUBLE_EQ(y(1, 2), -1.0);
-}
-
 TEST(Ops, RelErrorFro) {
   Matrix a(2, 2), b(2, 2);
   b.fill(1.0);

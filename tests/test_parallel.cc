@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -315,15 +316,19 @@ TEST(Parallel, SpeedupOnLargeProblem) {
   GemmConfig cfg1, cfg8;
   cfg1.num_threads = 1;
   cfg8.num_threads = 8;
-  gemm(c.view(), a.view(), b.view(), ws, cfg1);  // warm
-  Timer t1;
-  gemm(c.view(), a.view(), b.view(), ws, cfg1);
-  const double s1 = t1.seconds();
-  gemm(c.view(), a.view(), b.view(), ws, cfg8);  // warm
-  Timer t8;
-  gemm(c.view(), a.view(), b.view(), ws, cfg8);
-  const double s8 = t8.seconds();
-  EXPECT_LT(s8, s1 / 2.0);
+  const auto run1 = [&] { gemm(c.view(), a.view(), b.view(), ws, cfg1); };
+  const auto run8 = [&] { gemm(c.view(), a.view(), b.view(), ws, cfg8); };
+  run1();  // warm
+  run8();
+  // Best of 3 per width, the widths alternating, so a burst of load from
+  // elsewhere on the host slows one run of each rather than decides the
+  // comparison.
+  double s1 = 1e300, s8 = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    s1 = std::min(s1, best_time_of(1, run1));
+    s8 = std::min(s8, best_time_of(1, run8));
+  }
+  EXPECT_LT(s8, s1 / 2.0) << "s1 " << s1 << " s, s8 " << s8 << " s";
 }
 
 }  // namespace

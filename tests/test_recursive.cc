@@ -1,9 +1,9 @@
 // Task-recursive multi-level execution (src/core/recursive.h): the
 // BufferPool allocator, the descent predicate and cutoff resolution, the
-// determinism contract (graph == sequential twin, bitwise, under any worker
-// count), failures (every descent ends with its first failure's Status),
-// peeling/degenerate shapes under recursion, and the nested-call /
-// slot-pool regressions.
+// determinism contract (the graph on a pool of any worker count == the
+// same graph run inline with no pool, bitwise), failures (every descent
+// ends with its first failure's Status), peeling/degenerate shapes under
+// recursion, and the nested-call / slot-pool regressions.
 
 #include <gtest/gtest.h>
 
@@ -86,7 +86,7 @@ void expect_bitwise_equal(const Matrix& x, const Matrix& y) {
 }
 
 // A standalone RecursiveExec whose leaves are plain serial GEMMs — no
-// Engine, no executor cache — for the graph-vs-sequential oracle tests.
+// Engine, no executor cache — for the pooled-vs-inline oracle tests.
 // Only valid for plans fully consumed by the descent (child == nullptr at
 // every leaf).
 RecursiveExec gemm_leaf_ctx(TaskPool* pool, BufferPool* buffers,
@@ -288,7 +288,7 @@ TEST(RecursiveExecution, FlatVsRecursiveWithinTolerance) {
 }
 
 // The core contract: the task graph produces bitwise-identical results
-// across worker counts, across runs, and against the sequential twin.
+// across worker counts, across runs, and run inline with no pool.
 TEST(RecursiveExecution, BitwiseDeterministicAcrossSchedules) {
   const Plan plan = one_level_plan();
   const index_t n = 60;  // 60 -> 30 GEMM leaves
@@ -296,11 +296,14 @@ TEST(RecursiveExecution, BitwiseDeterministicAcrossSchedules) {
   RandomProblem p = random_problem(n, n, n, 23);
   BufferPool buffers;
 
-  Matrix c_seq = p.c.clone();
-  {
-    RecursiveExec ctx = gemm_leaf_ctx(nullptr, &buffers, cutoff);
-    run_recursive_sequential(ctx, plan, c_seq.view(), p.a.view(), p.b.view());
-  }
+  // Inline (no pool): the same graph run on this thread in submission
+  // order.
+  Matrix c_inline = p.c.clone();
+  const TaskFuture inline_run =
+      submit_recursive(gemm_leaf_ctx(nullptr, &buffers, cutoff), plan,
+                       c_inline.view(), p.a.view(), p.b.view());
+  ASSERT_TRUE(inline_run.done());
+  ASSERT_TRUE(inline_run.status().ok());
 
   for (int workers : {1, 2, 8}) {
     for (int rep = 0; rep < 2; ++rep) {
@@ -313,13 +316,13 @@ TEST(RecursiveExecution, BitwiseDeterministicAcrossSchedules) {
           submit_recursive(ctx, plan, c.view(), p.a.view(), p.b.view());
       f.wait();
       ASSERT_TRUE(f.status().ok());
-      expect_bitwise_equal(c, c_seq);
+      expect_bitwise_equal(c, c_inline);
     }
   }
 
   // And the answer is actually right.
   ref_gemm(p.want.view(), p.a.view(), p.b.view());
-  EXPECT_LE(max_abs_diff(c_seq.view(), p.want.view()), tol_for(n, 1));
+  EXPECT_LE(max_abs_diff(c_inline.view(), p.want.view()), tol_for(n, 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -338,8 +341,8 @@ RecursiveExecT<T> throwing_leaf_ctx(TaskPool* pool, BufferPool* buffers,
   return ctx;
 }
 
-// The graph resolves with the Status a task gives the sequential twin's
-// throw, under any worker count, and returns every lease.
+// The graph resolves with the same Status on a pool of any worker count
+// as inline (no pool), and returns every lease.
 template <typename T>
 void expect_throwing_leaf_fails_descent(const Plan& plan, index_t n,
                                         index_t cutoff) {
@@ -349,20 +352,20 @@ void expect_throwing_leaf_fails_descent(const Plan& plan, index_t n,
   const MatViewT<T> cv(c.data(), n, n, n);
   const ConstMatViewT<T> av(a.data(), n, n, n), bv(b.data(), n, n, n);
   BufferPool buffers;
-  const Status seq = run_guarded([&] {
-    run_recursive_sequential(throwing_leaf_ctx<T>(nullptr, &buffers, cutoff),
-                             plan, cv, av, bv);
-    return Status{};
-  });
-  ASSERT_FALSE(seq.ok());
+  const TaskFuture inline_run = submit_recursive(
+      throwing_leaf_ctx<T>(nullptr, &buffers, cutoff), plan, cv, av, bv);
+  ASSERT_TRUE(inline_run.done());
+  const Status inline_st = inline_run.status();
+  ASSERT_FALSE(inline_st.ok());
+  EXPECT_EQ(buffers.outstanding(), 0u);
   for (int workers : {1, 4}) {
     TaskPool pool(workers);
     const Status graph =
         submit_recursive(throwing_leaf_ctx<T>(&pool, &buffers, cutoff), plan,
                          cv, av, bv)
             .status();
-    EXPECT_EQ(graph.code(), seq.code()) << graph.to_string();
-    EXPECT_EQ(graph.message(), seq.message());
+    EXPECT_EQ(graph.code(), inline_st.code()) << graph.to_string();
+    EXPECT_EQ(graph.message(), inline_st.message());
     pool.wait_all();
   }
   EXPECT_EQ(buffers.outstanding(), 0u);
@@ -411,8 +414,8 @@ TEST(RecursiveFailure, DescendingPrepAllocationFailureResolvesTheGraph) {
   EXPECT_EQ(buffers.outstanding(), 0u);
 }
 
-// Nested synchronous multiply from a TaskPool worker takes the sequential
-// twin — same bits as the host-thread graph, no deadlock.
+// Nested synchronous multiply from a TaskPool worker runs the graph inline
+// on that worker — same bits as the host-thread graph, no deadlock.
 TEST(RecursiveNested, OnWorkerSequentialMatchesHostGraph) {
   const Plan plan = two_level_plan();
   Engine::Options o;
@@ -434,6 +437,41 @@ TEST(RecursiveNested, OnWorkerSequentialMatchesHostGraph) {
   ASSERT_TRUE(f.status().ok());
   ASSERT_TRUE(nested_st.ok());
   expect_bitwise_equal(p.c, c_nested);
+}
+
+// A nested descent runs inline on the calling worker, so it starts none of
+// the engine's own workers.  The engine's pool registers "pool.tasks" in
+// the engine's metrics when it starts: before any host-thread call the key
+// must be absent.
+TEST(RecursiveNested, OnWorkerDescentStartsNoEnginePool) {
+  const Plan plan = one_level_plan();
+  Engine::Options o;
+  o.workers = 8;
+  o.recurse_cutoff = 64;
+  o.history = false;
+  Engine e(o);
+  const index_t n = 256;  // one <2,2,2> step: 128^3 GEMM leaves
+  RandomProblem p = random_problem(n, n, n, 37);
+  Matrix c_host = p.c.clone();
+
+  TaskPool tp(1);
+  Status nested_st;
+  TaskFuture f = tp.submit([&] {
+    nested_st = e.multiply(plan, p.c.view(), p.a.view(), p.b.view());
+  });
+  ASSERT_TRUE(f.status().ok());
+  ASSERT_TRUE(nested_st.ok()) << nested_st.to_string();
+  EXPECT_EQ(e.stats().recursive_runs, 1u);
+  EXPECT_EQ(e.metrics_report_json().find("\"pool.tasks\""),
+            std::string::npos);
+
+  // The same call from a host thread starts the pool and gives the same
+  // bits.
+  ASSERT_TRUE(e.multiply(plan, c_host.view(), p.a.view(), p.b.view()).ok());
+  EXPECT_EQ(e.stats().recursive_runs, 2u);
+  EXPECT_NE(e.metrics_report_json().find("\"pool.tasks\""),
+            std::string::npos);
+  expect_bitwise_equal(p.c, c_host);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,9 +11,15 @@ prints three views useful without opening Perfetto:
     worker spent inside task.run spans, with its task count;
   * the top-N longest individual spans.
 
+It also checks the task graph's dependency arrows: every flow end ("ph":
+"f", a task that waited on a future) must have a flow start ("ph": "s")
+with the same id (the producer resolving it).  A dangling end is an arrow
+from nowhere; the check is skipped when the trace reports dropped events,
+which may have lost the start.
+
 Standard library only — runs anywhere python3 exists, no pip installs.
-Exit status is non-zero on malformed input, so CI can use it to validate
-the trace artifact.
+Exit status is non-zero on malformed input or a dangling flow end, so CI
+can use it to validate the trace artifact.
 """
 
 import argparse
@@ -64,10 +70,21 @@ def main():
 
     spans = [e for e in events if e.get("ph") == "X"]
     names = thread_names(events)
-    dropped = doc.get("otherData", {}).get("dropped_events", 0)
+    dropped = int(doc.get("otherData", {}).get("dropped_events", 0))
 
     print(f"{args.trace}: {len(events)} events, {len(spans)} spans, "
           f"{len(names)} named threads, {dropped} dropped")
+
+    starts = {e.get("id") for e in events if e.get("ph") == "s"}
+    ends = [e for e in events if e.get("ph") == "f"]
+    dangling = sum(1 for e in ends if e.get("id") not in starts)
+    print(f"flow arrows: {sum(e.get('ph') == 's' for e in events)} starts, "
+          f"{len(ends)} ends, {dangling} dangling")
+    if dangling and not dropped:
+        print(f"error: {dangling} flow end(s) without a flow start of the "
+              f"same id", file=sys.stderr)
+        return 1
+
     if not spans:
         print("no complete spans recorded")
         return 0
