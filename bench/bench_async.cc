@@ -20,8 +20,7 @@
 // collapse to the same schedule and the ratio sits at ~1.0.
 //
 // Reported numbers are aggregate effective GFLOPS (sum of 2*m*n*k over
-// the items / time); higher is better, matching the bench-smoke diff
-// semantics.
+// the items / time); higher is better.
 //
 // A second table tracks the online performance model: the same auto-path
 // workload through a cold engine (empty history, analytic decisions only)
@@ -265,7 +264,7 @@ int main(int argc, char** argv) {
   // plan at a size above an explicit small cutoff, so a trace captured
   // from this bench (FMM_TRACE) also carries the recursive driver's
   // per-product prep/leaf/update spans and buffer-pool counters — the
-  // smoke trace then samples every instrumented layer, not just the flat
+  // trace then samples every instrumented layer, not just the flat
   // serving paths.  Too small to time meaningfully; not a table row.
   {
     Engine::Options ropts;
@@ -289,7 +288,7 @@ int main(int argc, char** argv) {
   std::printf("\nasync results bitwise identical to per-item multiply(): %s\n",
               bitwise_ok ? "yes" : "NO");
   // Informational, not a gate: the >= 1.2x mix claim needs real cores, and
-  // single runs on shared runners are noisy (bench-smoke tracks the trend).
+  // single runs on shared hosts are noisy.
   std::printf("mix async/seq (last K): %.2fx (claim: >= 1.2x on multi-core "
               "hosts)\n", mix_speedup);
   return bitwise_ok ? 0 : 1;

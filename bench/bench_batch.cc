@@ -24,7 +24,7 @@
 //              per-call loop over the same items
 //
 // Reported numbers are aggregate effective GFLOPS (2*m*n*k*K / time);
-// higher is better, which keeps the bench-smoke diff semantics uniform.
+// higher is better.
 
 #include <cstdio>
 #include <cstring>
@@ -152,8 +152,7 @@ int main(int argc, char** argv) {
     }
   }
   emit(table, opts, "batch");
-  // Informational, not a gate: single runs on shared runners are noisy
-  // (the bench-smoke diff tracks the trend across runs).
+  // Informational, not a gate: single runs on shared hosts are noisy.
   std::printf("\nrun_batch vs per-call on small-shape shared-B batches "
               "(K>=8, n<=256): %s\n",
               claim_holds ? "faster everywhere" : "NOT uniformly faster");
@@ -368,15 +367,14 @@ int main(int argc, char** argv) {
   // Element types: single-core serving throughput of the two precisions
   // through the same Engine explicit-plan path.  The f32 family packs twice
   // the lanes per FMA and moves half the bytes, so its effective GFLOP/s
-  // should land well above f64 (the bench-smoke gate asserts >= 1.6x on
-  // vectorized kernels; the ratio is informational under FMM_KERNEL=
-  // portable, where both dtypes run scalar).
+  // should land well above f64 (>= 1.6x expected on vectorized kernels;
+  // under FMM_KERNEL=portable both dtypes run scalar).
   // -------------------------------------------------------------------------
   GemmConfig one = cfg;
   one.num_threads = 1;
   // Larger sizes than the batch tables: single-core at n<=128 is dominated
   // by per-call plan overhead, which is dtype-independent and would mask
-  // the precision gap the gate is about.
+  // the precision gap this table is about.
   const std::vector<index_t> fsizes =
       opts.smoke ? std::vector<index_t>{512, 768}
                  : std::vector<index_t>{256, 512, 1024};

@@ -23,7 +23,7 @@ namespace fmm::bench {
 
 struct Options {
   bool big = false;     // ~4x the default problem volume
-  bool smoke = false;   // tiny sizes: CI perf-tracking smoke runs
+  bool smoke = false;   // tiny sizes: a quick run
   bool full = false;    // all 23 catalog entries where the default is a subset
   int reps = 2;         // timed repetitions (after one warm-up)
   int threads = 0;      // 0 = all cores
@@ -34,7 +34,7 @@ inline Options parse_common(Cli& cli) {
   Options o;
   o.big = cli.get_bool("big", false, "run near paper-scale problem sizes");
   o.smoke = cli.get_bool("smoke", false,
-                         "tiny problem sizes for CI smoke runs (noisy "
+                         "tiny problem sizes for a quick run (noisy "
                          "absolute numbers, stable relative trends)");
   o.full = cli.get_bool("full", false, "all 23 algorithms (default: subset)");
   o.reps = cli.get_int("reps", 2, "timed repetitions per point");

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"<m~,k~,n~>", "m~k~n~", "R", "theory%", "rank-k%",
                       "square%", "variant(rank-k)"});
-  // Smoke runs cover the representative subset so the CI job stays fast.
+  // Smoke runs cover the representative subset so they stay quick.
   for (const auto& name : algorithm_names(/*full=*/!opts.smoke)) {
     const FmmAlgorithm alg = catalog::get(name);
     // Model-pick the best variant per shape, then measure it.

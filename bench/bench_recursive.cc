@@ -16,8 +16,7 @@
 // gates: the recursive result is bitwise deterministic (two runs match
 // exactly) and agrees with the flat result to a two-level FMM tolerance.
 //
-// Reported numbers are effective GFLOPS (2*m*n*k / time); higher is better,
-// matching the bench-smoke diff semantics.
+// Reported numbers are effective GFLOPS (2*m*n*k / time); higher is better.
 
 #include <cmath>
 #include <cstdio>
@@ -122,8 +121,8 @@ int main(int argc, char** argv) {
   std::printf("\nrecursive path correct (bitwise-deterministic, matches "
               "flat): %s\n", correct ? "yes" : "NO");
   if (ratio_1024 > 0) {
-    // Informational, not a gate: needs real cores; single runs on shared
-    // runners are noisy (bench-smoke tracks the trend across PRs).
+    // Informational, not a gate: needs real cores, and single runs on
+    // shared hosts are noisy.
     std::printf("rec/flat at n=1024: %.2fx (claim: >= 1.0x on multi-core "
                 "hosts)\n", ratio_1024);
   }

@@ -39,10 +39,11 @@ int main(int argc, char** argv) {
   const Plan plan = make_plan({catalog::best(2, 2, 2)}, Variant::kABC);
 
   // One engine for the whole process.  Each call serial here; the
-  // concurrency comes from the callers (a typical server setup).
+  // concurrency comes from the callers (a typical server setup).  Every
+  // compiled executor has a workspace slot per engine worker, so the
+  // callers' requests never queue behind one another's lease.
   Engine::Options opts;
   opts.config.num_threads = 1;
-  opts.slots = host_threads;
   Engine engine(opts);
 
   // 1. Concurrent host threads sharing the engine; first call per shape

@@ -14,7 +14,6 @@
 #include "src/model/perf_model.h"
 #include "src/obs/trace.h"
 #include "src/util/env.h"
-#include "src/util/timer.h"
 
 namespace fmm {
 namespace {
@@ -187,9 +186,23 @@ Status check_distinct_outputs(const BatchItemT<T>* items, std::size_t count) {
   return Status{};
 }
 
-// The auto path's GEMM fallback workspace: grow-only packing buffers,
-// reusable across engines but never across concurrent callers — exactly
-// what thread_local provides.  One workspace per element type per thread.
+// Conventional GEMM as a plan: the rank-1 <1,1,1> ABC algorithm, the R = 1
+// member of the family (paper §3).  Its one-term lists are gemm()'s own, so
+// its executor computes gemm()'s bits; no pinned kernel, so it runs the
+// config's kernel as gemm() does.
+Plan gemm_plan(DType dtype) {
+  static const Plan rank1 =
+      make_plan({make_classical(1, 1, 1)}, Variant::kABC);
+  Plan plan = rank1;
+  plan.dtype = dtype;
+  return plan;
+}
+
+// The descent's GEMM workspace, for its fringes and for products with no
+// levels left (shapes that would otherwise churn the executor cache):
+// grow-only packing buffers, reusable across engines but never across
+// concurrent callers — exactly what thread_local provides.  One workspace
+// per element type per thread.
 template <typename T>
 GemmWorkspaceT<T>& gemm_workspace() {
   static thread_local GemmWorkspaceT<T> ws;
@@ -443,7 +456,16 @@ std::shared_ptr<FmmExecutorT<T>> Engine::executor_for(const Plan& plan,
   if (obs::trace_enabled()) {
     obs::trace_instant("engine.cache.miss", "engine");
   }
-  auto exec = std::make_shared<FmmExecutorT<T>>(plan, m, n, k, cfg, slots_);
+  // One workspace slot per engine worker unless Options::slots says
+  // otherwise: concurrent requests, leaf tasks and nested descents never
+  // queue behind one another's lease.  Never fewer than the executor's own
+  // default (its thread count).  An idle slot's packing buffers are never
+  // touched, so they cost no resident memory.
+  const int slots =
+      slots_ > 0 ? slots_
+                 : std::max(std::min(TaskPool::worker_count(workers_), 64),
+                            resolve_threads(cfg));
+  auto exec = std::make_shared<FmmExecutorT<T>>(plan, m, n, k, cfg, slots);
 
   // Observation hook, installed before the executor is published to the
   // cache (set_timing_hook is not synchronized against in-flight runs).
@@ -453,7 +475,7 @@ std::shared_ptr<FmmExecutorT<T>> Engine::executor_for(const Plan& plan,
   // items * flops / seconds.
   std::optional<HistoryKey> hkey;
   if (history_enabled_ && m > 0 && n > 0 && k > 0) {
-    hkey = history_key_for(&plan, plan.dtype, m, n, k, cfg);
+    hkey = history_key_for(plan, m, n, k, cfg);
   }
   exec->set_timing_hook([this, hkey](const ExecObservation& o) {
     observe_execution(o, hkey.has_value() ? &*hkey : nullptr);
@@ -518,39 +540,36 @@ std::shared_ptr<const AutoChoice> Engine::choice_handle(index_t m, index_t n,
   }
 
   // Rank outside the lock: the model evaluation over the whole space is
-  // the expensive part, and space_ is immutable once built.
+  // the expensive part, and space_ is immutable once built.  Conventional
+  // GEMM — the <1,1,1> plan, priced by its own model — leads the
+  // candidates, so it holds every tie.
   choice_misses_->add();
   auto choice = std::make_shared<AutoChoice>();
-  const double gemm_analytic = predict_gemm_time(m, n, k, cfg_, params, dtype);
-  auto ranked = rank_by_model(m, n, k, space_, params, cfg_, dtype);
+  std::vector<Candidate> ranked =
+      rank_by_model(m, n, k, space_, params, cfg_, dtype);
+  Candidate gemm;
+  gemm.plan = gemm_plan(dtype);
+  gemm.predicted_seconds = predict_gemm_time(m, n, k, cfg_, params, dtype);
+  ranked.insert(ranked.begin(), std::move(gemm));
 
-  // Analytic winner (the model's own pick): -1 = gemm, else ranked index.
-  const int analytic_winner =
-      (!ranked.empty() && ranked.front().predicted_seconds < gemm_analytic)
-          ? 0
-          : -1;
+  // The model's own pick: GEMM unless the fastest plan beats it.
+  const std::size_t analytic_winner =
+      ranked.size() > 1 &&
+              ranked[1].predicted_seconds < ranked[0].predicted_seconds
+          ? 1
+          : 0;
 
   // History overlay: each candidate's decision time is the measured rate
   // once its key is confident, the analytic prediction otherwise.  The
-  // scan keeps the analytic order as tie-breaker (strict <, candidates
-  // visited in ranked order), so with no confident data this reproduces
-  // the analytic winner exactly.
-  int winner = -1;
-  double best_time = gemm_analytic;
+  // scan keeps the candidate order as tie-breaker (strict <), so with no
+  // confident data this reproduces the analytic winner exactly.
+  std::size_t winner = 0;
+  double best_time = 0.0;
   bool best_measured = false;
   double best_gflops = 0.0;
   bool consulted = false;
   const double flops = 2.0 * static_cast<double>(m) *
                        static_cast<double>(n) * static_cast<double>(k);
-  if (history_enabled_ && flops > 0.0) {
-    if (auto g = history_.confident_gflops(
-            history_key_for(nullptr, dtype, m, n, k, cfg_))) {
-      best_time = flops / (*g * 1e9);
-      best_measured = true;
-      best_gflops = *g;
-      consulted = true;
-    }
-  }
   for (std::size_t i = 0; i < ranked.size(); ++i) {
     double t = ranked[i].predicted_seconds;
     bool measured = false;
@@ -564,9 +583,9 @@ std::shared_ptr<const AutoChoice> Engine::choice_handle(index_t m, index_t n,
         consulted = true;
       }
     }
-    if (t < best_time) {
+    if (i == 0 || t < best_time) {
       best_time = t;
-      winner = static_cast<int>(i);
+      winner = i;
       best_measured = measured;
       best_gflops = gf;
     }
@@ -581,14 +600,9 @@ std::shared_ptr<const AutoChoice> Engine::choice_handle(index_t m, index_t n,
   choice->predicted_seconds = best_time;
   choice->measured = best_measured;
   choice->measured_gflops = best_gflops;
-  if (winner < 0) {
-    choice->use_gemm = true;
-    choice->description = "gemm";
-  } else {
-    choice->use_gemm = false;
-    choice->plan = ranked[static_cast<std::size_t>(winner)].plan;
-    choice->description = choice->plan->name();
-  }
+  choice->use_gemm = winner == 0;
+  choice->plan = std::move(ranked[winner].plan);
+  choice->description = choice->use_gemm ? "gemm" : choice->plan->name();
 
   std::lock_guard<std::mutex> lk(choice_mu_);
   for (ChoiceEntry& e : choices_) {
@@ -655,25 +669,12 @@ ModelParams Engine::params(DType dtype) const {
 
 template <typename T>
 void Engine::run_group(const Request<T>& req, std::size_t g) {
-  constexpr DType kDt = DTypeOf<T>::value;
   const typename Request<T>::Group& grp = req.groups[g];
   const Plan* plan = req.plan.has_value() ? &*req.plan : nullptr;
   std::shared_ptr<const AutoChoice> choice;
   if (plan == nullptr) {
-    choice = choice_handle(grp.m, grp.n, grp.k, kDt);
+    choice = choice_handle(grp.m, grp.n, grp.k, DTypeOf<T>::value);
     if (req.executed != nullptr) *req.executed = choice;
-    if (choice->use_gemm) {
-      // The gemm arm bypasses FmmExecutor and its timing hook, so the auto
-      // path observes it here (explicit-plan calls have no gemm arm).
-      Timer t;
-      for (std::size_t i = 0; i < grp.batch.size(); ++i) {
-        const BatchItemT<T> it = grp.batch.at(i);
-        gemm(it.c, it.a, it.b, gemm_workspace<T>(), req.cfg);
-      }
-      record_gemm(grp.m, grp.n, grp.k, req.cfg, kDt, t.seconds(),
-                  grp.batch.size());
-      return;
-    }
     plan = &*choice->plan;
   }
   executor_for<T>(*plan, grp.m, grp.n, grp.k, req.cfg)->run_batch(grp.batch);
@@ -724,27 +725,19 @@ RecursiveExecT<T> Engine::recursive_ctx(const Plan& plan,
   ctx.buffers = &recurse_buffers_;
   ctx.cutoff = recurse_cutoff_;
   // Leaves run serially — the node's task fan-out is the parallelism — and
-  // share the executor cache with every other path.  The cached executor's
-  // slot pool grows to the engine's worker count once (whether or not its
-  // pool has started), so concurrent leaf tasks and concurrent nested
-  // descents never serialize on workspace leases (nor stall behind a parent
-  // call that holds a slot of the same executor).  The plan's pinned kernel
-  // is resolved once here, as FmmExecutor does, so the GEMM leaves and
-  // fringes run on it like the plan leaves do.
+  // share the executor cache (a slot per engine worker) with every other
+  // path.  The plan's pinned kernel is resolved once here, as FmmExecutor
+  // does, so the GEMM leaves and fringes run on it like the plan leaves do.
   GemmConfig leaf_cfg = plan_config(plan, cfg);
   leaf_cfg.num_threads = 1;
-  const int slot_target = TaskPool::worker_count(workers_);
-  ctx.leaf = [this, leaf_cfg, slot_target](const Plan* leaf_plan,
-                                           MatViewT<T> c, ConstMatViewT<T> a,
-                                           ConstMatViewT<T> b) {
+  ctx.leaf = [this, leaf_cfg](const Plan* leaf_plan, MatViewT<T> c,
+                              ConstMatViewT<T> a, ConstMatViewT<T> b) {
     if (leaf_plan == nullptr) {
       gemm(c, a, b, gemm_workspace<T>(), leaf_cfg);
       return;
     }
-    auto exec =
-        executor_for<T>(*leaf_plan, c.rows(), c.cols(), a.cols(), leaf_cfg);
-    exec->ensure_slots(slot_target);
-    exec->run(c, a, b);
+    executor_for<T>(*leaf_plan, c.rows(), c.cols(), a.cols(), leaf_cfg)
+        ->run(c, a, b);
   };
   return ctx;
 }
@@ -754,7 +747,6 @@ TaskFuture Engine::submit_single(const Plan* plan, MatViewT<T> c,
                                  ConstMatViewT<T> a, ConstMatViewT<T> b,
                                  const GemmConfig& cfg,
                                  std::shared_ptr<const AutoChoice>* executed) {
-  constexpr DType kDt = DTypeOf<T>::value;
   Status st = validate_triple(c, a, b);
   if (!st.ok()) return TaskFuture::ready(std::move(st));
   const index_t m = c.rows(), n = c.cols(), k = a.cols();
@@ -776,10 +768,10 @@ TaskFuture Engine::submit_single(const Plan* plan, MatViewT<T> c,
     const Plan* rplan = req->plan.has_value() ? &*req->plan : nullptr;
     std::shared_ptr<const AutoChoice> choice;
     if (rplan == nullptr) {
-      choice = choice_handle(m, n, k, kDt);
-      if (!choice->use_gemm) rplan = &*choice->plan;
+      choice = choice_handle(m, n, k, DTypeOf<T>::value);
+      rplan = &*choice->plan;
     }
-    if (rplan != nullptr && should_recurse(*rplan, m, n, k, recurse_cutoff_)) {
+    if (should_recurse(*rplan, m, n, k, recurse_cutoff_)) {
       if (executed != nullptr && choice) *executed = choice;
       recursive_runs_->add();
       // The graph goes where the request's tasks go (inline, it has run by
@@ -805,8 +797,8 @@ TaskFuture Engine::submit_single(const Plan* plan, MatViewT<T> c,
           },
           TaskOptions{{graph}});
     }
-    // The model picked plain GEMM (or the plan does not qualify): fall
-    // through to the flat path, which re-resolves the cached choice.
+    // The plan does not qualify (conventional GEMM, rank 1, never does):
+    // fall through to the flat path, which re-resolves the cached choice.
   }
   req->items.push_back({c, a, b});
   req->groups.push_back({m, n, k, BatchAccessT<T>(req->items.data(), 1)});
@@ -974,53 +966,22 @@ template TaskFuture Engine::submit<float>(MatViewF32, ConstMatViewF32,
 // Online performance model plumbing.
 // ---------------------------------------------------------------------------
 
-HistoryKey Engine::history_key_for(const Plan* plan, DType dtype, index_t m,
-                                   index_t n, index_t k,
-                                   const GemmConfig& cfg) const {
+HistoryKey Engine::history_key_for(const Plan& plan, index_t m, index_t n,
+                                   index_t k, const GemmConfig& cfg) const {
   HistoryKey key;
-  key.footprint = (plan != nullptr ? plan_footprint(*plan) : kGemmFootprint) ^
-                  dtype_history_salt(dtype);
+  key.footprint = plan_footprint(plan) ^ dtype_history_salt(plan.dtype);
   key.mb = shape_bucket(m);
   key.nb = shape_bucket(n);
   key.kb = shape_bucket(k);
-  const GemmConfig kcfg = plan != nullptr ? plan_config(*plan, cfg) : cfg;
-  key.kernel = kernel_cache_key(*resolve_blocking(kcfg, dtype).kernel);
+  key.kernel = kernel_cache_key(
+      *resolve_blocking(plan_config(plan, cfg), plan.dtype).kernel);
   key.threads = resolve_threads(cfg);
   return key;
 }
 
 HistoryKey Engine::history_key(const Plan& plan, index_t m, index_t n,
                                index_t k) const {
-  return history_key_for(&plan, plan.dtype, m, n, k, cfg_);
-}
-
-HistoryKey Engine::gemm_history_key(index_t m, index_t n, index_t k) const {
-  return history_key_for(nullptr, DType::kF64, m, n, k, cfg_);
-}
-
-void Engine::record_gemm(index_t m, index_t n, index_t k,
-                         const GemmConfig& cfg, DType dtype, double seconds,
-                         std::size_t items) {
-  // The gemm arm bypasses FmmExecutor, so it synthesizes the observation
-  // the executor hook would have delivered and funnels into the same sink.
-  ExecObservation o;
-  o.seconds = seconds;
-  o.items = items;
-  o.kernel = "gemm";
-  o.dtype = dtype;
-  o.m = m;
-  o.n = n;
-  o.k = k;
-  const double flops = 2.0 * static_cast<double>(m) *
-                       static_cast<double>(n) * static_cast<double>(k);
-  if (history_enabled_ && seconds > 0.0 && flops > 0.0) {
-    // The key resolves the blocking; build it only when a history record
-    // will actually happen.
-    const HistoryKey key = history_key_for(nullptr, dtype, m, n, k, cfg);
-    observe_execution(o, &key);
-  } else {
-    observe_execution(o, nullptr);
-  }
+  return history_key_for(plan, m, n, k, cfg_);
 }
 
 void Engine::observe_execution(const ExecObservation& o,

@@ -29,7 +29,8 @@
 //
 //   * an **online performance model**: every execution's wall time is
 //     recorded into a footprint-keyed history store (src/model/history.h)
-//     through the executor timing hook; once a key has enough low-variance
+//     through the executor timing hook — conventional GEMM included, which
+//     runs as the rank-1 <1,1,1> plan; once a key has enough low-variance
 //     observations the measured GFLOP/s overrides the analytic model in
 //     the auto path's ranking (the model stays the cold-start prior and
 //     tie-breaker), and cached choices invalidate when an override could
@@ -85,10 +86,12 @@
 
 namespace fmm {
 
-// The auto path's per-shape decision.
+// The auto path's per-shape decision.  Conventional GEMM is the family's
+// rank-1 member (paper §3): when it wins, `plan` is the <1,1,1> ABC plan,
+// so every decision executes as a plan through a cached executor.
 struct AutoChoice {
   bool use_gemm = true;      // conventional GEMM won the model ranking
-  std::optional<Plan> plan;  // set when use_gemm == false
+  std::optional<Plan> plan;  // always engaged: what runs
   double predicted_seconds = 0.0;
   std::string description;   // "gemm" or the plan name
   // True when the winner's predicted_seconds came from the measured
@@ -180,8 +183,12 @@ class Engine {
     // kDefaultCacheCapacity.  The auto path's choice cache holds 8x as
     // many decisions.
     std::size_t cache_capacity = 0;
-    // Workspace slots per compiled executor (FmmExecutor's `slots`); 0 =
-    // the executor default (its resolved thread count).
+    // Workspace slots per compiled executor (FmmExecutor's `slots`): how
+    // many callers one executor serves at once without queueing.  0 = one
+    // per engine worker (up to 64), or the executor's thread count when
+    // that is larger, so concurrent requests, descent leaves and nested
+    // calls never wait on one another's lease.  A value > 0 is used as is,
+    // descent leaves included.
     int slots = 0;
     // Worker threads for the async submit path (multiply() is submit +
     // wait, so these serve the synchronous calls too).  0 = FMM_WORKERS
@@ -349,12 +356,12 @@ class Engine {
   // kIOError (unreadable), or kCorruptData (bad version/row — the store
   // started empty).
   Status history_load_status() const { return history_load_status_; }
-  // The footprint key an execution of `plan` (resp. conventional GEMM) at
-  // (m, n, k) under this engine's config records under — for tests and
-  // tools that pre-seed or inspect the store.
+  // The footprint key an execution of `plan` at (m, n, k) under this
+  // engine's config records under — for tests and tools that pre-seed or
+  // inspect the store.  Conventional GEMM's is its <1,1,1> plan's
+  // (AutoChoice::plan).
   HistoryKey history_key(const Plan& plan, index_t m, index_t n,
                          index_t k) const;
-  HistoryKey gemm_history_key(index_t m, index_t n, index_t k) const;
 
   // --- Observability -------------------------------------------------------
   // The engine's metrics registry: counters (cache traffic, recursive
@@ -417,10 +424,9 @@ class Engine {
   // recorded where it completes.
   template <typename T>
   TaskFuture dispatch(std::shared_ptr<const Request<T>> req);
-  // The one execution body: shape group `g` of `req`.  The auto choice
-  // (stored through req.executed), then the GEMM arm over the group's
-  // items, otherwise the cached executor's batch entry.  Throws on
-  // allocation failure.
+  // The one execution body: shape group `g` of `req` through the cached
+  // executor of its plan — the request's, or the auto choice's (stored
+  // through req.executed).  Throws on allocation failure.
   template <typename T>
   void run_group(const Request<T>& req, std::size_t g);
   // Where a request's tasks go, decided once per request: nullptr (inline,
@@ -430,29 +436,23 @@ class Engine {
   // The pool/leaf/buffer/cutoff bundle a descent of `plan` runs with under
   // `cfg`, its tasks going to `target` (request_pool()): leaves execute
   // serially through the executor cache (plain GEMM for nullptr plans and
-  // fringes), growing the cached executor's slot pool to the engine's
-  // worker count so concurrent leaf tasks never serialize on workspace
-  // leases.  The plan's pinned kernel, if any, replaces the config's for
+  // fringes).  The plan's pinned kernel, if any, replaces the config's for
   // every leaf, GEMM leaves and fringes included.
   template <typename T>
   RecursiveExecT<T> recursive_ctx(const Plan& plan, const GemmConfig& cfg,
                                   TaskPool* target);
   void ensure_plan_space_locked();
-  // The footprint key an execution of `plan` (nullptr: conventional GEMM)
-  // at (m, n, k) records under `cfg`: the dtype-salted footprint, the shape
-  // buckets, and the kernel and thread count the executor freezes (the
-  // plan's pinned kernel overrides the config's).  history_key() and
-  // gemm_history_key() are its public spellings.
-  HistoryKey history_key_for(const Plan* plan, DType dtype, index_t m,
-                             index_t n, index_t k,
-                             const GemmConfig& cfg) const;
-  // Records an auto-path gemm execution (the executor hook's twin for the
-  // fallback that bypasses FmmExecutor).
-  void record_gemm(index_t m, index_t n, index_t k, const GemmConfig& cfg,
-                   DType dtype, double seconds, std::size_t items);
-  // The one consumer behind every execution observation — executor hook
-  // and gemm arm alike: history (under `hkey` when non-null), the GFLOP/s
-  // and batch-size histograms, and the "executor.run" trace span.
+  // The footprint key an execution of `plan` at (m, n, k) records under
+  // `cfg`: the dtype-salted footprint, the shape buckets, and the kernel
+  // and thread count the executor freezes (the plan's pinned kernel
+  // overrides the config's).  history_key() is its public spelling.  The
+  // executor hook and the auto path's ranking both key through it, so a
+  // confident rate is read back under the key it was recorded under.
+  HistoryKey history_key_for(const Plan& plan, index_t m, index_t n,
+                             index_t k, const GemmConfig& cfg) const;
+  // The consumer behind the executor timing hook, the one execution
+  // observer: history (under `hkey` when non-null), the GFLOP/s and
+  // batch-size histograms, and the "executor.run" trace span.
   void observe_execution(const ExecObservation& o, const HistoryKey* hkey);
   // Request-level observation.  request_start() is the capture gate: the
   // submit-time clock read happens only when tracing or metrics capture is
@@ -465,7 +465,7 @@ class Engine {
   void refresh_gauges();
 
   GemmConfig cfg_;
-  int slots_ = 0;
+  int slots_ = 0;  // Options::slots (0: derived per executor_for compile)
   int workers_ = 0;
   std::size_t cache_cap_ = 0;  // executor entries
 

@@ -189,51 +189,28 @@ FmmExecutorT<T>::FmmExecutorT(const Plan& plan, index_t m, index_t n,
     }
   }
 
-  // The slot pool: `slots` leases for concurrent host callers (default:
-  // the thread count, which also serves run_batch's item-parallel mode).
+  // The slot pool: `slots` leases for concurrent callers (default: the
+  // thread count, which also serves run_batch's item-parallel mode).
   // Every buffer a run can touch is sized here; run() allocates nothing.
   const int pool = slots > 0 ? slots : nth_;
   slots_.reserve(static_cast<std::size_t>(pool));
   for (int s = 0; s < pool; ++s) {
-    slots_.push_back(make_slot());
-    free_.push_back(slots_.back().get());
-  }
-}
-
-template <typename T>
-auto FmmExecutorT<T>::make_slot() -> std::unique_ptr<Slot> {
-  auto slot = std::make_unique<Slot>();
-  slot->ws.ensure(bp_, nth_, std::max(max_a_, 1), std::max(max_b_, 1),
-                  std::max(max_c_, 1));
-  if (m1_ > 0 && plan_.variant != Variant::kABC) {
-    slot->m_buf.resize(static_cast<std::size_t>(ms_) * ns_);
-  }
-  if (m1_ > 0 && plan_.variant == Variant::kNaive) {
-    slot->ta.resize(static_cast<std::size_t>(ms_) * ks_);
-    slot->tb.resize(static_cast<std::size_t>(ks_) * ns_);
-  }
-  slot->a_terms.resize(static_cast<std::size_t>(std::max(max_a_, 1)));
-  slot->b_terms.resize(static_cast<std::size_t>(std::max(max_b_, 1)));
-  slot->c_terms.resize(static_cast<std::size_t>(std::max(max_c_, 1)));
-  return slot;
-}
-
-template <typename T>
-void FmmExecutorT<T>::ensure_slots(int target) {
-  if (target <= 0) return;
-  // Cap the growth: slots are full workspace sets, and a pool wider than
-  // the host's concurrent-leaf fan-out is pure memory waste.
-  target = std::min(target, 64);
-  std::size_t added = 0;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    while (slots_.size() < static_cast<std::size_t>(target)) {
-      slots_.push_back(make_slot());
-      free_.push_back(slots_.back().get());
-      ++added;
+    auto slot = std::make_unique<Slot>();
+    slot->ws.ensure(bp_, nth_, std::max(max_a_, 1), std::max(max_b_, 1),
+                    std::max(max_c_, 1));
+    if (m1_ > 0 && plan_.variant != Variant::kABC) {
+      slot->m_buf.resize(static_cast<std::size_t>(ms_) * ns_);
     }
+    if (m1_ > 0 && plan_.variant == Variant::kNaive) {
+      slot->ta.resize(static_cast<std::size_t>(ms_) * ks_);
+      slot->tb.resize(static_cast<std::size_t>(ks_) * ns_);
+    }
+    slot->a_terms.resize(static_cast<std::size_t>(std::max(max_a_, 1)));
+    slot->b_terms.resize(static_cast<std::size_t>(std::max(max_b_, 1)));
+    slot->c_terms.resize(static_cast<std::size_t>(std::max(max_c_, 1)));
+    free_.push_back(slot.get());
+    slots_.push_back(std::move(slot));
   }
-  if (added > 0) cv_.notify_all();
 }
 
 template <typename T>

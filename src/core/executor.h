@@ -183,9 +183,12 @@ template <typename T>
 class FmmExecutorT {
  public:
   // Compiles `plan` for problems of exactly C (m x n) += A (m x k) *
-  // B (k x n) under `cfg`.  `slots` is how many host threads can run()
-  // concurrently without waiting; 0 sizes the pool to the resolved thread
-  // count (which run_batch's item-parallel mode needs anyway).  All
+  // B (k x n) under `cfg`.  `slots` is how many callers can run()
+  // concurrently without waiting, fixed for the executor's life; 0 sizes
+  // the pool to the resolved thread count (which run_batch's item-parallel
+  // mode needs anyway).  The Engine passes one per worker.  A slot's
+  // packing buffers are allocated here but touched only by the runs that
+  // lease it, so an idle slot holds next to no resident memory.  All
   // allocation happens here.
   explicit FmmExecutorT(const Plan& plan, index_t m, index_t n, index_t k,
                         const GemmConfig& cfg = GemmConfig{}, int slots = 0);
@@ -240,16 +243,6 @@ class FmmExecutorT {
   void set_timing_hook(TimingHook hook) { hook_ = std::move(hook); }
   bool has_timing_hook() const { return static_cast<bool>(hook_); }
 
-  // Grows the workspace-slot pool to at least `target` leases (never
-  // shrinks; capped at 64).  Nested execution needs this: when many
-  // TaskPool workers funnel recursive-leaf runs through one cached
-  // executor compiled with a small slot count (Engine slots = 1, say),
-  // the leases would serialize the leaves — or, with the parent call
-  // itself holding a slot, stall them behind it.  Growing the pool keeps
-  // leaf tasks concurrent without recompiling.  Safe to call while other
-  // threads run(); idempotent once the pool is large enough.
-  void ensure_slots(int target);
-
   const Plan& plan() const { return plan_; }
   index_t m() const { return m_; }
   index_t n() const { return n_; }
@@ -287,7 +280,6 @@ class FmmExecutorT {
     return o;
   }
 
-  std::unique_ptr<Slot> make_slot();
   Slot* acquire_slot();
   Slot* try_acquire_slot();
   void release_slot(Slot* slot);

@@ -101,6 +101,9 @@ bool should_recurse(const Plan& plan, index_t m, index_t n, index_t k,
   if (cutoff <= 0 || plan.num_levels() < 1) return false;
   if (m <= cutoff || n <= cutoff || k <= cutoff) return false;
   const FmmAlgorithm& alg = plan.levels.front();
+  // A rank-1 step (conventional GEMM, <1,1,1>) has one product and no
+  // sums: descending would only add a copy of C.
+  if (alg.R == 1) return false;
   // A non-empty divisible interior at the outermost level; anything less
   // is all fringe and belongs to the flat executor.
   return m >= alg.mt && k >= alg.kt && n >= alg.nt;
@@ -274,34 +277,35 @@ TaskFuture build_node(const RecursiveExecT<T>& ctx, const Plan& plan,
     const TaskFuture prep_task = TaskPool::submit_to(
         pool,
         [node, r, pending] {
+          // One guard over the prep, the child's build and the leaf: a
+          // throw in any of them fails the product.
           Status st = run_guarded([&] {
-            obs::TraceScope prep("recurse.prep", "recurse");
-            if (prep.active()) {
-              prep.set_argf("r=%d d=%d %lldx%lldx%lld", r, node->depth,
-                            (long long)node->ms, (long long)node->ns,
-                            (long long)node->ks);
+            {
+              obs::TraceScope prep("recurse.prep", "recurse");
+              if (prep.active()) {
+                prep.set_argf("r=%d d=%d %lldx%lldx%lld", r, node->depth,
+                              (long long)node->ms, (long long)node->ns,
+                              (long long)node->ks);
+              }
+              prep_product(*node, r);
             }
-            prep_product(*node, r);
+            auto& rb = node->rb[static_cast<std::size_t>(r)];
+            if (node->descend) {
+              build_node(node->ctx, *node->child, rb.mv, rb.sv, rb.tv,
+                         node->depth + 1, pending);
+            } else {
+              obs::TraceScope leaf("recurse.leaf", "recurse");
+              if (leaf.active()) {
+                leaf.set_argf("r=%d d=%d %lldx%lldx%lld", r, node->depth,
+                              (long long)node->ms, (long long)node->ns,
+                              (long long)node->ks);
+              }
+              node->ctx.leaf(node->child.get(), rb.mv, rb.sv, rb.tv);
+            }
             return Status{};
           });
-          if (!st.ok()) {
-            if (pending.valid()) pending.resolve(st);
-            return st;
-          }
-          auto& rb = node->rb[static_cast<std::size_t>(r)];
-          if (node->descend) {
-            build_node(node->ctx, *node->child, rb.mv, rb.sv, rb.tv,
-                       node->depth + 1, pending);
-          } else {
-            obs::TraceScope leaf("recurse.leaf", "recurse");
-            if (leaf.active()) {
-              leaf.set_argf("r=%d d=%d %lldx%lldx%lld", r, node->depth,
-                            (long long)node->ms, (long long)node->ns,
-                            (long long)node->ks);
-            }
-            node->ctx.leaf(node->child.get(), rb.mv, rb.sv, rb.tv);
-          }
-          return Status{};
+          if (!st.ok() && pending.valid()) pending.resolve(st);
+          return st;
         },
         std::move(po));
     products.push_back(node->descend ? pending : prep_task);

@@ -44,7 +44,7 @@
 //     leaf prep also computes M_r, so its future is product r's
 //     completion; a descending prep builds the child graph, whose
 //     finalizer resolves product r's pending future (the prep resolves it
-//     itself if it fails first);
+//     itself when the prep or the child's build throws);
 //   * update(p, r) runs after product r and the previous update of C
 //     quadrant p — the write-after-write order of one quadrant; an update
 //     whose product failed adds nothing;
@@ -163,8 +163,9 @@ using RecursiveExecF32 = RecursiveExecT<float>;
 
 // True when (plan, m, n, k) qualifies for one step of task-recursive
 // descent under `cutoff`: a positive cutoff, at least one plan level, every
-// dimension strictly above the cutoff, and a non-empty divisible interior
-// at the outermost level.
+// dimension strictly above the cutoff, and an outermost level of rank > 1
+// (a rank-1 step, conventional GEMM's <1,1,1>, would only copy) with a
+// non-empty divisible interior.
 bool should_recurse(const Plan& plan, index_t m, index_t n, index_t k,
                     index_t cutoff);
 

@@ -76,8 +76,6 @@ std::uint64_t plan_footprint(const Plan& plan) {
   h = mix_doubles(h, f.U);
   h = mix_doubles(h, f.V);
   h = mix_doubles(h, f.W);
-  // Never collide with the reserved conventional-GEMM footprint.
-  if (h == kGemmFootprint) h = ~h;
   return h;
 }
 

@@ -39,9 +39,6 @@
 
 namespace fmm {
 
-// Footprint of the conventional-GEMM candidate (no plan coefficients).
-inline constexpr std::uint64_t kGemmFootprint = 0x67656d6dull;  // "gemm"
-
 // Stable 64-bit fingerprint of everything the arithmetic of a plan depends
 // on: variant, flattened dims, and the U/V/W coefficient bit patterns.
 // Process-stable (no pointers, no addresses), so it can key a persisted
@@ -54,7 +51,7 @@ int shape_bucket(index_t d);
 index_t shape_bucket_floor(int bucket);
 
 struct HistoryKey {
-  std::uint64_t footprint = kGemmFootprint;
+  std::uint64_t footprint = 0;  // plan_footprint, dtype-salted
   int mb = 0, nb = 0, kb = 0;  // shape_bucket(m/n/k)
   std::string kernel;          // resolved micro-kernel name
   int threads = 1;             // resolved thread count

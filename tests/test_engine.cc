@@ -9,13 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "src/core/catalog.h"
 #include "src/core/engine.h"
+#include "src/gemm/gemm.h"
 #include "src/linalg/ops.h"
 #include "tests/test_support.h"
 
@@ -488,11 +491,11 @@ TEST(EngineAuto, ChoiceCacheIsBoundedWithLru) {
 }
 
 TEST(EngineAuto, AutoAndExplicitShareCompiledExecutors) {
-  // When the auto path picks an FMM plan for a shape, an explicit call
-  // with that same plan must hit the same cache entry — one compile.
+  // Whatever plan the auto path picks for a shape (GEMM's is <1,1,1>), an
+  // explicit call with that same plan must hit the same cache entry — one
+  // compile.
   Engine engine;
   const AutoChoice choice = engine.choice_for(704, 704, 704);
-  if (choice.use_gemm) GTEST_SKIP() << "model picked gemm at this size";
   test::RandomProblem p = test::random_problem(704, 704, 704, 33);
   ASSERT_TRUE(engine.multiply(p.c.view(), p.a.view(), p.b.view()).ok());
   const auto after_auto = engine.stats();
@@ -501,6 +504,91 @@ TEST(EngineAuto, AutoAndExplicitShareCompiledExecutors) {
   const auto after_explicit = engine.stats();
   EXPECT_EQ(after_explicit.misses, after_auto.misses);  // no second compile
   EXPECT_GE(after_explicit.hits, after_auto.hits + 1);
+}
+
+// Conventional GEMM is the rank-1 <1,1,1> plan (paper §3): a shape the
+// model gives to GEMM runs through the executor cache like any other plan,
+// with gemm()'s bits, as a single and as shared-B batches.
+template <typename T>
+void expect_gemm_choice_runs_as_plan() {
+  constexpr DType kDt = DTypeOf<T>::value;
+  Engine engine;
+  const index_t s = 64;
+  ASSERT_TRUE(engine.choice_for(s, s, s, kDt).use_gemm);
+  Plan rank1 = test::gemm_plan();
+  rank1.dtype = kDt;
+
+  const std::size_t elems = static_cast<std::size_t>(s * s);
+  auto random = [&](std::size_t count, std::uint64_t seed) {
+    std::vector<T> v(count * elems);
+    std::uint64_t x = seed;
+    for (T& e : v) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      e = static_cast<T>(static_cast<double>(x >> 40) / 16777216.0 - 0.5);
+    }
+    return v;
+  };
+  auto view = [&](std::vector<T>& v, std::size_t i) {
+    return MatViewT<T>(v.data() + i * elems, s, s, s);
+  };
+  const GemmConfig cfg = engine.config();
+
+  // Singles: the first call per (shape, dtype) compiles, the second hits.
+  std::vector<T> a = random(1, 1), b = random(1, 2), c = random(1, 3);
+  std::vector<T> want = c;
+  const Engine::CacheStats before = engine.stats();
+  std::shared_ptr<const AutoChoice> executed;
+  ASSERT_TRUE(engine.multiply(view(c, 0), view(a, 0), view(b, 0), &executed)
+                  .ok());
+  const Engine::CacheStats first = engine.stats();
+  EXPECT_EQ(first.misses, before.misses + 1);
+  ASSERT_TRUE(executed->use_gemm);
+  ASSERT_TRUE(executed->plan.has_value());
+  EXPECT_TRUE(same_execution(*executed->plan, rank1));
+  ASSERT_TRUE(engine.multiply(view(c, 0), view(a, 0), view(b, 0)).ok());
+  const Engine::CacheStats second = engine.stats();
+  EXPECT_EQ(second.misses, first.misses);
+  EXPECT_EQ(second.hits, first.hits + 1);
+  gemm(view(want, 0), view(a, 0), view(b, 0), cfg);
+  gemm(view(want, 0), view(a, 0), view(b, 0), cfg);
+  EXPECT_EQ(std::memcmp(c.data(), want.data(), elems * sizeof(T)), 0);
+
+  // Batches sharing one B — as items and as stride_b = 0 — against one
+  // gemm() per item.
+  const std::size_t count = 4;
+  std::vector<T> as = random(count, 4), cs = random(count, 5);
+  std::vector<T> cs_strided = cs, wants = cs;
+  std::vector<BatchItemT<T>> items;
+  for (std::size_t i = 0; i < count; ++i) {
+    items.push_back({view(cs, i), view(as, i), view(b, 0)});
+    gemm(view(wants, i), view(as, i), view(b, 0), cfg);
+  }
+  ASSERT_TRUE(engine.multiply(BatchSpec::items(items)).ok());
+  EXPECT_EQ(std::memcmp(cs.data(), wants.data(), cs.size() * sizeof(T)), 0);
+  StridedBatchT<T> sb;
+  sb.m = sb.n = sb.k = s;
+  sb.count = count;
+  sb.c = cs_strided.data();
+  sb.a = as.data();
+  sb.b = b.data();
+  sb.stride_c = sb.stride_a = s * s;
+  sb.stride_b = 0;
+  ASSERT_TRUE(engine.multiply(BatchSpec::strided(sb)).ok());
+  EXPECT_EQ(std::memcmp(cs_strided.data(), wants.data(),
+                        cs_strided.size() * sizeof(T)),
+            0);
+  EXPECT_EQ(engine.stats().misses, first.misses);  // one executor throughout
+}
+
+TEST(EngineAuto, GemmChoiceRunsThroughTheExecutorCache) {
+  {
+    SCOPED_TRACE("f64");
+    expect_gemm_choice_runs_as_plan<double>();
+  }
+  {
+    SCOPED_TRACE("f32");
+    expect_gemm_choice_runs_as_plan<float>();
+  }
 }
 
 // ---------------------------------------------------------------------------

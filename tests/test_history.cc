@@ -123,8 +123,6 @@ TEST(PerfHistoryTest, PlanFootprintsDistinguishPlans) {
   EXPECT_NE(s_abc, s_ab);        // variant is part of the footprint
   EXPECT_NE(s_abc, wino);        // coefficients are part of the footprint
   EXPECT_NE(s_abc, two_level);   // level structure is part of the footprint
-  EXPECT_NE(s_abc, kGemmFootprint);
-  EXPECT_NE(wino, kGemmFootprint);
   // Stable across calls (persistable).
   EXPECT_EQ(s_abc, plan_footprint(strassen_plan(Variant::kABC)));
 }
@@ -345,7 +343,11 @@ TEST(EngineHistory, AutoGemmPathRecordsUnderGemmKey) {
   ASSERT_TRUE(
       engine.multiply(p.c.view(), p.a.view(), p.b.view(), &executed).ok());
   ASSERT_TRUE(executed->use_gemm);
-  const auto rec = engine.history().lookup(engine.gemm_history_key(s, s, s));
+  // GEMM runs as the <1,1,1> plan and records under that plan's key.
+  EXPECT_EQ(engine.history_key(*executed->plan, s, s, s),
+            engine.history_key(test::gemm_plan(), s, s, s));
+  const auto rec =
+      engine.history().lookup(engine.history_key(*executed->plan, s, s, s));
   ASSERT_TRUE(rec.has_value());
   EXPECT_GE(rec->count, 1u);
 }
@@ -382,7 +384,7 @@ TEST(EngineHistory, SkewedHistoryFlipsChoiceWithBitwiseIdenticalResults) {
   // Inject confident observations painting gemm as pathologically slow at
   // this shape.  The third record crosses the gate and bumps the revision,
   // which lazily invalidates the cached cold decision.
-  const HistoryKey gemm_key = engine.gemm_history_key(s, s, s);
+  const HistoryKey gemm_key = engine.history_key(test::gemm_plan(), s, s, s);
   for (int i = 0; i < 3; ++i) engine.history().record(gemm_key, 0.01);
 
   const AutoChoice hot = engine.choice_for(s, s, s);
@@ -421,7 +423,7 @@ TEST(EngineHistory, PersistsAcrossTwoEngineLifetimes) {
     opts.history_path = path;
     Engine e1(opts);
     EXPECT_TRUE(e1.history_load_status().ok());
-    key = e1.gemm_history_key(96, 96, 96);
+    key = e1.history_key(test::gemm_plan(), 96, 96, 96);
     for (int i = 0; i < 20; ++i) e1.history().record(key, 50.0);
   }  // destructor saves
 
@@ -443,7 +445,7 @@ TEST(EngineHistory, ExplicitSaveHistoryRoundTrips) {
   Engine::Options opts;
   opts.history_path = path;
   Engine e1(opts);
-  e1.history().record(e1.gemm_history_key(128, 128, 128), 33.0);
+  e1.history().record(e1.history_key(test::gemm_plan(), 128, 128, 128), 33.0);
   ASSERT_TRUE(e1.save_history().ok());
 
   PerfHistory h;
@@ -544,7 +546,7 @@ TEST(EngineHistory, ConcurrentRecordRankAndSubmitHammering) {
         } else {
           futures.push_back(engine.submit(p.c.view(), p.a.view(), p.b.view()));
         }
-        engine.history().record(engine.gemm_history_key(s, s, s),
+        engine.history().record(engine.history_key(test::gemm_plan(), s, s, s),
                                 10.0 + i % 3);
         (void)engine.history().snapshot();
         (void)engine.stats();

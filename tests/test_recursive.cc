@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/catalog.h"
@@ -174,6 +178,31 @@ TEST(RecursiveCutoff, ShouldRecursePredicate) {
   EXPECT_FALSE(should_recurse(plan3, 2, 64, 64, 1));
   EXPECT_TRUE(should_recurse(plan3, 64, 64, 64, 32));
   EXPECT_TRUE(should_recurse(plan, 3, 64, 64, 2));  // 1-wide quadrants OK
+  // A rank-1 step (conventional GEMM) never descends: one product and no
+  // sums, so a descent would only add a copy.
+  for (index_t cutoff : {1, 2, 32, 63}) {
+    EXPECT_FALSE(should_recurse(test::gemm_plan(), 64, 64, 64, cutoff))
+        << cutoff;
+  }
+}
+
+// Conventional GEMM runs as the <1,1,1> plan: an explicit call with it
+// runs flat above the cutoff, exactly like the auto call that picks GEMM.
+TEST(RecursiveCutoff, RankOnePlanRunsFlatLikeTheAutoCall) {
+  Engine::Options o;
+  o.recurse_cutoff = 32;
+  o.history = false;
+  Engine e(o);
+  const index_t n = 128;
+  ASSERT_TRUE(e.choice_for(n, n, n).use_gemm);
+  RandomProblem p = random_problem(n, n, n, 43);
+  Matrix c_auto = p.c.clone();
+  ASSERT_TRUE(
+      e.multiply(test::gemm_plan(), p.c.view(), p.a.view(), p.b.view()).ok());
+  EXPECT_EQ(e.stats().recursive_runs, 0u);
+  ASSERT_TRUE(e.multiply(c_auto.view(), p.a.view(), p.b.view()).ok());
+  EXPECT_EQ(e.stats().recursive_runs, 0u);
+  expect_bitwise_equal(p.c, c_auto);
 }
 
 TEST(RecursiveCutoff, OptionsBeatEnvBeatsDefault) {
@@ -414,6 +443,83 @@ TEST(RecursiveFailure, DescendingPrepAllocationFailureResolvesTheGraph) {
   EXPECT_EQ(buffers.outstanding(), 0u);
 }
 
+// A leaf functor whose copy constructor throws once `copies_left` runs
+// out.  Every build_node copies its ctx, leaf included, so an armed copy
+// fails the build of a child graph inside a descending prep.
+struct ThrowingCopyLeaf {
+  std::shared_ptr<std::atomic<int>> copies_left;
+
+  explicit ThrowingCopyLeaf(std::shared_ptr<std::atomic<int>> left)
+      : copies_left(std::move(left)) {}
+  ThrowingCopyLeaf(const ThrowingCopyLeaf& o) : copies_left(o.copies_left) {
+    if (copies_left->fetch_sub(1) <= 0) {
+      throw std::runtime_error("leaf copy failed");
+    }
+  }
+  void operator()(const Plan*, MatView c, ConstMatView a,
+                  ConstMatView b) const {
+    GemmConfig serial;
+    serial.num_threads = 1;
+    gemm(c, a, b, serial);
+  }
+};
+
+// A throw while a descending prep builds its child graph fails that
+// product, and the graph still resolves with every lease back — queued
+// and inline, whichever child build is the first to throw.
+TEST(RecursiveFailure, ThrowingChildBuildResolvesTheGraph) {
+  const Plan plan = two_level_plan();  // 64 -> 32^3 products -> 16^3 leaves
+  const index_t n = 64;
+  RandomProblem p = random_problem(n, n, n, 41);
+  // The top node's copy is the first of `allowed`; each child build copies
+  // once more.
+  auto submit = [&](TaskPool* pool, BufferPool* buffers, int allowed,
+                    Matrix& c) {
+    auto copies_left = std::make_shared<std::atomic<int>>(1 << 30);
+    RecursiveExec ctx;
+    ctx.pool = pool;
+    ctx.buffers = buffers;
+    ctx.cutoff = 8;
+    ctx.leaf = ThrowingCopyLeaf(copies_left);
+    copies_left->store(allowed);
+    return submit_recursive(ctx, plan, c.view(), p.a.view(), p.b.view());
+  };
+  for (int allowed : {1, 2, 3}) {
+    SCOPED_TRACE("allowed copies " + std::to_string(allowed));
+    // Queued first, polled against a deadline: a graph that never resolves
+    // fails here instead of hanging, and its pool and buffers are leaked on
+    // purpose (their blocked tasks would wait forever in a destructor).
+    {
+      auto buffers = std::make_unique<BufferPool>();
+      auto pool = std::make_unique<TaskPool>(2);
+      Matrix c = p.c.clone();
+      const TaskFuture f = submit(pool.get(), buffers.get(), allowed, c);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (!f.done() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      if (!f.done()) {
+        (void)pool.release();
+        (void)buffers.release();
+        FAIL() << "the graph never resolved";
+      }
+      pool->wait_all();
+      EXPECT_FALSE(f.status().ok());
+      EXPECT_EQ(buffers->outstanding(), 0u);
+    }
+    // Inline: the caller walks the same graph.
+    BufferPool buffers;
+    Matrix c = p.c.clone();
+    const TaskFuture f = submit(nullptr, &buffers, allowed, c);
+    ASSERT_TRUE(f.done());
+    EXPECT_FALSE(f.status().ok());
+    EXPECT_NE(f.status().message().find("leaf copy failed"), std::string::npos)
+        << f.status().to_string();
+    EXPECT_EQ(buffers.outstanding(), 0u);
+  }
+}
+
 // Nested synchronous multiply from a TaskPool worker runs the graph inline
 // on that worker — same bits as the host-thread graph, no deadlock.
 TEST(RecursiveNested, OnWorkerSequentialMatchesHostGraph) {
@@ -574,31 +680,12 @@ TEST(RecursiveExecution, OneWideQuadrantsAndDegenerateShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// Workspace-slot pool under nested execution (the slots=1 regression).
+// Workspace-slot pool under nested execution (an explicit slots = 1).
 // ---------------------------------------------------------------------------
 
-TEST(RecursiveSlots, EnsureSlotsGrowsAndNeverShrinks) {
-  const Plan plan = one_level_plan();
-  FmmExecutor exec(plan, 32, 32, 32, GemmConfig{}, /*slots=*/1);
-  EXPECT_EQ(exec.num_slots(), 1);
-  exec.ensure_slots(4);
-  EXPECT_EQ(exec.num_slots(), 4);
-  exec.ensure_slots(2);  // never shrinks
-  EXPECT_EQ(exec.num_slots(), 4);
-  exec.ensure_slots(0);  // no-op
-  EXPECT_EQ(exec.num_slots(), 4);
-
-  // Still computes correctly after growth.
-  RandomProblem p = random_problem(32, 32, 32, 77);
-  exec.run(p.c.view(), p.a.view(), p.b.view());
-  ref_gemm(p.want.view(), p.a.view(), p.b.view());
-  EXPECT_LE(max_abs_diff(p.c.view(), p.want.view()), tol_for(32, 1));
-}
-
-// An engine pinned to one workspace slot per executor must still complete
-// recursive execution with concurrent leaf tasks — ensure_slots grows the
-// leaf executor's pool to the worker count, so the single-slot setting
-// cannot serialize (or wedge) the leaves.
+// An engine pinned to one workspace slot per executor still completes a
+// descent with concurrent leaf tasks: the leaves honour the one slot and
+// take turns on it, but nothing waits on a lease it could never get.
 TEST(RecursiveSlots, SingleSlotEngineCompletesRecursion) {
   const Plan plan = two_level_plan();
   Engine::Options o;

@@ -138,6 +138,11 @@ inline void expect_fmm_matches_ref(const Plan& plan, index_t m, index_t n,
       << plan.name() << " at m=" << m << " n=" << n << " k=" << k;
 }
 
+// Conventional GEMM as the Engine runs it: the rank-1 <1,1,1> ABC plan.
+inline Plan gemm_plan() {
+  return make_plan({make_classical(1, 1, 1)}, Variant::kABC);
+}
+
 // --------------------------------------------------------------------------
 // Shape tables.
 // --------------------------------------------------------------------------
