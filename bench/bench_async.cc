@@ -8,8 +8,8 @@
 //              an independent task, so groups overlap across pool workers.
 //   pipeline — G independent shared-B batches.  The synchronous loop
 //              drains each batch before starting the next; submit() queues
-//              all G and wait_all() drains them together, overlapping
-//              the per-batch pack/compute phases.
+//              all G and wait_all() drains them together, so one batch's
+//              B~ packing overlaps another's items.
 //
 // The serving configuration is the interesting one: each multiply runs
 // single-threaded (num_threads = 1) and all parallelism comes from the

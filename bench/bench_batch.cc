@@ -3,8 +3,8 @@
 //   per-call   — Engine::multiply, once per item
 //   executor   — one compiled FmmExecutor, run() once per item
 //   batch      — FmmExecutor::run_batch over all K items (distinct B's)
-//   batch(B=)  — run_batch with every item sharing one B (the prepacked
-//                B~-panel fast path)
+//   batch(B=)  — run_batch with every item sharing one B (each product's
+//                B~ packed once for the batch, then read by every item)
 //
 // at square sizes 64..512 and batch sizes K = 1/8/64.  The claim to
 // verify: compile-once amortization and cross-item parallelism make the

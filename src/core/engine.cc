@@ -169,23 +169,6 @@ Status validate_strided(const StridedBatchT<T>& sb) {
   return Status{};
 }
 
-// Duplicate-C detection across a per-item batch (exact base pointers).
-template <typename T>
-Status check_distinct_outputs(const BatchItemT<T>* items, std::size_t count) {
-  if (count < 2) return Status{};
-  std::vector<const T*> ptrs;
-  ptrs.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!items[i].c.empty()) ptrs.push_back(items[i].c.data());
-  }
-  std::sort(ptrs.begin(), ptrs.end());
-  if (std::adjacent_find(ptrs.begin(), ptrs.end()) != ptrs.end()) {
-    return Status::error(StatusCode::kAliasing,
-                         "two batch items write the same C");
-  }
-  return Status{};
-}
-
 // Conventional GEMM as a plan: the rank-1 <1,1,1> ABC algorithm, the R = 1
 // member of the family (paper §3).  Its one-term lists are gemm()'s own, so
 // its executor computes gemm()'s bits; no pinned kernel, so it runs the
@@ -261,15 +244,23 @@ index_t env_recurse_cutoff() {
 
 // One cached compiled executor.  `plan` and `cfg` are the *requested* key
 // values (the executor itself records the resolved kernel/blocking).  The
-// executor is stored type-erased (FmmExecutorT<double> or <float>); the
-// plan's dtype — compared by same_execution, part of the key — says which,
-// so a hit always casts back to the type it was compiled as.
+// entry is inserted before its executor is compiled; `compiled` is where
+// the executor lands, shared so that a request keeps it across an
+// eviction.  The executor is stored type-erased (FmmExecutorT<double> or
+// <float>); the plan's dtype — compared by same_execution, part of the
+// key — says which, so a hit always casts back to the type it was
+// compiled as.
+struct Engine::Compiled {
+  std::mutex mu;               // held by the request compiling `exec`
+  std::shared_ptr<void> exec;  // null until a compile succeeds
+};
+
 struct Engine::Entry {
   std::size_t hash = 0;
   Plan plan;
   index_t m = 0, n = 0, k = 0;
   GemmConfig cfg;
-  std::shared_ptr<void> exec;
+  std::shared_ptr<Compiled> compiled;
   std::uint64_t tick = 0;
 };
 
@@ -427,31 +418,50 @@ std::shared_ptr<FmmExecutorT<T>> Engine::executor_for(const Plan& plan,
                                                       const GemmConfig& cfg) {
   assert(plan.dtype == DTypeOf<T>::value);
   const std::size_t hash = key_hash(plan, m, n, k, cfg);
-  const auto find = [&]() -> Entry* {
+  std::shared_ptr<Compiled> compiled;
+  {
+    std::lock_guard<std::mutex> lk(cache_mu_);
     for (Entry& e : cache_) {
       if (e.hash == hash && e.m == m && e.n == n && e.k == k &&
           e.cfg == cfg && same_execution(e.plan, plan)) {
         e.tick = tick_.fetch_add(1, std::memory_order_relaxed);
-        return &e;
+        compiled = e.compiled;
+        break;
       }
     }
-    return nullptr;
-  };
-  {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    if (Entry* e = find()) {
-      hits_->add();
-      if (obs::trace_enabled()) {
-        obs::trace_instant("engine.cache.hit", "engine");
+    if (compiled == nullptr) {
+      if (cache_.size() >= cache_cap_) {
+        evict_lru(cache_);
+        evictions_->add();
       }
-      // shared_ptr copy: no allocation.  The dtype key match guarantees
-      // the erased pointer is an FmmExecutorT<T>.
-      return std::static_pointer_cast<FmmExecutorT<T>>(e->exec);
+      Entry e;
+      e.hash = hash;
+      e.plan = plan;
+      e.m = m;
+      e.n = n;
+      e.k = k;
+      e.cfg = cfg;
+      e.compiled = compiled = std::make_shared<Compiled>();
+      e.tick = tick_.fetch_add(1, std::memory_order_relaxed);
+      cache_.push_back(std::move(e));
     }
   }
 
-  // Miss: compile outside the lock (compilation allocates and can take a
-  // while; concurrent misses on other keys must not serialize).
+  // Each key compiles once: the first request to take the entry's mutex
+  // compiles, and the others for that key wait there (other keys proceed
+  // under their own entries).  A compile that throws fails only its own
+  // request and leaves `exec` null, so the next request for the key,
+  // waiting or later, compiles again.
+  std::lock_guard<std::mutex> lk(compiled->mu);
+  if (compiled->exec != nullptr) {
+    hits_->add();
+    if (obs::trace_enabled()) {
+      obs::trace_instant("engine.cache.hit", "engine");
+    }
+    // shared_ptr copy: no allocation.  The dtype key match guarantees
+    // the erased pointer is an FmmExecutorT<T>.
+    return std::static_pointer_cast<FmmExecutorT<T>>(compiled->exec);
+  }
   misses_->add();
   if (obs::trace_enabled()) {
     obs::trace_instant("engine.cache.miss", "engine");
@@ -467,8 +477,8 @@ std::shared_ptr<FmmExecutorT<T>> Engine::executor_for(const Plan& plan,
                             resolve_threads(cfg));
   auto exec = std::make_shared<FmmExecutorT<T>>(plan, m, n, k, cfg, slots);
 
-  // Observation hook, installed before the executor is published to the
-  // cache (set_timing_hook is not synchronized against in-flight runs).
+  // Observation hook, installed before the executor is published
+  // (set_timing_hook is not synchronized against in-flight runs).
   // The one hook feeds history, metrics, and tracing (observe_execution)
   // under a history key fixed at compile time.  One hook invocation = one
   // observation (a batch counts its items), so effective GFLOP/s is
@@ -480,27 +490,7 @@ std::shared_ptr<FmmExecutorT<T>> Engine::executor_for(const Plan& plan,
   exec->set_timing_hook([this, hkey](const ExecObservation& o) {
     observe_execution(o, hkey.has_value() ? &*hkey : nullptr);
   });
-
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  // A racing thread may have compiled the same key; keep the incumbent so
-  // every caller shares one executor (ours is dropped).
-  if (Entry* e = find()) {
-    return std::static_pointer_cast<FmmExecutorT<T>>(e->exec);
-  }
-  if (cache_.size() >= cache_cap_) {
-    evict_lru(cache_);
-    evictions_->add();
-  }
-  Entry e;
-  e.hash = hash;
-  e.plan = plan;
-  e.m = m;
-  e.n = n;
-  e.k = k;
-  e.cfg = cfg;
-  e.exec = exec;
-  e.tick = tick_.fetch_add(1, std::memory_order_relaxed);
-  cache_.push_back(std::move(e));
+  compiled->exec = exec;
   return exec;
 }
 
@@ -844,8 +834,10 @@ TaskFuture Engine::submit_batch(const Plan* plan, const BatchSpec& batch,
           st.code(), "item " + std::to_string(i) + ": " + st.message()));
     }
   }
-  Status st = check_distinct_outputs(items, count);
-  if (!st.ok()) return TaskFuture::ready(std::move(st));
+  if (!distinct_outputs(BatchAccessT<T>(items, count))) {
+    return TaskFuture::ready(Status::error(
+        StatusCode::kAliasing, "two batch items write the same C"));
+  }
   req->t0 = request_start();
 
   // Group by (m, n, k) in order of first appearance.  The copy keeps each

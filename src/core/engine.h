@@ -8,7 +8,8 @@
 //   * a bounded, LRU-evicting **executor cache** under one mutex, keyed by
 //     (plan — exact coefficient compare, m/n/k, requested GemmConfig).
 //     Explicit-plan and auto-selected calls share the same cache, so a
-//     shape served both ways compiles exactly one executor.  Cache hits
+//     shape served both ways compiles exactly one executor, and
+//     concurrent first requests for a key wait for its one compile.  Hits
 //     perform zero allocation; hit/miss/eviction counts are exposed via
 //     stats().  Capacity comes from Options or the FMM_ENGINE_CACHE env.
 //
@@ -229,7 +230,7 @@ class Engine {
     std::uint64_t hits = 0;        // executor-cache hits
     std::uint64_t misses = 0;      // executor compilations
     std::uint64_t evictions = 0;   // executors LRU-evicted
-    std::size_t entries = 0;       // live executors
+    std::size_t entries = 0;       // cached keys (see executor_for)
     std::uint64_t choice_hits = 0;
     std::uint64_t choice_misses = 0;
     std::uint64_t choice_evictions = 0;
@@ -390,6 +391,7 @@ class Engine {
   const std::string& history_path() const { return history_path_; }
 
  private:
+  struct Compiled;
   struct Entry;
   struct ChoiceEntry;
   enum class RequestPath { kExplicit, kAuto, kBatch };
@@ -397,8 +399,11 @@ class Engine {
   template <typename T>
   struct Request;
 
-  // The compiled executor for (plan, m, n, k, cfg): cache hit or compile +
-  // insert (with LRU eviction).  Never fails; allocation failures throw.
+  // The compiled executor for (plan, m, n, k, cfg).  A new key is inserted
+  // (with LRU eviction) before it compiles, and compiles once: concurrent
+  // requests for it wait for that compile, not for other keys.  Never
+  // fails; allocation failures throw, fail only the compiling request, and
+  // leave the key cached but empty, so its next request compiles again.
   // The cache entry stores the executor type-erased; the plan's dtype
   // (part of the key) discriminates, so a hit always casts back to the
   // type it was compiled as.  Callers pass a plan already stamped with

@@ -1,10 +1,8 @@
 #include "src/core/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <thread>
 
 #include "src/core/task_pool.h"
 #include "src/gemm/kernel.h"
@@ -171,13 +169,12 @@ FmmExecutorT<T>::FmmExecutorT(const Plan& plan, index_t m, index_t n,
     }
   }
 
-  // Shared-B batch fast path: viable when the interior covers the whole
-  // problem, the ABC variant runs (no M_r scatter), every product is a
-  // single k_C block, and each item's A~ (all ms_ rows) fits the slot's
-  // n_C buffer, within a fixed memory budget for the R packed B~ tiles.
+  // Shared-B batches: viable when the interior covers the whole problem,
+  // the ABC variant runs (no M_r scatter) and every product is a single
+  // k_C block (fused_multiply's prepacked-B~ contract), within a fixed
+  // memory budget for the R packed B~ tiles.
   shared_b_possible_ = plan_.variant == Variant::kABC && m1_ == m_ &&
-                       n1_ == n_ && k1_ == k_ && m1_ > 0 && ks_ <= bp_.kc &&
-                       ms_ <= bp_.nc;
+                       n1_ == n_ && k1_ == k_ && m1_ > 0 && ks_ <= bp_.kc;
   if (shared_b_possible_) {
     shared_b_panel_elems_ = round_up(ns_, bp_.mr) * ks_;
     constexpr index_t kSharedBBudgetElems = (32ll << 20) / sizeof(T);
@@ -249,9 +246,10 @@ void FmmExecutorT<T>::release_slot(Slot* slot) {
 template <typename T>
 void FmmExecutorT<T>::run_on_slot(Slot& slot, MatViewT<T> c,
                                   ConstMatViewT<T> a, ConstMatViewT<T> b,
-                                  const GemmConfig& cfg) {
+                                  const GemmConfig& cfg, const T* shared_b) {
   assert(c.rows() == m_ && c.cols() == n_ && a.rows() == m_ && a.cols() == k_ &&
          b.rows() == k_ && b.cols() == n_);
+  assert(shared_b == nullptr || shared_b_possible_);
   if (m_ == 0 || n_ == 0) return;
 
   if (m1_ > 0) {
@@ -280,8 +278,11 @@ void FmmExecutorT<T>::run_on_slot(Slot& slot, MatViewT<T> c,
 
       switch (plan_.variant) {
         case Variant::kABC: {
-          fused_multiply<T>(ms_, ns_, ks_, a_terms, na, lda, b_terms, nb, ldb,
-                            c_terms, nc, ldc, slot.ws, cfg);
+          fused_multiply<T>(
+              ms_, ns_, ks_, a_terms, na, lda, b_terms, nb, ldb, c_terms, nc,
+              ldc, slot.ws, cfg, /*accumulate=*/true,
+              shared_b != nullptr ? shared_b + r * shared_b_panel_elems_
+                                  : nullptr);
           break;
         }
         case Variant::kAB: {
@@ -332,18 +333,11 @@ void FmmExecutorT<T>::run_on_slot(Slot& slot, MatViewT<T> c,
 
 template <typename T>
 void FmmExecutorT<T>::run_batch(const BatchAccessT<T>& batch) {
-  const std::size_t count = batch.size();
-  if (count == 0) return;
-#ifndef NDEBUG
+  if (batch.size() == 0) return;
   // Two items writing one C race silently (items execute concurrently in
-  // the item-parallel regimes).  Debug builds reject such batches outright.
-  for (std::size_t i = 0; i < count; ++i) {
-    for (std::size_t j = i + 1; j < count; ++j) {
-      assert(batch.at(i).c.data() != batch.at(j).c.data() &&
-             "run_batch: two batch items write the same C");
-    }
-  }
-#endif
+  // the parallel regime).  Debug builds reject such batches outright.
+  assert(distinct_outputs(batch) &&
+         "run_batch: two batch items write the same C");
   // The slot wait is outside the timed window: it measures contention on
   // this executor, not the algorithm, and would poison the history.
   Slot* mine = acquire_slot();
@@ -355,37 +349,30 @@ void FmmExecutorT<T>::run_batch(const BatchAccessT<T>& batch) {
   Timer t;
   run_leased(*mine, batch);
   // One observation: `count` multiplies.
-  if (hook_) hook_(make_observation(t.seconds(), count));
+  if (hook_) hook_(make_observation(t.seconds(), batch.size()));
 }
 
 template <typename T>
 void FmmExecutorT<T>::run_leased(Slot& mine, const BatchAccessT<T>& batch) {
   const std::size_t count = batch.size();
-  if (count == 1) {
-    const BatchItemT<T> it = batch.at(0);
-    run_on_slot(mine, it.c, it.a, it.b, frozen_cfg_);
-    return;
+  // Items that share one B pack each B~_r once for the whole batch, which
+  // pays on any thread count (it removes (count - 1) * R tile packs).  One
+  // batch at a time owns the shared tiles; a concurrent caller takes the
+  // generic regimes.
+  std::unique_lock<std::mutex> shared_lk;
+  if (count > 1 && shared_b_possible_ && batch.shares_b()) {
+    shared_lk = std::unique_lock<std::mutex>(batch_mu_, std::try_to_lock);
   }
-  // Shared-B fast path first: packing every B~_r once pays on any thread
-  // count (it removes (count - 1) * R tile packs), and the path
-  // parallelizes across r and items on its own.  One batch at a time may
-  // own the shared tiles; a concurrent caller falls through to the
-  // generic paths below.
-  if (shared_b_possible_ && batch.shares_b()) {
-    std::unique_lock<std::mutex> lk(batch_mu_, std::try_to_lock);
-    if (lk.owns_lock()) {
-      run_batch_shared_b(mine, batch);
-      return;
-    }
-  }
+  const bool shared = shared_lk.owns_lock();
 
-  // When one multiply yields too few i_c (column) blocks to feed the
-  // threads — the fused loop's own criterion for shrinking m_C — make the
-  // independent items the parallel dimension instead, each executed
-  // serially.  The fused loop sees the interior *submatrix* columns (ns_),
-  // not n_; shapes with no interior are all peel, which sees n_.
+  // Sequential items at the frozen width, each with the fused loop's full
+  // internal parallelism, unless one multiply yields too few i_c (column)
+  // blocks to feed the threads — the fused loop's own criterion for
+  // shrinking m_C.  The fused loop sees the interior *submatrix* columns
+  // (ns_), not n_; shapes with no interior are all peel, which sees n_.
   const index_t cols_seen = m1_ > 0 ? ns_ : std::max<index_t>(n_, 1);
-  if (!too_few_column_blocks(cols_seen, bp_.mc, nth_)) {
+  if (!shared && (count == 1 || !too_few_column_blocks(cols_seen, bp_.mc,
+                                                       nth_))) {
     for (std::size_t i = 0; i < count; ++i) {
       const BatchItemT<T> it = batch.at(i);
       run_on_slot(mine, it.c, it.a, it.b, frozen_cfg_);
@@ -393,112 +380,35 @@ void FmmExecutorT<T>::run_leased(Slot& mine, const BatchAccessT<T>& batch) {
     return;
   }
 
-  // Generic item-parallel path.  A helper that cannot lease a slot
-  // (concurrent callers hold them) skips the loop; the caller's own slot
-  // guarantees progress.
+  // One fork-join region whose items are the parallel dimension, each run
+  // serially on its participant's slot.  A helper that cannot lease a slot
+  // (concurrent callers hold them) skips both loops; the caller's own slot
+  // guarantees progress.  A shared B is packed first, one B~_r per index;
+  // that loop's barrier publishes the tiles to every item.  Each item
+  // walks r = 0..R-1 in order, so results are bitwise identical to run().
+  const ConstMatViewT<T> b = batch.at(0).b;
   TaskPool::parallel_region(nth_, [&](Team& team) {
     Slot* s = team.slot() == 0 ? &mine : try_acquire_slot();
     if (s == nullptr) return;
-    team.for_each(static_cast<std::int64_t>(count), [&](std::int64_t i) {
-      const BatchItemT<T> it = batch.at(static_cast<std::size_t>(i));
-      run_on_slot(*s, it.c, it.a, it.b, serial_cfg_);
-    });
-    if (s != &mine) release_slot(s);
-  });
-}
-
-template <typename T>
-void FmmExecutorT<T>::run_batch_shared_b(Slot& mine,
-                                         const BatchAccessT<T>& batch) {
-  const ConstMatViewT<T> b = batch.at(0).b;
-  const index_t ldb = b.stride();
-  const int R = plan_.R();
-  const int mr = bp_.mr;
-  T* bpack = shared_b_.data();
-
-  // Packing overlaps compute: the caller (slot 0) packs the per-r B~
-  // tiles *in r order*, publishing each through panels_ready (release),
-  // then joins the item loop; helpers start consuming items immediately and
-  // wait (acquire) only for the specific tile their item's r loop has
-  // reached.  Each item still walks r = 0..R-1 in order — the per-item
-  // accumulation order is what makes results bitwise identical to run() —
-  // so publishing tiles in that same order means a compute participant is
-  // only ever gated on the tile the packer is currently producing.  With
-  // one participant this degenerates to pack-everything-then-compute.
-  std::atomic<int> panels_ready{0};
-  TaskPool::parallel_region(nth_, [&](Team& team) {
-    Slot* s = team.slot() == 0 ? &mine : try_acquire_slot();
-    if (team.slot() == 0) {
-      for (int r = 0; r < R; ++r) {
+    if (shared) {
+      team.for_each(plan_.R(), [&](std::int64_t r) {
         const int nb = b_ofs_[r + 1] - b_ofs_[r];
         for (int j = 0; j < nb; ++j) {
           const TermRef& t = b_refs_[static_cast<std::size_t>(b_ofs_[r] + j)];
           s->b_terms[static_cast<std::size_t>(j)] = {
-              b.data() + t.row * ldb + t.col, t.coeff};
+              b.data() + t.row * b.stride() + t.col, t.coeff};
         }
-        pack_b<T>(s->b_terms.data(), nb, ldb, ks_, ns_, mr,
-                  bpack + r * shared_b_panel_elems_);
-        panels_ready.store(r + 1, std::memory_order_release);
-      }
+        pack_b<T>(s->b_terms.data(), nb, b.stride(), ks_, ns_, bp_.mr,
+                  shared_b_.data() + r * shared_b_panel_elems_);
+      });
     }
-    if (s == nullptr) return;
-    team.for_each(static_cast<std::int64_t>(batch.size()), [&](std::int64_t i) {
-      run_item_prepacked(*s, batch.at(static_cast<std::size_t>(i)),
-                         panels_ready);
+    team.for_each(static_cast<std::int64_t>(count), [&](std::int64_t i) {
+      const BatchItemT<T> it = batch.at(static_cast<std::size_t>(i));
+      run_on_slot(*s, it.c, it.a, it.b, serial_cfg_,
+                  shared ? shared_b_.data() : nullptr);
     });
     if (s != &mine) release_slot(s);
   });
-}
-
-// One item of a shared-B batch: the serial ABC interior against the per-r
-// B~ tiles, gated on `panels_ready` so it can start before the packer
-// finishes.  Each product is one j_c and one p_c block of the serial fused
-// loop (the item packs its A~ into the slot's n_C buffer), and each C
-// element sums in the same order, so results are bitwise identical to
-// run().
-template <typename T>
-void FmmExecutorT<T>::run_item_prepacked(
-    Slot& slot, const BatchItemT<T>& item,
-    const std::atomic<int>& panels_ready) {
-  assert(item.c.rows() == m_ && item.c.cols() == n_ && item.a.cols() == k_);
-  const index_t lda = item.a.stride(), ldc = item.c.stride();
-  const int nr = bp_.nr;
-  T* apack = slot.ws.a_panels();
-  OutTermT<T>* c_local = slot.ws.terms(0).c.data();
-
-  const int R = plan_.R();
-  for (int r = 0; r < R; ++r) {
-    // The acquire pairs with the packer's release: once panels_ready > r,
-    // tile r's bytes are visible.  The wait is bounded by one tile pack
-    // (tiles publish in the same r order this loop consumes).
-    while (panels_ready.load(std::memory_order_acquire) <= r) {
-      std::this_thread::yield();
-    }
-    const int na = a_ofs_[r + 1] - a_ofs_[r];
-    const int nc = c_ofs_[r + 1] - c_ofs_[r];
-    for (int i = 0; i < na; ++i) {
-      const TermRef& t = a_refs_[static_cast<std::size_t>(a_ofs_[r] + i)];
-      slot.a_terms[static_cast<std::size_t>(i)] = {
-          item.a.data() + t.row * lda + t.col, t.coeff};
-    }
-    for (int p = 0; p < nc; ++p) {
-      const TermRef& t = c_refs_[static_cast<std::size_t>(c_ofs_[r] + p)];
-      slot.c_terms[static_cast<std::size_t>(p)] = {
-          item.c.data() + t.row * ldc + t.col, t.coeff};
-    }
-    pack_a<T>(slot.a_terms.data(), na, lda, ms_, ks_, nr, apack);
-    const T* btile_r = shared_b_.data() + r * shared_b_panel_elems_;
-
-    for (index_t ic = 0; ic < ns_; ic += bp_.mc) {
-      const index_t mc_eff = std::min<index_t>(bp_.mc, ns_ - ic);
-      for (index_t jr = 0; jr < ms_; jr += nr) {
-        fused_jr_step<T>(*bp_.kernel, ks_, apack + jr * ks_,
-                         std::min<index_t>(nr, ms_ - jr), btile_r + ic * ks_,
-                         mc_eff, slot.c_terms.data(), nc, ldc, jr, ic,
-                         /*accumulate=*/true, c_local);
-      }
-    }
-  }
 }
 
 template class FmmExecutorT<double>;

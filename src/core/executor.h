@@ -26,19 +26,21 @@
 // threads than slots arrive).  The arithmetic is fixed at construction:
 // repeated runs on the same operands give the same bits.
 //
-// run_batch() executes many operand triples against the one compiled plan.
+// run_batch() executes many operand triples against the one compiled plan,
+// every item through the same per-product fused_multiply calls as run().
 // For small shapes (too few i_c column blocks to feed the threads — the
 // same criterion the fused loop uses to switch parallel modes) the items
-// themselves become the parallel dimension, each executed serially; when
-// every item also shares one B operand, the per-r packed B~ tiles are
-// built once and reused across all items.
+// themselves become the parallel dimension of one fork-join region, each
+// executed serially.  Items that share one B operand run in that region
+// too: its participants first pack the R per-r B~ tiles once, then every
+// item's fused loop reads them instead of packing its own.
 //
 // The element type T (double or float; see src/gemm/dtype.h) selects which
 // kernel family the compiled executor dispatches into; FmmExecutor /
 // BatchItem / StridedBatch remain the f64 spellings.  Explicit
 // instantiations live in executor.cc.
 
-#include <atomic>
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -98,8 +100,8 @@ struct BatchItemT {
 //
 // A row stride of 0 means dense (ldc = n, lda = k, ldb = n).  A *batch*
 // stride of 0 on A or B means every item shares that operand — stride_b = 0
-// is the one-weight-many-activations motif and feeds the shared-B prepacked
-// fast path directly.  stride_c = 0 with count > 1 would make every item
+// is the one-weight-many-activations motif, whose B~ tiles a batch packs
+// once for all items.  stride_c = 0 with count > 1 would make every item
 // write the same C and is rejected by the Engine validation layer.  The
 // items are expanded internally (a view is computed per index on the fly);
 // no per-item view array is ever materialized.
@@ -168,6 +170,22 @@ class BatchAccessT {
   std::size_t count_ = 0;
 };
 
+// True when no two items of `batch` write one C (exact base pointers).
+// Items with an empty C write nothing and never clash, whatever their
+// pointers.  The Engine rejects a batch that fails this; run_batch asserts
+// it in debug builds, since items may run concurrently.
+template <typename T>
+bool distinct_outputs(const BatchAccessT<T>& batch) {
+  std::vector<const T*> ptrs;
+  ptrs.reserve(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const BatchItemT<T> it = batch.at(i);
+    if (!it.c.empty()) ptrs.push_back(it.c.data());
+  }
+  std::sort(ptrs.begin(), ptrs.end());
+  return std::adjacent_find(ptrs.begin(), ptrs.end()) == ptrs.end();
+}
+
 // What one observed execution looked like — the payload of the executor
 // timing hook (see FmmExecutorT::set_timing_hook).  Shared across element
 // types so a consumer (the Engine) can handle both with one function.
@@ -200,15 +218,19 @@ class FmmExecutorT {
   // Executes every item (C_i += A_i * B_i) against the compiled plan; the
   // one entry every spelling below forwards to.  It leases the caller's
   // workspace slot (outside the timed window), runs the batch, and fires
-  // the timing hook once.  A single item is one plain multiply.  Several
-  // items that share one B run through the prepacked shared-B path when
-  // the plan/shape allow it; otherwise items run in parallel (one per
-  // thread, serial inside) when the shape is too small to feed the threads
-  // from within one multiply, else sequentially with full internal
-  // parallelism.  Results are bitwise identical to one run() per item.
-  // Operands must match the compiled shape.  Thread-safe; zero allocation,
-  // zero re-derivation.  Debug builds assert that no two items write the
-  // same C (a silently racy batch otherwise).
+  // the timing hook once.  Two regimes:
+  //   * sequential, each item with the fused loop's full internal
+  //     parallelism: a single item, or items whose shape feeds the threads;
+  //   * one fork-join region, each item serial on a participant's slot:
+  //     items too small to feed the threads from within one multiply, and
+  //     every batch whose items share one B when the plan allows it (ABC,
+  //     no peel, each product one k_C block, R tiles within a 32 MiB
+  //     budget).  Its participants pack the R B~ tiles once, then run the
+  //     items on them.
+  // Results are bitwise identical to one run() per item.  Operands must
+  // match the compiled shape.  Thread-safe; zero allocation, zero
+  // re-derivation.  Debug builds assert distinct_outputs (a silently racy
+  // batch otherwise).
   void run_batch(const BatchAccessT<T>& batch);
 
   // C += A * B.
@@ -283,18 +305,16 @@ class FmmExecutorT {
   Slot* acquire_slot();
   Slot* try_acquire_slot();
   void release_slot(Slot* slot);
-  // The full multiply (interior + peel) on one slot.  `cfg` is either the
-  // frozen config or its serial twin (batch item-parallel mode).
+  // The full multiply (interior + peel) on one slot: the only place the
+  // executor multiplies an item.  `cfg` is either the frozen config or its
+  // serial twin (the batch region).  A non-null `shared_b` is shared_b_,
+  // packed from this item's B: product r reads its B~ at
+  // shared_b + r * shared_b_panel_elems_ instead of packing it.
   void run_on_slot(Slot& slot, MatViewT<T> c, ConstMatViewT<T> a,
-                   ConstMatViewT<T> b, const GemmConfig& cfg);
+                   ConstMatViewT<T> b, const GemmConfig& cfg,
+                   const T* shared_b = nullptr);
   // run_batch's regimes, on the caller's leased slot `mine`.
   void run_leased(Slot& mine, const BatchAccessT<T>& batch);
-  // Shared-B fast path with pack/compute overlap: the caller packs the
-  // per-r B~ tiles in order, publishing each through an atomic watermark;
-  // the others consume items, gating each item's r step on that watermark.
-  void run_batch_shared_b(Slot& mine, const BatchAccessT<T>& batch);
-  void run_item_prepacked(Slot& slot, const BatchItemT<T>& item,
-                          const std::atomic<int>& panels_ready);
 
   Plan plan_;
   index_t m_ = 0, n_ = 0, k_ = 0;
@@ -320,12 +340,12 @@ class FmmExecutorT {
   // Observation hook (see set_timing_hook).
   TimingHook hook_;
 
-  // Shared-B batch fast path: all R packed B~ tiles (mR-column panels)
-  // prepacked once.
+  // Shared-B batches: the R B~ tiles, each the whole ks_ x ns_ sum packed
+  // by pack_b in mR-column panels, packed once per batch.
   bool shared_b_possible_ = false;
   index_t shared_b_panel_elems_ = 0;  // elements per r
   AlignedBuffer<T> shared_b_;
-  std::mutex batch_mu_;  // guards shared_b_ across concurrent run_batch
+  std::mutex batch_mu_;  // one batch at a time owns shared_b_
 };
 
 extern template class FmmExecutorT<double>;

@@ -59,6 +59,26 @@ LoopMode choose_loop_mode(index_t n, index_t mc, int mr, int threads) {
   return mode;
 }
 
+namespace {
+
+// Shifts every term's base pointer by a (row, col) block offset.
+template <typename T>
+void offset_terms(const LinTermT<T>* in, int n, index_t ld, index_t row,
+                  index_t col, LinTermT<T>* out) {
+  for (int i = 0; i < n; ++i) {
+    out[i].ptr = in[i].ptr + row * ld + col;
+    out[i].coeff = in[i].coeff;
+  }
+}
+
+// One step of the 2nd loop (j_r) with the 1st (i_r) inside it: the
+// nR-row A~ panel `a_panel` (C rows [row, row + rows), rows <= nR) meets
+// every mR-column panel of the B~ tile `b_tile` (C columns
+// [col, col + cols)), and each accumulator block goes to every target
+// through epilogue_update at (rs, cs) = (1, ldc).  Before each kernel
+// call the block's C rows are prefetched for writing.  Both panels span
+// `kc` of the shared dimension; `c_local` is caller-owned room for num_c
+// terms.
 template <typename T>
 void fused_jr_step(const KernelInfo& kernel, index_t kc, const T* a_panel,
                    index_t rows, const T* b_tile, index_t cols,
@@ -88,27 +108,6 @@ void fused_jr_step(const KernelInfo& kernel, index_t kc, const T* a_panel,
   }
 }
 
-template void fused_jr_step<double>(const KernelInfo&, index_t, const double*,
-                                    index_t, const double*, index_t,
-                                    const OutTerm*, int, index_t, index_t,
-                                    index_t, bool, OutTerm*);
-template void fused_jr_step<float>(const KernelInfo&, index_t, const float*,
-                                   index_t, const float*, index_t,
-                                   const OutTermF32*, int, index_t, index_t,
-                                   index_t, bool, OutTermF32*);
-
-namespace {
-
-// Shifts every term's base pointer by a (row, col) block offset.
-template <typename T>
-void offset_terms(const LinTermT<T>* in, int n, index_t ld, index_t row,
-                  index_t col, LinTermT<T>* out) {
-  for (int i = 0; i < n; ++i) {
-    out[i].ptr = in[i].ptr + row * ld + col;
-    out[i].coeff = in[i].coeff;
-  }
-}
-
 }  // namespace
 
 template <typename T>
@@ -117,7 +116,7 @@ void fused_multiply(index_t m, index_t n, index_t k,
                     const LinTermT<T>* b_terms, int num_b, index_t ldb,
                     const OutTermT<T>* c_terms, int num_c, index_t ldc,
                     GemmWorkspaceT<T>& ws, const GemmConfig& cfg,
-                    bool accumulate) {
+                    bool accumulate, const T* b_packed) {
   assert(cfg.valid());
   if (m <= 0 || n <= 0 || num_c == 0) return;
   if (k <= 0) {
@@ -134,6 +133,7 @@ void fused_multiply(index_t m, index_t n, index_t k,
   }
 
   const BlockingParams bp = resolve_blocking(cfg, DTypeOf<T>::value);
+  assert(b_packed == nullptr || k <= bp.kc);
   const int mr = bp.mr;
   const int nr = bp.nr;
   const int nth = resolve_threads(cfg);
@@ -171,9 +171,10 @@ void fused_multiply(index_t m, index_t n, index_t k,
 
         // C rows [jc + jr, +nR) against the B~ tile of columns
         // [ic, ic + mc_eff).
-        auto jr_step = [&](index_t jr, index_t ic, index_t mc_eff) {
+        auto jr_step = [&](const T* tile, index_t jr, index_t ic,
+                           index_t mc_eff) {
           fused_jr_step<T>(*bp.kernel, kc_eff, apack + jr * kc_eff,
-                           std::min<index_t>(nr, nc_eff - jr), btile, mc_eff,
+                           std::min<index_t>(nr, nc_eff - jr), tile, mc_eff,
                            c_terms, num_c, ldc, jc + jr, ic, acc_this_block,
                            c_local);
         };
@@ -182,10 +183,15 @@ void fused_multiply(index_t m, index_t n, index_t k,
           team.for_each(ic_blocks, [&](index_t icb) {
             const index_t ic = icb * mode.mc;
             const index_t mc_eff = std::min<index_t>(mode.mc, n - ic);
-            offset_terms<T>(b_terms, num_b, ldb, pc, ic, b_local);
-            pack_b<T>(b_local, num_b, ldb, kc_eff, mc_eff, mr, btile);
+            const T* tile = btile;
+            if (b_packed != nullptr) {
+              tile = b_packed + ic * kc_eff;
+            } else {
+              offset_terms<T>(b_terms, num_b, ldb, pc, ic, b_local);
+              pack_b<T>(b_local, num_b, ldb, kc_eff, mc_eff, mr, btile);
+            }
             for (index_t jr = 0; jr < nc_eff; jr += nr) {
-              jr_step(jr, ic, mc_eff);
+              jr_step(tile, jr, ic, mc_eff);
             }
           });
           // The barrier: nobody repacks A~ for the next pc while a
@@ -197,14 +203,19 @@ void fused_multiply(index_t m, index_t n, index_t k,
           for (index_t icb = 0; icb < ic_blocks; ++icb) {
             const index_t ic = icb * mode.mc;
             const index_t mc_eff = std::min<index_t>(mode.mc, n - ic);
-            offset_terms<T>(b_terms, num_b, ldb, pc, ic, b_local);
-            team.for_each(ceil_div(mc_eff, mr), [&](index_t p) {
-              pack_b_panel<T>(b_local, num_b, ldb, kc_eff, mc_eff, mr, p,
-                              btile + p * mr * kc_eff);
-            });
-            // The barrier: the shared B~ tile is complete.
+            const T* tile = btile;
+            if (b_packed != nullptr) {
+              tile = b_packed + ic * kc_eff;
+            } else {
+              offset_terms<T>(b_terms, num_b, ldb, pc, ic, b_local);
+              team.for_each(ceil_div(mc_eff, mr), [&](index_t p) {
+                pack_b_panel<T>(b_local, num_b, ldb, kc_eff, mc_eff, mr, p,
+                                btile + p * mr * kc_eff);
+              });
+              // The barrier: the shared B~ tile is complete.
+            }
             team.for_each(ceil_div(nc_eff, nr), [&](index_t jrb) {
-              jr_step(jrb * nr, ic, mc_eff);
+              jr_step(tile, jrb * nr, ic, mc_eff);
             });
             // The barrier before the shared tile is overwritten.
           }
@@ -217,10 +228,10 @@ void fused_multiply(index_t m, index_t n, index_t k,
 template void fused_multiply<double>(
     index_t, index_t, index_t, const LinTerm*, int, index_t, const LinTerm*,
     int, index_t, const OutTerm*, int, index_t, GemmWorkspace&,
-    const GemmConfig&, bool);
+    const GemmConfig&, bool, const double*);
 template void fused_multiply<float>(
     index_t, index_t, index_t, const LinTermF32*, int, index_t,
     const LinTermF32*, int, index_t, const OutTermF32*, int, index_t,
-    GemmWorkspaceF32&, const GemmConfig&, bool);
+    GemmWorkspaceF32&, const GemmConfig&, bool, const float*);
 
 }  // namespace fmm

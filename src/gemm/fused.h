@@ -10,7 +10,9 @@
 // is m x n with stride ldc.  Plain GEMM is the special case of one term per
 // list with coefficient 1 — the "BLIS" baseline of every paper figure runs
 // through exactly this code path, so FMM-vs-GEMM comparisons are
-// apples-to-apples.
+// apples-to-apples.  It is the one loop nest of the tree: every product a
+// compiled executor runs goes through it, shared-B batch items included
+// (they pass their prepacked B~, see b_packed below).
 //
 // The loop runs on the transposed problem C^T = B^T A^T (BLIS's induced
 // transposition for row-stored C).  The micro-kernel's mR x nR block is
@@ -22,7 +24,8 @@
 //     packed into the shared k_C x n_C buffer in nR-row panels;
 //   * p_c walks k in k_C blocks;
 //   * i_c walks C's columns in m_C blocks; each participant packs
-//     B~ = sum_j v_j B_j into its own m_C x k_C tile in mR-column panels;
+//     B~ = sum_j v_j B_j into its own m_C x k_C tile in mR-column panels
+//     (or reads the tile from a caller's prepacked B~);
 //   * j_r (nR rows of C) and i_r (mR columns of C) drive the kernel.
 // Each C element still sums its k products in the same order, so the
 // orientation does not change a single bit of the result.
@@ -104,52 +107,33 @@ LoopMode choose_loop_mode(index_t n, index_t mc, int mr, int threads);
 // problems runs its items in parallel instead.
 bool too_few_column_blocks(index_t n, index_t mc, int threads);
 
-// One step of the 2nd loop (j_r) with the 1st (i_r) inside it: the
-// nR-row A~ panel `a_panel` (C rows [row, row + rows), rows <= nR) meets
-// every mR-column panel of the B~ tile `b_tile` (C columns
-// [col, col + cols)), and each accumulator block goes to every target
-// through epilogue_update at (rs, cs) = (1, ldc).  Before each kernel
-// call the block's C rows are prefetched for writing.  Both panels span
-// `kc` of the shared dimension; `c_local` is caller-owned room for num_c
-// terms.  The fused loop and the executor's shared-B batch path share
-// this code.
-template <typename T>
-void fused_jr_step(const KernelInfo& kernel, index_t kc, const T* a_panel,
-                   index_t rows, const T* b_tile, index_t cols,
-                   const OutTermT<T>* c_terms, int num_c, index_t ldc,
-                   index_t row, index_t col, bool accumulate,
-                   OutTermT<T>* c_local);
-
-extern template void fused_jr_step<double>(const KernelInfo&, index_t,
-                                           const double*, index_t,
-                                           const double*, index_t,
-                                           const OutTerm*, int, index_t,
-                                           index_t, index_t, bool, OutTerm*);
-extern template void fused_jr_step<float>(const KernelInfo&, index_t,
-                                          const float*, index_t, const float*,
-                                          index_t, const OutTermF32*, int,
-                                          index_t, index_t, index_t, bool,
-                                          OutTermF32*);
-
 // With accumulate == true (the default), every target receives
 // C_t += w_t * product; with accumulate == false the first k-block
 // overwrites (C_t = w_t * product), which lets callers stream into an
 // uninitialized temporary without a separate zero-fill pass.
+//
+// `b_packed`, when non-null, is B~ = sum_j v_j B_j for the whole k x n
+// sum, already packed by pack_b at width mR as one k_C block (k must not
+// exceed the resolved k_C).  The i_c and j_r loops then read their tiles
+// there (the tile of C columns [ic, ic + m_C) starts at b_packed + ic * k)
+// instead of packing them, and b_terms is not read.  A compiled executor's
+// shared-B batch packs each product's B~ once this way and runs every item
+// through this loop nest.
 template <typename T>
 void fused_multiply(index_t m, index_t n, index_t k,
                     const LinTermT<T>* a_terms, int num_a, index_t lda,
                     const LinTermT<T>* b_terms, int num_b, index_t ldb,
                     const OutTermT<T>* c_terms, int num_c, index_t ldc,
                     GemmWorkspaceT<T>& ws, const GemmConfig& cfg,
-                    bool accumulate = true);
+                    bool accumulate = true, const T* b_packed = nullptr);
 
 extern template void fused_multiply<double>(
     index_t, index_t, index_t, const LinTerm*, int, index_t, const LinTerm*,
     int, index_t, const OutTerm*, int, index_t, GemmWorkspace&,
-    const GemmConfig&, bool);
+    const GemmConfig&, bool, const double*);
 extern template void fused_multiply<float>(
     index_t, index_t, index_t, const LinTermF32*, int, index_t,
     const LinTermF32*, int, index_t, const OutTermF32*, int, index_t,
-    GemmWorkspaceF32&, const GemmConfig&, bool);
+    GemmWorkspaceF32&, const GemmConfig&, bool, const float*);
 
 }  // namespace fmm

@@ -444,6 +444,13 @@ TEST(EngineBatch, EmptyBatchesAreOk) {
   sb.m = sb.n = sb.k = 32;
   EXPECT_TRUE(engine.multiply(plan, BatchSpec::strided(sb)).ok());
   EXPECT_EQ(engine.stats().entries, 0u);  // nothing compiled
+  // Two 0x5 items over null C and A data: an empty C writes nothing, so
+  // the items are distinct outputs whatever their pointers.
+  const Matrix b = Matrix::random(4, 5, 3);
+  const BatchItem empty{MatView(nullptr, 0, 5, 5),
+                        ConstMatView(nullptr, 0, 4, 4), b.view()};
+  const BatchItem two_empty[2] = {empty, empty};
+  EXPECT_TRUE(engine.multiply(plan, BatchSpec::items(two_empty, 2)).ok());
 }
 
 // ---------------------------------------------------------------------------

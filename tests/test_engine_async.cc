@@ -4,15 +4,17 @@
 // requests, wait_all, nested use from foreign task-pool workers (the
 // inline path), every front-door form from a host thread and from a pool
 // worker (same bits, same Status, one request sample), destruction with
-// tasks in flight, and concurrent submit hammering against a tiny
-// executor cache so completions race evictions (the TSan CI leg runs
-// every Engine* suite).
+// tasks in flight, concurrent submit hammering against a tiny executor
+// cache so completions race evictions, and one compile per cache key under
+// a burst or a failing compile (the TSan CI leg runs every Engine* suite).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -657,6 +659,81 @@ TEST(EngineAsyncConcurrency, HammerSubmitsAcrossShapesWithEviction) {
   const Engine::CacheStats st = engine.stats();
   EXPECT_LE(st.entries, engine.cache_capacity());
   EXPECT_GT(st.evictions, 0u);  // the cache really churned
+}
+
+// ---------------------------------------------------------------------------
+// Executor cache: one compile per key.
+// ---------------------------------------------------------------------------
+
+TEST(EngineAsyncCache, BurstOnANewKeyCompilesItOnce) {
+  // Eight submits at once for a key nobody has compiled, on a 4-worker
+  // engine whose pool is already running: the key compiles once and every
+  // request runs its executor.  Each round adds one key, so compilations
+  // (misses) stay equal to entries + evictions.
+  const Plan plan = strassen_plan();
+  Engine::Options opts;
+  opts.workers = 4;
+  opts.config.num_threads = 1;
+  Engine engine(opts);
+  {
+    Matrix a = Matrix::random(16, 16, 1), b = Matrix::random(16, 16, 2);
+    Matrix c = Matrix::zero(16, 16);
+    ASSERT_TRUE(engine.multiply(plan, c.view(), a.view(), b.view()).ok());
+  }
+  constexpr int kRounds = 20;
+  constexpr int kSubmits = 8;
+  const index_t n = 96, max_m = n + 2 * kRounds;
+  const Matrix a = Matrix::random(max_m, n, 3), b = Matrix::random(n, n, 4);
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const index_t m = n + 2 * round;
+    std::vector<Matrix> cs;
+    for (int i = 0; i < kSubmits; ++i) cs.push_back(Matrix::zero(m, n));
+    std::vector<TaskFuture> fs;
+    for (Matrix& c : cs) {
+      fs.push_back(
+          engine.submit(plan, c.view(), a.view().block(0, 0, m, n), b.view()));
+    }
+    for (std::size_t i = 0; i < fs.size(); ++i) {
+      EXPECT_TRUE(fs[i].status().ok()) << fs[i].status().to_string();
+      EXPECT_TRUE(bitwise_equal(cs[i], cs[0])) << "request " << i;
+    }
+    const Engine::CacheStats st = engine.stats();
+    ASSERT_EQ(st.misses, st.entries + st.evictions);
+  }
+}
+
+TEST(EngineAsyncCache, FailingCompileFailsEachRequestAndNeverHangs) {
+  // Two requests in a row whose AB executor cannot be allocated (kHuge):
+  // each compiles, fails with the allocation failure, and resolves.  The
+  // second must not wait on the entry the first left behind, and the key
+  // holds one cache entry however often it fails.  Polled against a
+  // deadline; a hung engine is leaked (its blocked task would wait forever
+  // in the destructor).
+  auto engine = std::make_unique<Engine>();
+  const Plan ab = strassen_plan(Variant::kAB);
+  std::vector<double> a(16, 1.0), b(16, 1.0), c(16, 0.0);
+  const MatView cv(c.data(), kHuge, kHuge, kHuge);
+  const ConstMatView av(a.data(), kHuge, 2, 2), bv(b.data(), 2, kHuge, kHuge);
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    const TaskFuture f = engine->submit(ab, cv, av, bv);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!f.done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!f.done()) {
+      (void)engine.release();
+      FAIL() << "the request never resolved";
+    }
+    EXPECT_EQ(f.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(f.status().message().find("bad_alloc"), std::string::npos)
+        << f.status().to_string();
+  }
+  const Engine::CacheStats st = engine->stats();
+  EXPECT_EQ(st.misses, 2u);
+  EXPECT_EQ(st.entries, 1u);
 }
 
 TEST(EngineAsyncConcurrency, ConcurrentMixedBatchSubmits) {

@@ -251,36 +251,65 @@ class ExecutorBatch
 TEST_P(ExecutorBatch, MatchesPerCallRunsBitwise) {
   const bool shared_b = std::get<0>(GetParam());
   const index_t s = std::get<1>(GetParam());
-  const Plan plan = strassen_plan();
+  const FmmAlgorithm& s222 = catalog::best(2, 2, 2);
+  const Plan two_level =
+      make_plan({s222, catalog::best(2, 3, 2)}, Variant::kABC);
+  GemmConfig four;
+  four.num_threads = 4;
+  // n_C of one register tile: every interior submatrix here has more rows,
+  // so the fused loop's j_c takes several steps.
+  GemmConfig small_nc;
+  small_nc.nc = 1;
+  struct Case {
+    const char* name;
+    Plan plan;
+    GemmConfig cfg;
+    int slots;
+  };
+  const Case cases[] = {
+      {"default", strassen_plan(), GemmConfig{}, 0},
+      // One slot: the region's helpers lease nothing and skip its loops.
+      {"4 threads, 1 slot", strassen_plan(), four, 1},
+      {"<2,2,2>+<2,3,2>", two_level, GemmConfig{}, 0},
+      {"small n_C", strassen_plan(), small_nc, 0},
+  };
   const int count = 9;
-  BatchFixture f(s, s, s, count, shared_b, 41);
-  FmmExecutor exec(plan, s, s, s);
+  for (const Case& v : cases) {
+    SCOPED_TRACE(std::string(v.name) + " shared_b=" +
+                 std::to_string(shared_b) + " s=" + std::to_string(s));
+    BatchFixture f(s, s, s, count, shared_b, 41);
+    FmmExecutor exec(v.plan, s, s, s, v.cfg, v.slots);
 
-  // Reference: per-item run() on a second executor (serial, so the batch
-  // path's serial per-item execution must match bitwise).
-  GemmConfig serial;
-  serial.num_threads = 1;
-  FmmExecutor ref_exec(plan, s, s, s, serial);
-  for (int i = 0; i < count; ++i) {
-    ref_exec.run(f.wants[static_cast<std::size_t>(i)].view(),
-                 f.items[static_cast<std::size_t>(i)].a,
-                 f.items[static_cast<std::size_t>(i)].b);
-  }
+    // Reference: per-item run() on a second executor (serial, so the batch
+    // path's serial per-item execution must match bitwise).
+    GemmConfig serial = v.cfg;
+    serial.num_threads = 1;
+    FmmExecutor ref_exec(v.plan, s, s, s, serial);
+    if (v.cfg.nc > 0) {
+      ASSERT_LT(ref_exec.config().nc, s / 2);
+    }
+    for (int i = 0; i < count; ++i) {
+      ref_exec.run(f.wants[static_cast<std::size_t>(i)].view(),
+                   f.items[static_cast<std::size_t>(i)].a,
+                   f.items[static_cast<std::size_t>(i)].b);
+    }
 
-  exec.run_batch(f.items);
-  for (int i = 0; i < count; ++i) {
-    EXPECT_EQ(max_abs_diff(f.cs[static_cast<std::size_t>(i)].view(),
-                           f.wants[static_cast<std::size_t>(i)].view()),
-              0.0)
-        << "item " << i << " shared_b=" << shared_b << " s=" << s;
+    exec.run_batch(f.items);
+    for (int i = 0; i < count; ++i) {
+      EXPECT_EQ(max_abs_diff(f.cs[static_cast<std::size_t>(i)].view(),
+                             f.wants[static_cast<std::size_t>(i)].view()),
+                0.0)
+          << "item " << i;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ShapesAndSharing, ExecutorBatch,
     ::testing::Combine(::testing::Bool(),
-                       // 64: the item-parallel regime; 67: peel fringes.
-                       ::testing::Values<index_t>(64, 67)),
+                       // 64: the item-parallel regime; 67: peel fringes;
+                       // 48: the two-level plan's interior is all of it.
+                       ::testing::Values<index_t>(64, 67, 48)),
     [](const ::testing::TestParamInfo<std::tuple<bool, index_t>>& info) {
       return std::string(std::get<0>(info.param) ? "sharedB" : "distinctB") +
              "_s" + std::to_string(std::get<1>(info.param));
@@ -320,6 +349,15 @@ TEST(ExecutorBatch, EmptyAndSingleItemBatches) {
   ref_gemm(f.wants[0].view(), f.as[0].view(), f.bs[0].view());
   EXPECT_LE(max_abs_diff(f.cs[0].view(), f.wants[0].view()),
             test::tol_for(32));
+
+  // Two 0x5 items over null C and A data: an empty C writes nothing, so
+  // they are distinct outputs (debug builds assert that) and a no-op.
+  FmmExecutor empty_exec(plan, 0, 5, 4);
+  const Matrix b = Matrix::random(4, 5, 78);
+  const BatchItem empty{MatView(nullptr, 0, 5, 5),
+                        ConstMatView(nullptr, 0, 4, 4), b.view()};
+  const BatchItem two_empty[2] = {empty, empty};
+  empty_exec.run_batch(two_empty, 2);
 }
 
 TEST(ExecutorBatch, SharedBWithABVariantFallsBackCorrectly) {

@@ -1,14 +1,21 @@
 // GEMM driver tests: the fused 5-loop engine against the naive reference,
 // across shapes, strides, blocking configs, thread counts, and with
-// weighted multi-operand lists (the FMM building block).
+// weighted multi-operand lists (the FMM building block), plus the
+// prepacked-B~ form of the fused multiply.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "src/gemm/fused.h"
 #include "src/gemm/gemm.h"
+#include "src/gemm/pack.h"
 #include "src/linalg/matrix.h"
 #include "src/linalg/ops.h"
+#include "src/util/prng.h"
 #include "tests/test_support.h"
 
 namespace fmm {
@@ -143,6 +150,78 @@ TEST(FusedMultiply, DegenerateDimensionsAreNoOps) {
   fused_multiply(0, 4, 4, &at, 1, 4, &at, 1, 4, &ct, 1, 4, ws, GemmConfig{});
   fused_multiply(4, 0, 4, &at, 1, 4, &at, 1, 4, &ct, 1, 4, ws, GemmConfig{});
   EXPECT_EQ(max_abs_diff(c.view(), before.view()), 0.0);
+}
+
+// C += (A0 - 0.5 A1)(B0 + 2 B1) into two targets, once packing B~ inside
+// fused_multiply and once from a B~ that pack_b prepacked at mR for the
+// whole k x n sum: the two must agree bit for bit.
+template <typename T>
+void expect_prepacked_b_matches(index_t m, index_t n, index_t k, int threads,
+                                int mc, int nc, bool want_jr_parallel) {
+  GemmConfig cfg;
+  cfg.num_threads = threads;
+  cfg.mc = mc;
+  cfg.kc = 64;
+  cfg.nc = nc;
+  const BlockingParams bp = resolve_blocking(cfg, DTypeOf<T>::value);
+  ASSERT_LE(k, bp.kc);
+  ASSERT_EQ(choose_loop_mode(n, bp.mc, bp.mr, threads).jr_parallel,
+            want_jr_parallel);
+  Xoshiro256 rng(static_cast<std::uint64_t>(m * 1000 + n * 10 + threads));
+  auto random = [&](index_t elems) {
+    std::vector<T> v(static_cast<std::size_t>(elems));
+    for (T& e : v) e = static_cast<T>(rng.uniform(-1, 1));
+    return v;
+  };
+  const std::vector<T> a = random(2 * m * k), b = random(2 * k * n);
+  const LinTermT<T> a_terms[2] = {{a.data(), 1.0}, {a.data() + m * k, -0.5}};
+  const LinTermT<T> b_terms[2] = {{b.data(), 1.0}, {b.data() + k * n, 2.0}};
+  std::vector<T> b_packed(static_cast<std::size_t>(round_up(n, bp.mr) * k));
+  pack_b<T>(b_terms, 2, n, k, n, bp.mr, b_packed.data());
+
+  for (const bool accumulate : {true, false}) {
+    SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                 " threads=" + std::to_string(threads) +
+                 " accumulate=" + std::to_string(accumulate));
+    const std::vector<T> c0 = random(2 * m * n);
+    std::vector<T> packing = c0, prepacked = c0;
+    for (std::vector<T>* c : {&packing, &prepacked}) {
+      const OutTermT<T> c_terms[2] = {{c->data(), 1.0},
+                                      {c->data() + m * n, -1.0}};
+      GemmWorkspaceT<T> ws;
+      fused_multiply<T>(m, n, k, a_terms, 2, k, b_terms, 2, n, c_terms, 2, n,
+                        ws, cfg, accumulate,
+                        c == &prepacked ? b_packed.data() : nullptr);
+    }
+    EXPECT_EQ(std::memcmp(packing.data(), prepacked.data(),
+                          packing.size() * sizeof(T)),
+              0);
+    EXPECT_NE(std::memcmp(packing.data(), c0.data(), c0.size() * sizeof(T)),
+              0);
+  }
+}
+
+template <typename T>
+void expect_prepacked_b_cases() {
+  const GemmConfig dflt;
+  const BlockingParams bp = resolve_blocking(dflt, DTypeOf<T>::value);
+  // n % mR != 0 everywhere: the last B~ panel is a zero-padded edge
+  // panel.  nc = 2 nR makes j_c take several steps on any host.
+  const index_t edge = 2 * bp.mr + 3;
+  const int nc = 2 * bp.nr;
+  // i_c loop, serial, several m_C tiles.
+  expect_prepacked_b_matches<T>(70, edge, 50, 1, bp.mr, nc, false);
+  expect_prepacked_b_matches<T>(70, edge, 50, 1, 0, 0, false);
+  // i_c loop at 4 threads.
+  expect_prepacked_b_matches<T>(70, 12 * bp.mr + 1, 50, 4, bp.mr, nc, false);
+  // j_r mode: n <= mR cannot feed 4 threads from the i_c loop.
+  expect_prepacked_b_matches<T>(70, bp.mr - 1, 50, 4, 0, nc, true);
+  expect_prepacked_b_matches<T>(70, bp.mr - 1, 50, 4, 0, 0, true);
+}
+
+TEST(FusedMultiply, PrepackedBMatchesPackingBitwise) {
+  expect_prepacked_b_cases<double>();
+  expect_prepacked_b_cases<float>();
 }
 
 TEST(Gemm, WorkspaceReuseAcrossShapes) {
