@@ -114,7 +114,7 @@ void append_cache_file_locked(CalibState& s, const std::string& kernel,
   }
 }
 
-// Times `kern` on hot-L1 panels at its own derived k_C.  Adaptive: the rep
+// Times `kern` on hot panels at its own derived k_C.  Adaptive: the rep
 // count doubles until one batch takes >= 0.5 ms, then the best of three
 // batches is kept — a few milliseconds per kernel even for the scalar
 // fallback, tens of microseconds of measured work for the vector kernels.

@@ -5,11 +5,11 @@
 // PR 2 ranked kernels by a hand-written static hint (flops/cycle); the
 // paper's own methodology (§4.2) and Benson & Ballard both argue tuning
 // decisions must come from *measured* rates on the target machine.  This
-// module times each registered micro-kernel once per process on hot-L1
-// packed panels, caches the sustained GFLOP/s, and optionally persists the
-// result across processes in a small text file keyed by the CPU model
-// (FMM_CALIB_CACHE=<path>), so repeated short-lived processes skip even
-// the few-millisecond timing runs.
+// module times each registered micro-kernel once per process on hot
+// packed panels at its derived k_C, caches the sustained GFLOP/s, and
+// optionally persists the result across processes in a small text file
+// keyed by the CPU model (FMM_CALIB_CACHE=<path>), so repeated short-lived
+// processes skip even the few-millisecond timing runs.
 //
 // Consumers:
 //   * best_kernel_for_shape (src/model/selector.cc) ranks kernels by
@@ -28,8 +28,10 @@
 
 namespace fmm::arch {
 
-// Sustained GFLOP/s of `kern` on L1-resident panels, timed at the kernel's
-// own element type (kern.dtype).  First call per kernel performs an
+// Sustained GFLOP/s of `kern` on cache-resident panels at its derived k_C
+// (blocking.h), timed at the kernel's own element type (kern.dtype): the
+// reused nR-panel sits in L1; a vectorized kernel's mR-panel may not fit
+// beside it and streams from L2, as it does in the fused loop.  First call per kernel performs an
 // adaptive timing loop (~1-3 ms); subsequent calls return the cached
 // value.  Cache rows (in-memory and in FMM_CALIB_CACHE) are keyed by
 // kernel_cache_key(), so f32 and f64 rates never mix even for same-named

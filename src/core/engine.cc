@@ -841,11 +841,15 @@ TaskFuture Engine::submit_batch(const Plan* plan, const BatchSpec& batch,
   req->t0 = request_start();
 
   // Group by (m, n, k) in order of first appearance.  The copy keeps each
-  // group's items contiguous and in arrival order.
-  std::vector<std::size_t> group_of(count);
+  // group's items contiguous and in arrival order.  An item whose C is
+  // empty (m or n = 0) does no arithmetic and joins no group, as an empty
+  // strided batch returns above: no executor is compiled for it.
+  constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> group_of(count, kNoGroup);
   for (std::size_t i = 0; i < count; ++i) {
     const index_t m = items[i].c.rows(), n = items[i].c.cols(),
                   k = items[i].a.cols();
+    if (m == 0 || n == 0) continue;
     std::size_t g = 0;
     while (g < req->groups.size() &&
            !(req->groups[g].m == m && req->groups[g].n == n &&
@@ -855,6 +859,7 @@ TaskFuture Engine::submit_batch(const Plan* plan, const BatchSpec& batch,
     if (g == req->groups.size()) req->groups.push_back({m, n, k, {}});
     group_of[i] = g;
   }
+  if (req->groups.empty()) return TaskFuture::ready(Status{});
   req->items.reserve(count);  // no reallocation: the accessors point in
   for (std::size_t g = 0; g < req->groups.size(); ++g) {
     const std::size_t first = req->items.size();

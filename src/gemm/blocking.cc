@@ -41,16 +41,23 @@ AutoBlocking derive_blocking(const KernelInfo& kernel,
   const double kWord = static_cast<double>(dtype_size(kernel.dtype));
   AutoBlocking ab;
 
-  // k_C: A and B micro-panels (mR x k_C and nR x k_C) share L1d.  A caller
-  // that pinned k_C (explicit config or FMM_KC) still gets m_C/n_C sized
-  // for *that* k_C — the cache-fit invariants must hold for the blocking
-  // that actually runs, not for the k_C we would have chosen.
+  // k_C: what L1d must hold across the i_r loop (see blocking.h).  A
+  // vectorized kernel keeps only the reused nR x k_C A~ micro-panel there,
+  // in 3/4 of L1d, and streams the mR-panels from L2; a scalar kernel
+  // keeps both micro-panels (mR x k_C and nR x k_C), which pins the
+  // paper's Ivy Bridge k_C = 256.  A caller that pinned k_C (explicit
+  // config or FMM_KC) still gets m_C/n_C sized for *that* k_C — the
+  // cache-fit invariants must hold for the blocking that actually runs,
+  // not for the k_C we would have chosen.
   if (kc_pinned > 0) {
     ab.kc = kc_pinned;
   } else {
     const double l1 = static_cast<double>(std::max(topo.l1d_bytes, 1L));
-    ab.kc = floor_multiple_clamped(l1 / ((kernel.mr + kernel.nr) * kWord),
-                                   /*step=*/64, /*lo=*/64, /*hi=*/1024);
+    const double l1_words = kernel.vectorized
+                                ? 0.75 * l1 / (kernel.nr * kWord)
+                                : l1 / ((kernel.mr + kernel.nr) * kWord);
+    ab.kc = floor_multiple_clamped(l1_words, /*step=*/64, /*lo=*/64,
+                                   /*hi=*/1024);
   }
 
   // m_C: the packed B~ tile (m_C x k_C) takes ~3/4 of L2, leaving room for

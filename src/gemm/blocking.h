@@ -74,9 +74,16 @@ struct BlockingParams {
 // hand-built topologies).  The fused loop runs on C^T, so the kernel's
 // mR-side operand is B~ (m_C blocks C's columns) and its nR-side operand
 // is A~ (n_C blocks C's rows):
-//   k_C: an mR x k_C micro-panel plus an nR x k_C micro-panel stream
-//        through L1 together — k_C = L1d / ((mR + nR) * 8), floored to a
-//        multiple of 64 and clamped to [64, 1024];
+//   k_C: the nR x k_C A~ micro-panel is reused by every mR-panel of the
+//        B~ tile across the i_r loop, so it must stay in L1.  For a
+//        vectorized kernel it is all L1 is charged with: nR * k_C * w <=
+//        3/4 * L1d (w the element size), and the mR x k_C micro-panels
+//        stream from L2 past it (k_C = 384 for the 16x12 f64 tile on a
+//        48 KiB L1d; the both-panels rule would give 192 and split a
+//        k = 256 product into two passes over C).  A scalar (portable)
+//        kernel keeps both micro-panels in L1 together: k_C = L1d /
+//        ((mR + nR) * w), which gives the paper's Ivy Bridge 256.  Either
+//        is floored to a multiple of 64 and clamped to [64, 1024];
 //   m_C: the m_C x k_C packed B~ tile occupies ~3/4 of L2 (the rest feeds
 //        the A~ micro-panels streaming past it), floored to a multiple of
 //        mR and clamped to [mR, 1536];

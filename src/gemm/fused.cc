@@ -50,9 +50,13 @@ bool too_few_column_blocks(index_t n, index_t mc, int threads) {
 LoopMode choose_loop_mode(index_t n, index_t mc, int mr, int threads) {
   LoopMode mode;
   mode.mc = mc;
-  if (too_few_column_blocks(n, mc, threads)) {
-    mode.mc = std::max<index_t>(
-        mr, ceil_div(ceil_div(n, static_cast<index_t>(threads)), mr) * mr);
+  if (threads > 1 && n > 0) {
+    // Balance the i_c loop over the team: the fewest rounds of `threads`
+    // blocks that m_C allows, then the narrowest mR multiple whose blocks
+    // cover n in that many rounds (never wider than m_C).
+    const index_t rounds = ceil_div(ceil_div(n, mc), threads);
+    mode.mc =
+        std::max<index_t>(mr, mr * ceil_div(n, mr * rounds * threads));
   }
   mode.jr_parallel = threads > 1 && ceil_div(n, mode.mc) <
                                         std::max<index_t>(2, threads / 2);
@@ -74,37 +78,38 @@ void offset_terms(const LinTermT<T>* in, int n, index_t ld, index_t row,
 // One step of the 2nd loop (j_r) with the 1st (i_r) inside it: the
 // nR-row A~ panel `a_panel` (C rows [row, row + rows), rows <= nR) meets
 // every mR-column panel of the B~ tile `b_tile` (C columns
-// [col, col + cols)), and each accumulator block goes to every target
-// through epilogue_update at (rs, cs) = (1, ldc).  Before each kernel
-// call the block's C rows are prefetched for writing.  Both panels span
-// `kc` of the shared dimension; `c_local` is caller-owned room for num_c
-// terms.
+// [col, col + cols)), one call of the kernel's C-update entry per tile,
+// which applies the block to every target at (rs, cs) = (1, ldc).  Before
+// each call the tile's C row segments are prefetched for writing.  Both
+// panels span `kc` of the shared dimension; `c_local` is caller-owned room
+// for num_c terms.
 template <typename T>
 void fused_jr_step(const KernelInfo& kernel, index_t kc, const T* a_panel,
                    index_t rows, const T* b_tile, index_t cols,
                    const OutTermT<T>* c_terms, int num_c, index_t ldc,
                    index_t row, index_t col, bool accumulate,
                    OutTermT<T>* c_local) {
+  constexpr index_t kLine = 64 / sizeof(T);
   const int mr = kernel.mr;
-  const auto ukr = kernel_fn<T>(kernel);
-  assert(ukr != nullptr);
-  alignas(64) T acc[kMaxAccElemsOf<T>];
+  const auto update = kernel_update_fn<T>(kernel);
+  assert(update != nullptr);
   for (index_t ir = 0; ir < cols; ir += mr) {
+    const index_t m_sub = std::min<index_t>(mr, cols - ir);
     for (int t = 0; t < num_c; ++t) {
       c_local[t].ptr = c_terms[t].ptr + row * ldc + col + ir;
       c_local[t].coeff = c_terms[t].coeff;
-      // One block row is mR elements of a C row: one 64-byte line for
-      // the 8x6 f64 and 16x6 f32 kernels.
+      // One block row is m_sub elements of a C row: every 64-byte line of
+      // it (two for the 128-byte rows of the AVX-512 tiles).
       for (index_t j = 0; j < rows; ++j) {
-        __builtin_prefetch(c_local[t].ptr + j * ldc, /*rw=*/1);
+        for (index_t e = 0; e < m_sub; e += kLine) {
+          __builtin_prefetch(c_local[t].ptr + j * ldc + e, /*rw=*/1);
+        }
       }
     }
     // The B~ tile's mR-panel is the kernel's A operand, the A~ panel its B
-    // operand: acc column j is C row `row + j`.
-    ukr(kc, b_tile + ir * kc, a_panel, acc);
-    epilogue_update(c_local, num_c, /*rs=*/1, /*cs=*/ldc,
-                    std::min<index_t>(mr, cols - ir), rows, acc, mr,
-                    kernel.nr, accumulate);
+    // operand: block column j is C row `row + j`.
+    update(kc, b_tile + ir * kc, a_panel, c_local, num_c, ldc, m_sub, rows,
+           accumulate);
   }
 }
 

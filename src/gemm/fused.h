@@ -18,8 +18,10 @@
 // transposition for row-stored C).  The micro-kernel's mR x nR block is
 // column-major, so a kernel column of mR accumulators is mR contiguous
 // elements of one C row: the i_r loop streams along C rows, and the
-// epilogue's write-back is unit-stride updates of lines that were
-// prefetched while the kernel ran.  Loop roles:
+// kernel's C-update entry (kernel.h) adds each column into unit-stride row
+// segments whose 64-byte lines (two per row for the 128-byte rows of the
+// AVX-512 tiles) are prefetched before the call, so they arrive while its
+// k loop runs.  Loop roles:
 //   * j_c walks C's rows (A's rows) in n_C blocks; A~ = sum_i u_i A_i is
 //     packed into the shared k_C x n_C buffer in nR-row panels;
 //   * p_c walks k in k_C blocks;
@@ -91,20 +93,26 @@ using GemmWorkspaceF32 = GemmWorkspaceT<float>;
 int resolve_threads(const GemmConfig& cfg);
 
 // How one call divides its work among `threads` participants.  By default
-// the i_c loop carries the parallelism.  When n yields fewer m_C column
-// blocks than threads (small FMM submatrices), m_C first shrinks so the
-// i_c loop regains enough blocks (a thinner B~ tile still lives
-// comfortably in L2); only when even mR-wide tiles cannot feed half the
+// the i_c loop carries the parallelism, and m_C shrinks (to an mR
+// multiple, never growing) so its column blocks fill whole rounds of the
+// team: with rounds = ceil(ceil(n / m_C) / threads), m_C becomes
+// mR * ceil(n / (mR * rounds * threads)).  A 4-thread call on n = 2880 at
+// m_C = 512 runs 8 blocks of 368 in two full rounds, not 6 blocks (5 x 512
+// + 320) whose second round leaves two participants idle; when n yields
+// fewer blocks than threads (small FMM submatrices), the same formula
+// gives each participant one block (a thinner B~ tile still lives
+// comfortably in L2).  Only when even mR-wide tiles cannot feed half the
 // threads does the 2nd loop (j_r) take over, with a cooperatively packed
-// shared B~ tile, at two barriers per tile.
+// shared B~ tile, at two barriers per tile.  An empty C (n <= 0) keeps
+// m_C.
 struct LoopMode {
   index_t mc = 0;            // the i_c loop's step (a multiple of mr)
   bool jr_parallel = false;  // the j_r loop carries the parallelism
 };
 LoopMode choose_loop_mode(index_t n, index_t mc, int mr, int threads);
-// choose_loop_mode's trigger for shrinking m_C: n yields fewer m_C column
-// blocks than threads (threads > 1).  A compiled executor's batch of such
-// problems runs its items in parallel instead.
+// n yields fewer m_C column blocks than threads (threads > 1): too few to
+// feed the team from the i_c loop at full width.  A compiled executor's
+// batch of such problems runs its items in parallel instead.
 bool too_few_column_blocks(index_t n, index_t mc, int threads);
 
 // With accumulate == true (the default), every target receives

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "src/gemm/kernels_arch.h"
 
@@ -42,54 +43,93 @@ bool cpu_has_avx512f() { return false; }
 constexpr DType kF64 = DType::kF64;
 constexpr DType kF32 = DType::kF32;
 
+// The generic C-update entry of a kernel that writes its block to memory:
+// the kernel into a stack block, then epilogue_update at the fused loop's
+// (rs, cs) = (1, ldc).
+template <typename T, int MR, int NR, MicrokernelFnT<T> Fn>
+void stored_block_update(index_t k, const T* a_panel, const T* b_panel,
+                         const OutTermT<T>* targets, int num_targets,
+                         index_t ldc, index_t m_sub, index_t n_sub,
+                         bool accumulate) {
+  alignas(64) T acc[MR * NR];
+  Fn(k, a_panel, b_panel, acc);
+  epilogue_update(targets, num_targets, /*rs=*/1, /*cs=*/ldc, m_sub, n_sub,
+                  acc, MR, NR, accumulate);
+}
+
+// One registry entry: kernel Fn at an MR x NR tile of T, with its C-update
+// entry (the generic adapter unless the kernel brings its own).
+template <typename T, int MR, int NR, MicrokernelFnT<T> Fn>
+KernelInfo entry(const char* name, const char* isa, double flops_per_cycle,
+                 bool vectorized, bool (*supported_fn)(),
+                 MicrokernelUpdateFnT<T> update =
+                     &stored_block_update<T, MR, NR, Fn>) {
+  KernelInfo k{name, isa, DTypeOf<T>::value, MR, NR,
+               nullptr, nullptr, nullptr, nullptr,  // entry points: below
+               flops_per_cycle, vectorized, supported_fn};
+  if constexpr (std::is_same_v<T, double>) {
+    k.fn = Fn;
+    k.update = update;
+  } else {
+    k.fn_f32 = Fn;
+    k.update_f32 = update;
+  }
+  return k;
+}
+
 std::vector<KernelInfo> build_registry() {
   std::vector<KernelInfo> reg;
   // f64 family first; portable entries lead each family: always supported,
   // lowest throughput hints.
-  reg.push_back({"portable", "generic", kF64, 8, 6,
-                 &portable_microkernel<double, 8, 6>, nullptr, 2.0, false,
-                 nullptr});
-  reg.push_back({"portable_4x12", "generic", kF64, 4, 12,
-                 &portable_microkernel<double, 4, 12>, nullptr, 1.8, false,
-                 nullptr});
+  reg.push_back(entry<double, 8, 6, &portable_microkernel<double, 8, 6>>(
+      "portable", "generic", 2.0, false, nullptr));
+  reg.push_back(entry<double, 4, 12, &portable_microkernel<double, 4, 12>>(
+      "portable_4x12", "generic", 1.8, false, nullptr));
 #if defined(FMM_HAVE_AVX2_TU)
-  reg.push_back({"avx2_8x6", "avx2", kF64, 8, 6,
-                 &detail::microkernel_avx2_8x6, nullptr, 16.0, true,
-                 &cpu_has_avx2_fma});
+  reg.push_back(entry<double, 8, 6, &detail::microkernel_avx2_8x6>(
+      "avx2_8x6", "avx2", 16.0, true, &cpu_has_avx2_fma));
   // Thinner tile: better edge utilization when the FMM submatrix rows are
   // not close to a multiple of 8; slightly lower peak (more broadcasts per
   // flop), hence the lower hint.
-  reg.push_back({"avx2_4x12", "avx2", kF64, 4, 12,
-                 &detail::microkernel_avx2_4x12, nullptr, 14.0, true,
-                 &cpu_has_avx2_fma});
+  reg.push_back(entry<double, 4, 12, &detail::microkernel_avx2_4x12>(
+      "avx2_4x12", "avx2", 14.0, true, &cpu_has_avx2_fma));
 #endif
 #if defined(FMM_HAVE_AVX512_TU)
-  reg.push_back({"avx512_8x6", "avx512", kF64, 8, 6,
-                 &detail::microkernel_avx512_8x6, nullptr, 32.0, true,
-                 &cpu_has_avx512f});
+  reg.push_back(entry<double, 16, 12, &detail::microkernel_avx512<double, 12>>(
+      "avx512_16x12", "avx512", 32.0, true, &cpu_has_avx512f,
+      &detail::microkernel_avx512_update<double, 12>));
+  // The same tile at half the width, for C rows the 12-wide tile pads more
+  // than 2x (the selector ranks it only then).
+  reg.push_back(entry<double, 16, 6, &detail::microkernel_avx512<double, 6>>(
+      "avx512_16x6", "avx512", 28.0, true, &cpu_has_avx512f,
+      &detail::microkernel_avx512_update<double, 6>));
 #endif
   // f32 family.  The portable f32 entry shares the "portable" name with its
   // f64 sibling so FMM_KERNEL=portable pins the scalar fallback for *both*
   // dtypes (the no-AVX2 CI leg relies on this); lookups are by (name, dtype).
-  reg.push_back({"portable", "generic", kF32, 8, 6, nullptr,
-                 &portable_microkernel<float, 8, 6>, 4.0, false, nullptr});
+  reg.push_back(entry<float, 8, 6, &portable_microkernel<float, 8, 6>>(
+      "portable", "generic", 4.0, false, nullptr));
 #if defined(FMM_HAVE_AVX2_TU)
-  reg.push_back({"avx2_16x6", "avx2", kF32, 16, 6, nullptr,
-                 &detail::microkernel_avx2_16x6_f32, 32.0, true,
-                 &cpu_has_avx2_fma});
+  reg.push_back(entry<float, 16, 6, &detail::microkernel_avx2_16x6_f32>(
+      "avx2_16x6", "avx2", 32.0, true, &cpu_has_avx2_fma));
 #endif
 #if defined(FMM_HAVE_AVX512_TU)
-  reg.push_back({"avx512_16x6", "avx512", kF32, 16, 6, nullptr,
-                 &detail::microkernel_avx512_16x6_f32, 64.0, true,
-                 &cpu_has_avx512f});
+  reg.push_back(entry<float, 32, 12, &detail::microkernel_avx512<float, 12>>(
+      "avx512_32x12", "avx512", 64.0, true, &cpu_has_avx512f,
+      &detail::microkernel_avx512_update<float, 12>));
+  reg.push_back(entry<float, 32, 6, &detail::microkernel_avx512<float, 6>>(
+      "avx512_32x6", "avx512", 56.0, true, &cpu_has_avx512f,
+      &detail::microkernel_avx512_update<float, 6>));
 #endif
   (void)cpu_has_avx512f;  // non-x86 / no-TU builds
   (void)cpu_has_avx2_fma;
   for (const KernelInfo& k : reg) {
-    // Each entry must carry exactly the entry point of its dtype and fit
+    // Each entry must carry exactly the entry points of its dtype and fit
     // that dtype's accumulator bound.
     assert((k.dtype == kF64) == (k.fn != nullptr));
+    assert((k.dtype == kF64) == (k.update != nullptr));
     assert((k.dtype == kF32) == (k.fn_f32 != nullptr));
+    assert((k.dtype == kF32) == (k.update_f32 != nullptr));
     assert(k.mr <= (k.dtype == kF32 ? kMaxMRF32 : kMaxMR));
     assert(k.nr <= (k.dtype == kF32 ? kMaxNRF32 : kMaxNR));
     (void)k;
@@ -198,7 +238,8 @@ template <bool kAccumulate, typename T>
 void update_tile(T* c, index_t rs, index_t cs, index_t m_sub, index_t n_sub,
                  const T* acc, int mr, int nr, T w) {
   if (rs == 1 && m_sub == mr && n_sub == nr) {
-    // Every registered kernel's mr; other tiles take the general loop.
+    // The tiles that reach this through the generic C-update adapter;
+    // other tiles take the general loop.
     switch (mr) {
       case 4:
         return update_full_tile<kAccumulate, 4>(c, cs, nr, acc, w);

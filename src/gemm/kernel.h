@@ -20,6 +20,13 @@
 // it).  The epilogue then applies the block to one or many output
 // submatrices with per-target coefficients.
 //
+// Every kernel also has a C-update entry (KernelInfo::update), the one the
+// fused loop calls: the same block applied to every target as
+// epilogue_update does at (rs, cs) = (1, ldc), bit for bit.  The AVX-512
+// kernels add their tile into C straight from the registers (the paper's
+// ABC variant, §3); the others take the generic adapter, the kernel into a
+// stack block and then epilogue_update.
+//
 // Selection (per element type — the registry holds an f64 family and an f32
 // family, and every resolution step takes the dtype):
 //   * active_kernel(dtype) returns the process-wide *default*: the
@@ -59,10 +66,28 @@ inline constexpr int kMaxAccElemsOf = kMaxAccElems;
 template <>
 inline constexpr int kMaxAccElemsOf<float> = kMaxAccElemsF32;
 
-using MicrokernelFn = void (*)(index_t k, const double* a_panel,
-                               const double* b_panel, double* acc);
-using MicrokernelF32Fn = void (*)(index_t k, const float* a_panel,
-                                  const float* b_panel, float* acc);
+template <typename T>
+using MicrokernelFnT = void (*)(index_t k, const T* a_panel, const T* b_panel,
+                                T* acc);
+using MicrokernelFn = MicrokernelFnT<double>;
+using MicrokernelF32Fn = MicrokernelFnT<float>;
+
+// The C-update entry: for each target t and each block element (r, j)
+// with r < m_sub, j < n_sub,
+//
+//     C_t[r + j * ldc] += coeff_t * block(r, j)   (accumulate)
+//     C_t[r + j * ldc]  = coeff_t * block(r, j)   (overwrite)
+//
+// where block is what the kernel entry would write to acc.
+template <typename T>
+using MicrokernelUpdateFnT = void (*)(index_t k, const T* a_panel,
+                                      const T* b_panel,
+                                      const OutTermT<T>* targets,
+                                      int num_targets, index_t ldc,
+                                      index_t m_sub, index_t n_sub,
+                                      bool accumulate);
+using MicrokernelUpdateFn = MicrokernelUpdateFnT<double>;
+using MicrokernelUpdateF32Fn = MicrokernelUpdateFnT<float>;
 
 struct KernelInfo {
   const char* name;  // registry key, e.g. "avx2_8x6"; unique per dtype
@@ -70,8 +95,10 @@ struct KernelInfo {
   DType dtype;
   int mr;
   int nr;
-  MicrokernelFn fn;         // set iff dtype == kF64
-  MicrokernelF32Fn fn_f32;  // set iff dtype == kF32
+  MicrokernelFn fn;                   // set iff dtype == kF64
+  MicrokernelF32Fn fn_f32;            // set iff dtype == kF32
+  MicrokernelUpdateFn update;         // set iff dtype == kF64
+  MicrokernelUpdateF32Fn update_f32;  // set iff dtype == kF32
   // Rough sustained flops/cycle at this dtype (portable ~2, AVX2 FMA ~16
   // f64 / ~32 f32, AVX-512 double that).  Used to pick the process-wide
   // default kernel and as the pre-calibration fallback (FMM_CALIBRATE=0);
@@ -95,6 +122,18 @@ inline auto kernel_fn<double>(const KernelInfo& k) {
 template <>
 inline auto kernel_fn<float>(const KernelInfo& k) {
   return k.fn_f32;
+}
+
+// Typed access to the C-update entry, as kernel_fn.
+template <typename T>
+auto kernel_update_fn(const KernelInfo& k);
+template <>
+inline auto kernel_update_fn<double>(const KernelInfo& k) {
+  return k.update;
+}
+template <>
+inline auto kernel_update_fn<float>(const KernelInfo& k) {
+  return k.update_f32;
 }
 
 // Key under which calibration/history caches store this kernel's rows.
@@ -154,11 +193,12 @@ void microkernel_generic(int mr, int nr, index_t k, const float* a_panel,
 // Overwrite serves the first k-block when streaming into a fresh
 // temporary.  `acc` is the kernel's block with leading dimension mr;
 // m_sub <= mr and n_sub <= nr mask edge tiles.  The fused loop runs on the
-// transposed problem and passes (rs, cs) = (1, ldc): column j of `acc` is
-// mr contiguous elements of one C row, and a full tile (m_sub == mr,
-// n_sub == nr) with rs == 1 takes a fixed-width unit-stride path.  The
-// product and the add stay separate operations (no FMA), so every stride
-// pair gives the same bits.
+// transposed problem, and the generic C-update adapter passes
+// (rs, cs) = (1, ldc): column j of `acc` is mr contiguous elements of one
+// C row, and a full tile (m_sub == mr, n_sub == nr) with rs == 1 takes a
+// fixed-width unit-stride path.  The product and the add stay separate
+// operations (kernel.cc builds with -ffp-contract=off), so every stride
+// pair, and every kernel's C-update entry, gives the same bits.
 void epilogue_update(const OutTerm* targets, int num_targets, index_t rs,
                      index_t cs, index_t m_sub, index_t n_sub,
                      const double* acc, int mr, int nr, bool accumulate);

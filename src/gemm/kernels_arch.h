@@ -7,6 +7,7 @@
 // runtime via cpuid.  The FMM_HAVE_*_TU macros are defined for the whole
 // fmm target when the compiler supports the flags.
 
+#include "src/gemm/term.h"
 #include "src/linalg/mat_view.h"
 
 namespace fmm {
@@ -22,10 +23,18 @@ void microkernel_avx2_16x6_f32(index_t k, const float* a_panel,
 #endif
 
 #if defined(FMM_HAVE_AVX512_TU)
-void microkernel_avx512_8x6(index_t k, const double* a_panel,
-                            const double* b_panel, double* acc);
-void microkernel_avx512_16x6_f32(index_t k, const float* a_panel,
-                                 const float* b_panel, float* acc);
+// One register-tile template: a 2-zmm-tall mR (16 f64, 32 f32) by NR tile,
+// instantiated at NR = 12 (the default tile) and NR = 6 (for C rows the
+// 12-wide tile pads more than 2x).  Each has the plain kernel entry and
+// the C-update entry (KernelInfo::update).
+template <typename T, int NR>
+void microkernel_avx512(index_t k, const T* a_panel, const T* b_panel,
+                        T* acc);
+template <typename T, int NR>
+void microkernel_avx512_update(index_t k, const T* a_panel, const T* b_panel,
+                               const OutTermT<T>* targets, int num_targets,
+                               index_t ldc, index_t m_sub, index_t n_sub,
+                               bool accumulate);
 #endif
 
 }  // namespace detail

@@ -149,7 +149,7 @@ ModelParams calibrate(const GemmConfig& cfg) {
   const BlockingParams bp = resolve_blocking(cfg);
 
   // --- τ_a: the *measured* sustained rate of the resolved micro-kernel on
-  // L1-resident panels, from the per-process calibration cache (each
+  // hot panels, from the per-process calibration cache (each
   // registry kernel has its own peak; src/arch/calibrate.h). ---
   p.tau_a = 1.0 / (arch::kernel_gflops(*bp.kernel) * 1e9);
 
@@ -160,7 +160,7 @@ ModelParams calibrate(const GemmConfig& cfg) {
   // --- τ_a refinement: sustained arithmetic rate inside the full loop
   // nest.  The paper sets τ_a to 1/peak because its BLIS substrate runs
   // at ~93% of peak; our generic kernel sustains a lower fraction of its
-  // hot-L1 rate once packing, epilogue and TLB effects bite, so we fit
+  // hot-panel rate once packing, epilogue and TLB effects bite, so we fit
   // τ_a from a mid-size compute-dominated GEMM (subtracting the modeled
   // memory time with a mid-range λ), never letting it drop below the
   // micro-kernel bound.  λ is then fit exactly as in the paper. ---

@@ -91,7 +91,7 @@ ModelBreakdown predict_breakdown(const ModelInput& in, const ModelParams& p);
 ModelParams calibrate(const GemmConfig& cfg = GemmConfig{});
 
 // Per-dtype calibration.  The f64 path is calibrate() above.  The f32 path
-// derives τ_a from the resolved f32 kernel's measured hot-L1 rate and τ_b
+// derives τ_a from the resolved f32 kernel's measured hot-panel rate and τ_b
 // from the f32 stream triad, but skips the gemm-based τ_a/λ refinement
 // (the fit corpus is f64 gemm; reusing its λ default keeps the two param
 // sets independent and cheap).

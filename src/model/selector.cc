@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "src/arch/calibrate.h"
 #include "src/core/catalog.h"
@@ -42,14 +44,19 @@ std::vector<Plan> default_plan_space(const std::vector<Variant>& variants,
 
 const KernelInfo* best_kernel_for_shape(index_t ms, index_t ns, index_t ks,
                                         DType dtype) {
-  if (kernel_override_active(dtype)) return &active_kernel(dtype);
+  const KernelInfo& active = active_kernel(dtype);
+  if (kernel_override_active(dtype)) return &active;
   const double msd = static_cast<double>(std::max<index_t>(ms, 1));
   const double nsd = static_cast<double>(std::max<index_t>(ns, 1));
   const double ksd = static_cast<double>(std::max<index_t>(ks, 1));
+  // Rows the default tile pads more than 2x (see selector.h).
+  const bool short_rows = std::ceil(msd / active.nr) * active.nr > 2.0 * msd;
   const KernelInfo* best = nullptr;
-  double best_cost = 0.0;
+  std::pair<bool, double> best_rank;  // (pads rows more than 2x, cost)
   for (const KernelInfo& kern : kernel_registry()) {
     if (kern.dtype != dtype || !kern.supported()) continue;
+    if (std::strcmp(kern.isa, active.isa) != 0) continue;
+    if (kern.nr < active.nr && !short_rows) continue;
     // Padded-tile multiply flops at the kernel's register tile, over the
     // kernel's *measured* sustained rate (lazily calibrated once per
     // process and cached — src/arch/calibrate.h; the static hint is only
@@ -58,10 +65,11 @@ const KernelInfo* best_kernel_for_shape(index_t ms, index_t ns, index_t ks,
     // fused loop runs on C^T: rows pad to nR, columns to mR.
     const double msp = std::ceil(msd / kern.nr) * kern.nr;
     const double nsp = std::ceil(nsd / kern.mr) * kern.mr;
-    const double cost = msp * nsp * ksd / arch::kernel_gflops(kern);
-    if (best == nullptr || cost < best_cost) {
+    const std::pair<bool, double> rank{
+        msp > 2.0 * msd, msp * nsp * ksd / arch::kernel_gflops(kern)};
+    if (best == nullptr || rank < best_rank) {
       best = &kern;
-      best_cost = cost;
+      best_rank = rank;
     }
   }
   return best;

@@ -30,13 +30,20 @@ struct Candidate {
 std::vector<Plan> default_plan_space(const std::vector<Variant>& variants,
                                      int max_levels = 2);
 
-// Cheapest supported registry kernel of the given element type for an
-// interior sub-problem of shape ms x ns (x ks): minimizes padded-tile
-// flops over the kernel's *calibrated* throughput (measured once per
-// process and cached, src/arch/calibrate.h; the static registry hint is
-// only the FMM_CALIBRATE=0 fallback).  Honors an FMM_KERNEL override for
-// that dtype (then the override wins outright); when cfg pins a kernel
-// the caller should skip scoring entirely.
+// Cheapest supported registry kernel of the given element type and of
+// active_kernel(dtype)'s ISA for an interior sub-problem of shape ms x ns
+// (x ks): minimizes padded-tile flops over the kernel's *calibrated*
+// throughput (measured once per process and cached, src/arch/calibrate.h;
+// the static registry hint is only the FMM_CALIBRATE=0 fallback).  Other
+// ISAs are not ranked: one calibration taken while the host is busy must
+// not move every plan of the process onto a narrower vector unit.  The
+// fused loop runs on C^T, so the ms rows pad to nR: a tile that pads them
+// more than 2x ranks after every tile that does not, and a tile narrower
+// than the default's (avx512_16x6 beside avx512_16x12) is ranked only for
+// rows the default pads more than 2x (4 rows fill a third of a 12-wide
+// tile).  Honors an FMM_KERNEL override for that dtype (then the override
+// wins outright); when cfg pins a kernel the caller should skip scoring
+// entirely.
 const KernelInfo* best_kernel_for_shape(index_t ms, index_t ns, index_t ks,
                                         DType dtype = DType::kF64);
 

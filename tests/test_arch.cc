@@ -12,6 +12,7 @@
 #include "src/arch/cache_info.h"
 #include "src/arch/calibrate.h"
 #include "src/gemm/blocking.h"
+#include "tests/test_support.h"
 
 namespace fmm {
 namespace {
@@ -19,31 +20,7 @@ namespace {
 constexpr long kKiB = 1024;
 constexpr long kMiB = 1024 * 1024;
 
-// Sets (or unsets, for nullptr) an environment variable for one scope.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_, old_;
-  bool had_;
-};
+using test::ScopedEnv;
 
 arch::CacheTopology make_topology(long l1, long l2, long l3, int sharing) {
   arch::CacheTopology t;
@@ -130,8 +107,14 @@ TEST(DeriveBlocking, TilesFitTheReportedCachesAcrossTopologies) {
       // Cache-fit checks charge the kernel's own element size (the f32
       // family fills the same caches with half-width elements).
       const index_t es = static_cast<index_t>(dtype_size(kern.dtype));
-      // A and B micro-panels stream through L1 together.
-      EXPECT_LE((kern.mr + kern.nr) * ab.kc * es, topo.l1d_bytes);
+      // L1: a vectorized kernel keeps the reused nR x k_C panel in 3/4 of
+      // it (its mR-panels stream from L2); a scalar one keeps both
+      // micro-panels together.
+      if (kern.vectorized) {
+        EXPECT_LE(4 * kern.nr * ab.kc * es, 3 * topo.l1d_bytes);
+      } else {
+        EXPECT_LE((kern.mr + kern.nr) * ab.kc * es, topo.l1d_bytes);
+      }
       // The packed A-tile fits L2.
       EXPECT_LE(ab.mc * ab.kc * es, topo.l2_bytes);
       // The packed B-panel fits the L3 slice (when one exists).
@@ -139,6 +122,32 @@ TEST(DeriveBlocking, TilesFitTheReportedCachesAcrossTopologies) {
         EXPECT_LE(ab.kc * ab.nc * es, topo.l3_bytes);
       }
     }
+  }
+}
+
+TEST(DeriveBlocking, VectorizedKernelsChargeL1WithTheReusedPanelOnly) {
+  // 48 KiB L1d, 2 MiB L2: the 16x12 f64 tile keeps k_C = 384 (its 12 x 384
+  // A~ panel is 36 KiB, 3/4 of L1d); charging both panels would give 192
+  // and split a k = 256 product into two passes over C.  The scalar
+  // kernels keep the both-panels rule.
+  const arch::CacheTopology topo =
+      make_topology(48 * kKiB, 2 * kMiB, 260 * kMiB, 1);
+  const struct {
+    const char* name;
+    DType dtype;
+    index_t kc, mc;
+  } cases[] = {
+      {"avx512_16x12", DType::kF64, 384, 512},
+      {"avx512_32x12", DType::kF32, 768, 512},
+      {"avx2_8x6", DType::kF64, 768, 256},
+      {"portable", DType::kF64, 384, 512},  // 48 KiB / (14 * 8) -> 384
+  };
+  for (const auto& c : cases) {
+    const KernelInfo* k = find_kernel(c.name, c.dtype);
+    if (k == nullptr) continue;  // ISA not compiled in
+    const AutoBlocking ab = derive_blocking(*k, topo);
+    EXPECT_EQ(ab.kc, c.kc) << c.name;
+    EXPECT_EQ(ab.mc, c.mc) << c.name;
   }
 }
 

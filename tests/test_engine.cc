@@ -453,6 +453,35 @@ TEST(EngineBatch, EmptyBatchesAreOk) {
   EXPECT_TRUE(engine.multiply(plan, BatchSpec::items(two_empty, 2)).ok());
 }
 
+TEST(EngineBatch, EmptyItemsCompileNothing) {
+  // Items whose C is empty do no arithmetic, so, like an empty strided
+  // batch, they compile and cache no executor, on the explicit and the
+  // auto path; beside a non-empty item they leave its group alone.
+  Engine engine;
+  const Plan plan = strassen_plan();
+  const Matrix b = Matrix::random(4, 5, 3);
+  const BatchItem empty{MatView(nullptr, 0, 5, 5),
+                        ConstMatView(nullptr, 0, 4, 4), b.view()};
+  const BatchItem two_empty[2] = {empty, empty};
+  const Engine::CacheStats before = engine.stats();
+  EXPECT_TRUE(engine.multiply(plan, BatchSpec::items(two_empty, 2)).ok());
+  EXPECT_TRUE(engine.multiply(BatchSpec::items(two_empty, 2)).ok());
+  const Engine::CacheStats after = engine.stats();
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.choice_misses, before.choice_misses);
+
+  const Matrix a = Matrix::random(6, 4, 4);
+  Matrix c = Matrix::zero(6, 5);
+  Matrix want = Matrix::zero(6, 5);
+  ref_gemm(want.view(), a.view(), b.view());
+  const BatchItem mixed[2] = {empty, {c.view(), a.view(), b.view()}};
+  EXPECT_TRUE(engine.multiply(plan, BatchSpec::items(mixed, 2)).ok());
+  EXPECT_EQ(engine.stats().entries, before.entries + 1);
+  EXPECT_EQ(engine.stats().misses, before.misses + 1);
+  EXPECT_LE(max_abs_diff(c.view(), want.view()), 1e-12);
+}
+
 // ---------------------------------------------------------------------------
 // Auto path.
 // ---------------------------------------------------------------------------

@@ -34,32 +34,7 @@ using test::RandomProblemF32;
 using test::tol_classical_f32;
 using test::tol_for;
 using test::tol_for_f32;
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_ = false;
-};
+using test::ScopedEnv;
 
 Plan one_level_plan(Variant v = Variant::kABC) {
   return make_plan({catalog::best(2, 2, 2)}, v);

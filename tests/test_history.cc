@@ -52,32 +52,7 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-// Restores an env var on scope exit (tests mutate process-global state).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
+using test::ScopedEnv;
 
 // ---------------------------------------------------------------------------
 // Shape buckets and footprints.

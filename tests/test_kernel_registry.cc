@@ -54,11 +54,15 @@ TEST(KernelRegistry, EntriesAreWellFormed) {
     if (k.dtype == DType::kF64) {
       EXPECT_NE(k.fn, nullptr) << k.name;
       EXPECT_EQ(k.fn_f32, nullptr) << k.name;
+      EXPECT_NE(k.update, nullptr) << k.name;
+      EXPECT_EQ(k.update_f32, nullptr) << k.name;
       EXPECT_LE(k.mr, kMaxMR) << k.name;
       EXPECT_LE(k.nr, kMaxNR) << k.name;
     } else {
       EXPECT_EQ(k.fn, nullptr) << k.name;
       EXPECT_NE(k.fn_f32, nullptr) << k.name;
+      EXPECT_EQ(k.update, nullptr) << k.name;
+      EXPECT_NE(k.update_f32, nullptr) << k.name;
       EXPECT_LE(k.mr, kMaxMRF32) << k.name;
       EXPECT_LE(k.nr, kMaxNRF32) << k.name;
     }
@@ -422,6 +426,85 @@ TEST(Epilogue, OverwriteModeIgnoresPriorContents) {
                    /*accumulate=*/false);
     for (int r = 0; r < MR; ++r)
       for (int j = 0; j < NR; ++j) EXPECT_DOUBLE_EQ(c(r, j), 6.0);
+  }
+}
+
+// --------------------------------------------------------------------------
+// C-update entry: the one the fused loop calls must be each kernel's fn
+// followed by epilogue_update at (rs, cs) = (1, ldc), bit for bit.  That
+// pins the AVX-512 kernels' register-level update to the scalar
+// epilogue's arithmetic (product rounded, then added: no FMA) and their
+// masked edge tiles to the m_sub x n_sub bounds.
+// --------------------------------------------------------------------------
+
+template <typename T>
+void expect_update_matches_fn_then_epilogue(const KernelInfo& kern) {
+  SCOPED_TRACE(std::string(kern.name) + " " + dtype_name(kern.dtype));
+  const int mr = kern.mr, nr = kern.nr;
+  const index_t k = 37;
+  Xoshiro256 rng(static_cast<std::uint64_t>(mr * 100 + nr));
+  auto random = [&](index_t size) {
+    std::vector<T> v(static_cast<std::size_t>(size));
+    for (T& x : v) x = static_cast<T>(rng.uniform(-1, 1));
+    return v;
+  };
+  const std::vector<T> a = random(mr * k), b = random(nr * k);
+  alignas(64) T acc[kMaxAccElemsOf<T>];
+  kernel_fn<T>(kern)(k, a.data(), b.data(), acc);
+  const auto update = kernel_update_fn<T>(kern);
+  ASSERT_NE(update, nullptr);
+
+  // Each target is nr rows of ldc elements; the elements past m_sub and
+  // the rows past n_sub must keep their bits.
+  const index_t ldc = mr + 5;
+  const index_t block = nr * ldc;
+  // The catalog's usual coefficients make every product w * acc exact, so
+  // only the second set, whose products round, can tell a fused update
+  // from a separate product and add.
+  const double coeff_sets[2][3] = {{1.0, -1.0, 0.5}, {1.0 / 3, -0.7, 2.9}};
+  // Full, one row short, and (for the two-vector AVX-512 tiles) one vector
+  // plus one lane, exactly one vector, one lane.
+  for (const index_t m_sub : {index_t{mr}, index_t{mr - 1},
+                              index_t{mr / 2 + 1}, index_t{mr / 2},
+                              index_t{1}}) {
+    for (const index_t n_sub : {index_t{nr}, index_t{nr - 1}, index_t{1}}) {
+      for (const bool accumulate : {true, false}) {
+        for (const auto& coeffs : coeff_sets) {
+          for (int num = 1; num <= 3; ++num) {
+            SCOPED_TRACE("m_sub=" + std::to_string(m_sub) +
+                         " n_sub=" + std::to_string(n_sub) +
+                         " accumulate=" + std::to_string(accumulate) +
+                         " w0=" + std::to_string(coeffs[0]) +
+                         " targets=" + std::to_string(num));
+            std::vector<T> want = random(num * block);
+            std::vector<T> got = want;
+            OutTermT<T> to_want[3], to_got[3];
+            for (int t = 0; t < num; ++t) {
+              to_want[t] = {want.data() + t * block, coeffs[t]};
+              to_got[t] = {got.data() + t * block, coeffs[t]};
+            }
+            epilogue_update(to_want, num, /*rs=*/1, /*cs=*/ldc, m_sub, n_sub,
+                            acc, mr, nr, accumulate);
+            update(k, a.data(), b.data(), to_got, num, ldc, m_sub, n_sub,
+                   accumulate);
+            EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                                  want.size() * sizeof(T)),
+                      0);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelUpdate, MatchesFnThenEpilogueBitwise) {
+  for (const KernelInfo& kern : kernel_registry()) {
+    if (!kern.supported()) continue;
+    if (kern.dtype == DType::kF64) {
+      expect_update_matches_fn_then_epilogue<double>(kern);
+    } else {
+      expect_update_matches_fn_then_epilogue<float>(kern);
+    }
   }
 }
 

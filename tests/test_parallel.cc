@@ -108,6 +108,47 @@ TEST(Parallel, JrParallelModeKicksInForShortM) {
   EXPECT_EQ(max_abs_diff(c1.view(), cN.view()), 0.0);
 }
 
+TEST(Parallel, LoopModeBalancesColumnBlocksOverTheTeam) {
+  // m_C shrinks to the narrowest mR multiple that covers n in as many
+  // rounds of `threads` blocks as m_C needs.  A 4-thread call on
+  // n = 2880 at m_C = 512 used to run 6 blocks (5 x 512 + 320) in two
+  // rounds, the second leaving half the team idle.
+  struct Case {
+    index_t n, mc;
+    int mr, threads;
+    index_t want_mc, want_blocks;
+  };
+  const Case cases[] = {
+      {2880, 512, 16, 4, 368, 8},  // 2 full rounds
+      {2880, 512, 8, 4, 360, 8},
+      {4320, 512, 16, 4, 368, 12},  // 9 blocks -> 3 full rounds
+      {2048, 512, 16, 4, 512, 4},   // already balanced
+      {100, 512, 16, 4, 32, 4},     // fewer blocks than threads
+      {2880, 512, 16, 1, 512, 6},   // one thread: m_C as resolved
+      {40, 512, 16, 16, 16, 3},     // j_r mode
+  };
+  for (const Case& c : cases) {
+    const LoopMode mode = choose_loop_mode(c.n, c.mc, c.mr, c.threads);
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " mr=" + std::to_string(c.mr) +
+                 " threads=" + std::to_string(c.threads));
+    EXPECT_EQ(mode.mc, c.want_mc);
+    EXPECT_EQ(ceil_div(c.n, mode.mc), c.want_blocks);
+    EXPECT_EQ(mode.jr_parallel, c.threads == 16);
+  }
+  // Never wider than m_C, always an mR multiple, and never more rounds.
+  for (index_t n = 1; n <= 3000; n += 7) {
+    for (int threads : {2, 3, 4, 8}) {
+      const LoopMode mode = choose_loop_mode(n, 512, 16, threads);
+      EXPECT_LE(mode.mc, 512);
+      EXPECT_EQ(mode.mc % 16, 0);
+      EXPECT_LE(ceil_div(ceil_div(n, mode.mc), threads),
+                ceil_div(ceil_div(n, 512), threads));
+    }
+  }
+  // An empty C (n = 0) keeps m_C: no rounds to balance.
+  EXPECT_EQ(choose_loop_mode(0, 512, 16, 4).mc, 512);
+}
+
 TEST(Parallel, OverwriteModeMatchesZeroThenAccumulate) {
   // fused_multiply(accumulate=false) into a garbage buffer must equal
   // zero-fill + accumulate, serially, in i_c mode (2 threads) and in j_r
@@ -319,7 +360,12 @@ TEST(Parallel, SpeedupOnLargeProblem) {
   const auto run1 = [&] { gemm(c.view(), a.view(), b.view(), ws, cfg1); };
   const auto run8 = [&] { gemm(c.view(), a.view(), b.view(), ws, cfg8); };
   run1();  // warm
-  run8();
+  // A process started after an idle spell can run its first second or so
+  // of wide regions at single-core speed (the cores it lands on come up
+  // slowly), and the timed window below fits inside that second; so keep
+  // an 8-wide region busy for 1.5 s first.
+  const Timer warm;
+  while (warm.seconds() < 1.5) run8();
   // Best of 3 per width, the widths alternating, so a burst of load from
   // elsewhere on the host slows one run of each rather than decides the
   // comparison.

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <string>
 
+#include "src/arch/calibrate.h"
 #include "src/gemm/kernel.h"
 #include "src/model/selector.h"
+#include "tests/test_support.h"
 
 namespace fmm {
 namespace {
@@ -109,6 +114,47 @@ TEST(BestKernelForShape, PadsAgainstAwkwardShapes) {
   ASSERT_NE(k, nullptr);
   // Whatever wins must not pad rows by more than 2x.
   EXPECT_LE(round_up(4, k->nr), 8);
+}
+
+TEST(BestKernelForShape, RanksOnlyTheDefaultKernelsIsa) {
+  // A calibration taken while the host is slow must not move the plans
+  // onto another ISA: with a cache file that rates the AVX-512 kernels far
+  // below avx2_8x6, an AVX-512 kernel still wins every shape.  The thin
+  // 16x6 tile serves only rows the 16x12 tile pads more than 2x, however
+  // fast it is rated.
+  const KernelInfo* avx512 = find_kernel("avx512_16x12");
+  const KernelInfo* thin = find_kernel("avx512_16x6");
+  const KernelInfo* avx2 = find_kernel("avx2_8x6");
+  if (avx512 == nullptr || !avx512->supported() || thin == nullptr ||
+      avx2 == nullptr) {
+    GTEST_SKIP() << "needs the AVX-512 and AVX2 f64 kernels on this CPU";
+  }
+  if (kernel_override_active(DType::kF64)) {
+    GTEST_SKIP() << "FMM_KERNEL pins the kernel";
+  }
+  ASSERT_EQ(&active_kernel(DType::kF64), avx512);
+  const std::string path = testing::TempDir() + "fmm_calib_slow_avx512.txt";
+  {
+    std::ofstream f(path);
+    f << arch::calibration_cpu_key() << " avx512_16x12 1\n"
+      << arch::calibration_cpu_key() << " avx512_16x6 50\n"
+      << arch::calibration_cpu_key() << " avx2_8x6 100\n";
+  }
+  {
+    test::ScopedEnv file("FMM_CALIB_CACHE", path.c_str());
+    test::ScopedEnv enabled("FMM_CALIBRATE", nullptr);
+    arch::calibration_reset_for_testing();
+    ASSERT_EQ(arch::kernel_gflops(*avx512), 1.0);  // the file is read
+    ASSERT_EQ(arch::kernel_gflops(*thin), 50.0);
+    ASSERT_EQ(arch::kernel_gflops(*avx2), 100.0);
+    EXPECT_EQ(best_kernel_for_shape(1000, 1000, 1000), avx512);
+    EXPECT_EQ(best_kernel_for_shape(1440, 1440, 256), avx512);
+    EXPECT_EQ(best_kernel_for_shape(64, 64, 64), avx512);
+    EXPECT_EQ(best_kernel_for_shape(7, 4096, 4096), avx512);
+    EXPECT_EQ(best_kernel_for_shape(4, 4096, 4096), thin);
+  }
+  arch::calibration_reset_for_testing();
+  std::remove(path.c_str());
 }
 
 TEST(SelectEmpirical, MeasuresTopKAndReturnsWinnerFirst) {

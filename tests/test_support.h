@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "src/core/engine.h"
@@ -172,6 +173,36 @@ inline int fuzz_iters(int default_iters) {
   return static_cast<int>(
       parse_env_long("FMM_FUZZ_ITERS", 1, 1L << 30).value_or(default_iters));
 }
+
+// Sets (or unsets, for nullptr) an environment variable for one scope and
+// restores it on exit: tests mutate process-global state.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_ = old != nullptr;
+    if (had_) old_ = old;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      ::setenv(name_.c_str(), old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  std::string old_;
+  bool had_ = false;
+};
 
 }  // namespace test
 }  // namespace fmm
