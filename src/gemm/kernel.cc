@@ -7,27 +7,45 @@
 #include <type_traits>
 
 #include "src/gemm/kernels_arch.h"
+#include "src/gemm/tile.h"
 
 namespace fmm {
 namespace {
 
-// Compile-time-tiled portable kernel: the inner loops unroll fully, which
-// keeps the scalar fallback respectable and gives the generic tiles a
-// deterministic reference implementation.
-template <typename T, int MR, int NR>
-void portable_microkernel(index_t k, const T* a_panel, const T* b_panel,
-                          T* acc) {
-  T local[MR * NR] = {};
-  for (index_t kk = 0; kk < k; ++kk) {
-    const T* a = a_panel + kk * MR;
-    const T* b = b_panel + kk * NR;
-    for (int j = 0; j < NR; ++j) {
-      const T bj = b[j];
-      T* out = local + j * MR;
-      for (int r = 0; r < MR; ++r) out[r] += a[r] * bj;
-    }
+// The one-lane operations of the portable register tile (tile.h): the
+// same loops in scalars, its multiply and add unfused (this TU builds with
+// -ffp-contract=off).
+template <typename T>
+struct Scalar {
+  using Elem = T;
+  using V = T;
+  using Mask = bool;
+  static constexpr int kLanes = 1;
+  static T zero() { return T(0); }
+  static T set1(T x) { return x; }
+  static T load(const T* p) { return *p; }
+  static T load(bool m, const T* p) { return m ? *p : T(0); }
+  static void store(T* p, T v) { *p = v; }
+  static void store(T* p, bool m, T v) {
+    if (m) *p = v;
   }
-  for (int i = 0; i < MR * NR; ++i) acc[i] = local[i];
+  static T fmadd(T a, T b, T c) { return a * b + c; }
+  static T mul(T a, T b) { return a * b; }
+  static T add(T a, T b) { return a + b; }
+  static bool mask(int n) { return n > 0; }
+};
+
+template <typename T, int VPC, int NR>
+void portable_kernel(index_t k, const T* a_panel, const T* b_panel, T* acc) {
+  detail::Tile<Scalar<T>, VPC, NR>(k, a_panel, b_panel).store(acc);
+}
+
+template <typename T, int VPC, int NR>
+void portable_update(index_t k, const T* a_panel, const T* b_panel,
+                     const OutTermT<T>* targets, int num_targets, index_t ldc,
+                     index_t m_sub, index_t n_sub, bool accumulate) {
+  detail::Tile<Scalar<T>, VPC, NR>(k, a_panel, b_panel)
+      .update(targets, num_targets, ldc, m_sub, n_sub, accumulate);
 }
 
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
@@ -43,83 +61,82 @@ bool cpu_has_avx512f() { return false; }
 constexpr DType kF64 = DType::kF64;
 constexpr DType kF32 = DType::kF32;
 
-// The generic C-update entry of a kernel that writes its block to memory:
-// the kernel into a stack block, then epilogue_update at the fused loop's
-// (rs, cs) = (1, ldc).
-template <typename T, int MR, int NR, MicrokernelFnT<T> Fn>
-void stored_block_update(index_t k, const T* a_panel, const T* b_panel,
-                         const OutTermT<T>* targets, int num_targets,
-                         index_t ldc, index_t m_sub, index_t n_sub,
-                         bool accumulate) {
-  alignas(64) T acc[MR * NR];
-  Fn(k, a_panel, b_panel, acc);
-  epilogue_update(targets, num_targets, /*rs=*/1, /*cs=*/ldc, m_sub, n_sub,
-                  acc, MR, NR, accumulate);
-}
-
-// One registry entry: kernel Fn at an MR x NR tile of T, with its C-update
-// entry (the generic adapter unless the kernel brings its own).
-template <typename T, int MR, int NR, MicrokernelFnT<T> Fn>
-KernelInfo entry(const char* name, const char* isa, double flops_per_cycle,
-                 bool vectorized, bool (*supported_fn)(),
-                 MicrokernelUpdateFnT<T> update =
-                     &stored_block_update<T, MR, NR, Fn>) {
-  KernelInfo k{name, isa, DTypeOf<T>::value, MR, NR,
+// One registry entry: a kernel's two entries at an mr x nr tile of T.
+template <typename T>
+KernelInfo entry(const char* name, const char* isa, int mr, int nr,
+                 MicrokernelFnT<T> fn, MicrokernelUpdateFnT<T> update,
+                 double flops_per_cycle, bool vectorized,
+                 bool (*supported_fn)()) {
+  KernelInfo k{name, isa, DTypeOf<T>::value, mr, nr,
                nullptr, nullptr, nullptr, nullptr,  // entry points: below
                flops_per_cycle, vectorized, supported_fn};
   if constexpr (std::is_same_v<T, double>) {
-    k.fn = Fn;
+    k.fn = fn;
     k.update = update;
   } else {
-    k.fn_f32 = Fn;
+    k.fn_f32 = fn;
     k.update_f32 = update;
   }
   return k;
 }
 
+// The register tile at VPC vectors per column by NR on each ISA: a
+// portable vector is one element, an AVX2 vector 32 bytes, an AVX-512
+// vector 64.
+template <typename T, int VPC, int NR>
+KernelInfo portable(const char* name, double flops_per_cycle) {
+  return entry<T>(name, "generic", VPC, NR,
+                  &portable_kernel<T, VPC, NR>, &portable_update<T, VPC, NR>,
+                  flops_per_cycle, false, nullptr);
+}
+#if defined(FMM_HAVE_AVX2_TU)
+template <typename T, int VPC, int NR>
+KernelInfo avx2(const char* name, double flops_per_cycle) {
+  return entry<T>(name, "avx2", VPC * 32 / static_cast<int>(sizeof(T)), NR,
+                  &detail::microkernel_avx2<T, VPC, NR>,
+                  &detail::microkernel_avx2_update<T, VPC, NR>,
+                  flops_per_cycle, true, &cpu_has_avx2_fma);
+}
+#endif
+#if defined(FMM_HAVE_AVX512_TU)
+template <typename T, int VPC, int NR>
+KernelInfo avx512(const char* name, double flops_per_cycle) {
+  return entry<T>(name, "avx512", VPC * 64 / static_cast<int>(sizeof(T)), NR,
+                  &detail::microkernel_avx512<T, VPC, NR>,
+                  &detail::microkernel_avx512_update<T, VPC, NR>,
+                  flops_per_cycle, true, &cpu_has_avx512f);
+}
+#endif
+
 std::vector<KernelInfo> build_registry() {
   std::vector<KernelInfo> reg;
   // f64 family first; portable entries lead each family: always supported,
   // lowest throughput hints.
-  reg.push_back(entry<double, 8, 6, &portable_microkernel<double, 8, 6>>(
-      "portable", "generic", 2.0, false, nullptr));
-  reg.push_back(entry<double, 4, 12, &portable_microkernel<double, 4, 12>>(
-      "portable_4x12", "generic", 1.8, false, nullptr));
+  reg.push_back(portable<double, 8, 6>("portable", 2.0));
+  reg.push_back(portable<double, 4, 12>("portable_4x12", 1.8));
 #if defined(FMM_HAVE_AVX2_TU)
-  reg.push_back(entry<double, 8, 6, &detail::microkernel_avx2_8x6>(
-      "avx2_8x6", "avx2", 16.0, true, &cpu_has_avx2_fma));
+  reg.push_back(avx2<double, 2, 6>("avx2_8x6", 16.0));
   // Thinner tile: better edge utilization when the FMM submatrix rows are
   // not close to a multiple of 8; slightly lower peak (more broadcasts per
   // flop), hence the lower hint.
-  reg.push_back(entry<double, 4, 12, &detail::microkernel_avx2_4x12>(
-      "avx2_4x12", "avx2", 14.0, true, &cpu_has_avx2_fma));
+  reg.push_back(avx2<double, 1, 12>("avx2_4x12", 14.0));
 #endif
 #if defined(FMM_HAVE_AVX512_TU)
-  reg.push_back(entry<double, 16, 12, &detail::microkernel_avx512<double, 12>>(
-      "avx512_16x12", "avx512", 32.0, true, &cpu_has_avx512f,
-      &detail::microkernel_avx512_update<double, 12>));
+  reg.push_back(avx512<double, 2, 12>("avx512_16x12", 32.0));
   // The same tile at half the width, for C rows the 12-wide tile pads more
   // than 2x (the selector ranks it only then).
-  reg.push_back(entry<double, 16, 6, &detail::microkernel_avx512<double, 6>>(
-      "avx512_16x6", "avx512", 28.0, true, &cpu_has_avx512f,
-      &detail::microkernel_avx512_update<double, 6>));
+  reg.push_back(avx512<double, 2, 6>("avx512_16x6", 28.0));
 #endif
   // f32 family.  The portable f32 entry shares the "portable" name with its
   // f64 sibling so FMM_KERNEL=portable pins the scalar fallback for *both*
   // dtypes (the no-AVX2 CI leg relies on this); lookups are by (name, dtype).
-  reg.push_back(entry<float, 8, 6, &portable_microkernel<float, 8, 6>>(
-      "portable", "generic", 4.0, false, nullptr));
+  reg.push_back(portable<float, 8, 6>("portable", 4.0));
 #if defined(FMM_HAVE_AVX2_TU)
-  reg.push_back(entry<float, 16, 6, &detail::microkernel_avx2_16x6_f32>(
-      "avx2_16x6", "avx2", 32.0, true, &cpu_has_avx2_fma));
+  reg.push_back(avx2<float, 2, 6>("avx2_16x6", 32.0));
 #endif
 #if defined(FMM_HAVE_AVX512_TU)
-  reg.push_back(entry<float, 32, 12, &detail::microkernel_avx512<float, 12>>(
-      "avx512_32x12", "avx512", 64.0, true, &cpu_has_avx512f,
-      &detail::microkernel_avx512_update<float, 12>));
-  reg.push_back(entry<float, 32, 6, &detail::microkernel_avx512<float, 6>>(
-      "avx512_32x6", "avx512", 56.0, true, &cpu_has_avx512f,
-      &detail::microkernel_avx512_update<float, 6>));
+  reg.push_back(avx512<float, 2, 12>("avx512_32x12", 64.0));
+  reg.push_back(avx512<float, 2, 6>("avx512_32x6", 56.0));
 #endif
   (void)cpu_has_avx512f;  // non-x86 / no-TU builds
   (void)cpu_has_avx2_fma;
@@ -212,65 +229,20 @@ void microkernel_generic_impl(int mr, int nr, index_t k, const T* a_panel,
   for (int i = 0; i < mr * nr; ++i) acc[i] = local[i];
 }
 
-// One element update; `w * a` is rounded before the add in both modes.
-template <bool kAccumulate, typename T>
-inline void update(T& dst, T w, T a) {
-  if constexpr (kAccumulate) {
-    dst += w * a;
-  } else {
-    dst = w * a;
-  }
-}
-
-// Full tile at unit row stride: column j of the block is MR contiguous
-// elements at c + j * cs.  The compile-time width unrolls into whole
-// vectors.
-template <bool kAccumulate, int MR, typename T>
-void update_full_tile(T* c, index_t cs, int nr, const T* acc, T w) {
-  for (int j = 0; j < nr; ++j) {
-    T* dst = c + j * cs;
-    const T* src = acc + j * MR;
-    for (int r = 0; r < MR; ++r) update<kAccumulate>(dst[r], w, src[r]);
-  }
-}
-
-template <bool kAccumulate, typename T>
-void update_tile(T* c, index_t rs, index_t cs, index_t m_sub, index_t n_sub,
-                 const T* acc, int mr, int nr, T w) {
-  if (rs == 1 && m_sub == mr && n_sub == nr) {
-    // The tiles that reach this through the generic C-update adapter;
-    // other tiles take the general loop.
-    switch (mr) {
-      case 4:
-        return update_full_tile<kAccumulate, 4>(c, cs, nr, acc, w);
-      case 8:
-        return update_full_tile<kAccumulate, 8>(c, cs, nr, acc, w);
-      case 16:
-        return update_full_tile<kAccumulate, 16>(c, cs, nr, acc, w);
-      default:
-        break;
-    }
-  }
-  for (index_t j = 0; j < n_sub; ++j) {
-    T* dst = c + j * cs;
-    const T* src = acc + j * mr;
-    for (index_t r = 0; r < m_sub; ++r) {
-      update<kAccumulate>(dst[r * rs], w, src[r]);
-    }
-  }
-}
-
+// `w * acc` is rounded before the add in both modes.
 template <typename T>
 void epilogue_update_impl(const OutTermT<T>* targets, int num_targets,
                           index_t rs, index_t cs, index_t m_sub, index_t n_sub,
-                          const T* acc, int mr, int nr, bool accumulate) {
+                          const T* acc, int mr, bool accumulate) {
   for (int t = 0; t < num_targets; ++t) {
-    T* c = targets[t].ptr;
     const T w = static_cast<T>(targets[t].coeff);
-    if (accumulate) {
-      update_tile<true>(c, rs, cs, m_sub, n_sub, acc, mr, nr, w);
-    } else {
-      update_tile<false>(c, rs, cs, m_sub, n_sub, acc, mr, nr, w);
+    for (index_t j = 0; j < n_sub; ++j) {
+      T* dst = targets[t].ptr + j * cs;
+      const T* src = acc + j * mr;
+      for (index_t r = 0; r < m_sub; ++r) {
+        const T x = w * src[r];
+        dst[r * rs] = accumulate ? dst[r * rs] + x : x;
+      }
     }
   }
 }
@@ -333,16 +305,18 @@ void microkernel_generic(int mr, int nr, index_t k, const float* a_panel,
 
 void epilogue_update(const OutTerm* targets, int num_targets, index_t rs,
                      index_t cs, index_t m_sub, index_t n_sub,
-                     const double* acc, int mr, int nr, bool accumulate) {
+                     const double* acc, int mr, int /*nr*/,
+                     bool accumulate) {
   epilogue_update_impl<double>(targets, num_targets, rs, cs, m_sub, n_sub,
-                               acc, mr, nr, accumulate);
+                               acc, mr, accumulate);
 }
 
 void epilogue_update(const OutTermF32* targets, int num_targets, index_t rs,
                      index_t cs, index_t m_sub, index_t n_sub,
-                     const float* acc, int mr, int nr, bool accumulate) {
+                     const float* acc, int mr, int /*nr*/,
+                     bool accumulate) {
   epilogue_update_impl<float>(targets, num_targets, rs, cs, m_sub, n_sub,
-                              acc, mr, nr, accumulate);
+                              acc, mr, accumulate);
 }
 
 }  // namespace fmm

@@ -22,10 +22,10 @@
 //
 // Every kernel also has a C-update entry (KernelInfo::update), the one the
 // fused loop calls: the same block applied to every target as
-// epilogue_update does at (rs, cs) = (1, ldc), bit for bit.  The AVX-512
-// kernels add their tile into C straight from the registers (the paper's
-// ABC variant, §3); the others take the generic adapter, the kernel into a
-// stack block and then epilogue_update.
+// epilogue_update does at (rs, cs) = (1, ldc), bit for bit, added into C
+// straight from the registers (the paper's ABC variant, §3).  Every
+// registered kernel is one register-tile template (tile.h) instantiated
+// with an ISA's vector traits: zmm, ymm, or one-lane scalars.
 //
 // Selection (per element type — the registry holds an f64 family and an f32
 // family, and every resolution step takes the dtype):
@@ -193,12 +193,12 @@ void microkernel_generic(int mr, int nr, index_t k, const float* a_panel,
 // Overwrite serves the first k-block when streaming into a fresh
 // temporary.  `acc` is the kernel's block with leading dimension mr;
 // m_sub <= mr and n_sub <= nr mask edge tiles.  The fused loop runs on the
-// transposed problem, and the generic C-update adapter passes
-// (rs, cs) = (1, ldc): column j of `acc` is mr contiguous elements of one
-// C row, and a full tile (m_sub == mr, n_sub == nr) with rs == 1 takes a
-// fixed-width unit-stride path.  The product and the add stay separate
-// operations (kernel.cc builds with -ffp-contract=off), so every stride
-// pair, and every kernel's C-update entry, gives the same bits.
+// transposed problem, where the kernels' C-update entries apply the block
+// at (rs, cs) = (1, ldc): column j of `acc` is mr contiguous elements of
+// one C row.  The product and the add stay separate operations (kernel.cc
+// builds with -ffp-contract=off), so every stride pair, and every kernel's
+// C-update entry, gives the same bits; the tests hold the entries to this
+// reference.
 void epilogue_update(const OutTerm* targets, int num_targets, index_t rs,
                      index_t cs, index_t m_sub, index_t n_sub,
                      const double* acc, int mr, int nr, bool accumulate);

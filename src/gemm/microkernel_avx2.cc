@@ -1,7 +1,7 @@
-// AVX2/FMA micro-kernels.  This translation unit is compiled with
-// -mavx2 -mfma regardless of the global target (see CMakeLists); nothing
-// here may be called unless cpuid reports AVX2+FMA — the registry entries
-// guard with cpu_has_avx2_fma().
+// AVX2/FMA micro-kernels: the register tile (tile.h) on ymm.  Compiled
+// with -mavx2 -mfma -ffp-contract=off regardless of the global target (see
+// CMakeLists); nothing here may be called unless cpuid reports AVX2+FMA —
+// the registry entries guard with cpu_has_avx2_fma().
 
 #include "src/gemm/kernels_arch.h"
 
@@ -9,141 +9,83 @@
 
 #include <immintrin.h>
 
+#include "src/gemm/tile.h"
+
 namespace fmm {
 namespace detail {
+namespace {
 
-// 8x6 kernel: 12 accumulator registers (2 vectors of 4 rows x 6 columns),
-// 2 loads of A and 6 broadcasts of B per k iteration.  The classic
-// near-peak dgemm register layout for 16-register AVX2 targets.
-void microkernel_avx2_8x6(index_t k, const double* a_panel,
-                          const double* b_panel, double* acc) {
-  constexpr int MR = 8, NR = 6;
-  __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
-  __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
-  __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
-  __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
-  __m256d c40 = _mm256_setzero_pd(), c41 = _mm256_setzero_pd();
-  __m256d c50 = _mm256_setzero_pd(), c51 = _mm256_setzero_pd();
+// The ymm operations one register tile needs, per element type.  AVX2 has
+// no mask registers: an edge tile's lanes are an all-ones element mask for
+// maskload/maskstore.
+template <typename T>
+struct Ymm;
 
-  const double* a = a_panel;
-  const double* b = b_panel;
-  for (index_t kk = 0; kk < k; ++kk) {
-    const __m256d a0 = _mm256_loadu_pd(a);
-    const __m256d a1 = _mm256_loadu_pd(a + 4);
-    __m256d bj;
-    bj = _mm256_broadcast_sd(b + 0);
-    c00 = _mm256_fmadd_pd(a0, bj, c00);
-    c01 = _mm256_fmadd_pd(a1, bj, c01);
-    bj = _mm256_broadcast_sd(b + 1);
-    c10 = _mm256_fmadd_pd(a0, bj, c10);
-    c11 = _mm256_fmadd_pd(a1, bj, c11);
-    bj = _mm256_broadcast_sd(b + 2);
-    c20 = _mm256_fmadd_pd(a0, bj, c20);
-    c21 = _mm256_fmadd_pd(a1, bj, c21);
-    bj = _mm256_broadcast_sd(b + 3);
-    c30 = _mm256_fmadd_pd(a0, bj, c30);
-    c31 = _mm256_fmadd_pd(a1, bj, c31);
-    bj = _mm256_broadcast_sd(b + 4);
-    c40 = _mm256_fmadd_pd(a0, bj, c40);
-    c41 = _mm256_fmadd_pd(a1, bj, c41);
-    bj = _mm256_broadcast_sd(b + 5);
-    c50 = _mm256_fmadd_pd(a0, bj, c50);
-    c51 = _mm256_fmadd_pd(a1, bj, c51);
-    a += MR;
-    b += NR;
+template <>
+struct Ymm<double> {
+  using Elem = double;
+  using V = __m256d;
+  using Mask = __m256i;
+  static constexpr int kLanes = 4;
+  static V zero() { return _mm256_setzero_pd(); }
+  static V set1(double x) { return _mm256_set1_pd(x); }
+  static V load(const double* p) { return _mm256_loadu_pd(p); }
+  static V load(Mask m, const double* p) { return _mm256_maskload_pd(p, m); }
+  static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  static void store(double* p, Mask m, V v) { _mm256_maskstore_pd(p, m, v); }
+  static V fmadd(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
+  static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  static V add(V a, V b) { return _mm256_add_pd(a, b); }
+  static Mask mask(int n) {
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(n),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
   }
-  _mm256_storeu_pd(acc + 0 * MR + 0, c00);
-  _mm256_storeu_pd(acc + 0 * MR + 4, c01);
-  _mm256_storeu_pd(acc + 1 * MR + 0, c10);
-  _mm256_storeu_pd(acc + 1 * MR + 4, c11);
-  _mm256_storeu_pd(acc + 2 * MR + 0, c20);
-  _mm256_storeu_pd(acc + 2 * MR + 4, c21);
-  _mm256_storeu_pd(acc + 3 * MR + 0, c30);
-  _mm256_storeu_pd(acc + 3 * MR + 4, c31);
-  _mm256_storeu_pd(acc + 4 * MR + 0, c40);
-  _mm256_storeu_pd(acc + 4 * MR + 4, c41);
-  _mm256_storeu_pd(acc + 5 * MR + 0, c50);
-  _mm256_storeu_pd(acc + 5 * MR + 4, c51);
+};
+
+template <>
+struct Ymm<float> {
+  using Elem = float;
+  using V = __m256;
+  using Mask = __m256i;
+  static constexpr int kLanes = 8;
+  static V zero() { return _mm256_setzero_ps(); }
+  static V set1(float x) { return _mm256_set1_ps(x); }
+  static V load(const float* p) { return _mm256_loadu_ps(p); }
+  static V load(Mask m, const float* p) { return _mm256_maskload_ps(p, m); }
+  static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
+  static void store(float* p, Mask m, V v) { _mm256_maskstore_ps(p, m, v); }
+  static V fmadd(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+  static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  static V add(V a, V b) { return _mm256_add_ps(a, b); }
+  static Mask mask(int n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+};
+
+}  // namespace
+
+template <typename T, int VPC, int NR>
+void microkernel_avx2(index_t k, const T* a_panel, const T* b_panel, T* acc) {
+  Tile<Ymm<T>, VPC, NR>(k, a_panel, b_panel).store(acc);
 }
 
-// 4x12 kernel: one 4-row vector per column, 12 accumulators + 1 A vector
-// leaves 3 registers for the B broadcasts.  Same 48-element register file
-// as 8x6 but a thinner tile: less row padding when the FMM submatrix
-// height is far from a multiple of 8, at the cost of one load amortized
-// over 6 instead of 12 FMAs.
-void microkernel_avx2_4x12(index_t k, const double* a_panel,
-                           const double* b_panel, double* acc) {
-  constexpr int MR = 4, NR = 12;
-  __m256d c[NR];
-  for (int j = 0; j < NR; ++j) c[j] = _mm256_setzero_pd();
-
-  const double* a = a_panel;
-  const double* b = b_panel;
-  for (index_t kk = 0; kk < k; ++kk) {
-    const __m256d a0 = _mm256_loadu_pd(a);
-    for (int j = 0; j < NR; ++j) {
-      c[j] = _mm256_fmadd_pd(a0, _mm256_broadcast_sd(b + j), c[j]);
-    }
-    a += MR;
-    b += NR;
-  }
-  for (int j = 0; j < NR; ++j) _mm256_storeu_pd(acc + j * MR, c[j]);
+template <typename T, int VPC, int NR>
+void microkernel_avx2_update(index_t k, const T* a_panel, const T* b_panel,
+                             const OutTermT<T>* targets, int num_targets,
+                             index_t ldc, index_t m_sub, index_t n_sub,
+                             bool accumulate) {
+  Tile<Ymm<T>, VPC, NR>(k, a_panel, b_panel)
+      .update(targets, num_targets, ldc, m_sub, n_sub, accumulate);
 }
 
-// f32 16x6 kernel: the single-precision twin of the 8x6 dgemm layout — the
-// same 12 accumulators / 2 loads / 6 broadcasts per k, but each __m256 now
-// holds 8 floats, so the tile doubles to 16 rows and every FMA retires
-// twice the flops.
-void microkernel_avx2_16x6_f32(index_t k, const float* a_panel,
-                               const float* b_panel, float* acc) {
-  constexpr int MR = 16, NR = 6;
-  __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
-  __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
-  __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
-  __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
-  __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
-  __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
-
-  const float* a = a_panel;
-  const float* b = b_panel;
-  for (index_t kk = 0; kk < k; ++kk) {
-    const __m256 a0 = _mm256_loadu_ps(a);
-    const __m256 a1 = _mm256_loadu_ps(a + 8);
-    __m256 bj;
-    bj = _mm256_broadcast_ss(b + 0);
-    c00 = _mm256_fmadd_ps(a0, bj, c00);
-    c01 = _mm256_fmadd_ps(a1, bj, c01);
-    bj = _mm256_broadcast_ss(b + 1);
-    c10 = _mm256_fmadd_ps(a0, bj, c10);
-    c11 = _mm256_fmadd_ps(a1, bj, c11);
-    bj = _mm256_broadcast_ss(b + 2);
-    c20 = _mm256_fmadd_ps(a0, bj, c20);
-    c21 = _mm256_fmadd_ps(a1, bj, c21);
-    bj = _mm256_broadcast_ss(b + 3);
-    c30 = _mm256_fmadd_ps(a0, bj, c30);
-    c31 = _mm256_fmadd_ps(a1, bj, c31);
-    bj = _mm256_broadcast_ss(b + 4);
-    c40 = _mm256_fmadd_ps(a0, bj, c40);
-    c41 = _mm256_fmadd_ps(a1, bj, c41);
-    bj = _mm256_broadcast_ss(b + 5);
-    c50 = _mm256_fmadd_ps(a0, bj, c50);
-    c51 = _mm256_fmadd_ps(a1, bj, c51);
-    a += MR;
-    b += NR;
-  }
-  _mm256_storeu_ps(acc + 0 * MR + 0, c00);
-  _mm256_storeu_ps(acc + 0 * MR + 8, c01);
-  _mm256_storeu_ps(acc + 1 * MR + 0, c10);
-  _mm256_storeu_ps(acc + 1 * MR + 8, c11);
-  _mm256_storeu_ps(acc + 2 * MR + 0, c20);
-  _mm256_storeu_ps(acc + 2 * MR + 8, c21);
-  _mm256_storeu_ps(acc + 3 * MR + 0, c30);
-  _mm256_storeu_ps(acc + 3 * MR + 8, c31);
-  _mm256_storeu_ps(acc + 4 * MR + 0, c40);
-  _mm256_storeu_ps(acc + 4 * MR + 8, c41);
-  _mm256_storeu_ps(acc + 5 * MR + 0, c50);
-  _mm256_storeu_ps(acc + 5 * MR + 8, c51);
-}
+// 8x6 f64 and 16x6 f32: two ymm by 6, the classic 12-accumulator layout
+// for 16-register AVX2.  4x12 f64: one ymm by 12, the same 12 accumulators
+// in a thinner tile (less row padding on short submatrices, one load per 6
+// FMAs instead of 12).
+FMM_TILE_ENTRIES(microkernel_avx2, double, 2, 6)
+FMM_TILE_ENTRIES(microkernel_avx2, double, 1, 12)
+FMM_TILE_ENTRIES(microkernel_avx2, float, 2, 6)
 
 }  // namespace detail
 }  // namespace fmm

@@ -32,25 +32,6 @@ void pack_b_panel(const LinTermT<T>* terms, int num_terms, index_t ldb,
                   index_t k, index_t n, int w, index_t q, T* out_panel) {
   const index_t col0 = q * w;
   const index_t cols = std::min<index_t>(w, n - col0);
-  if (num_terms == 1) {
-    const T* b = terms[0].ptr + col0;
-    const T c = static_cast<T>(terms[0].coeff);
-    if (cols == w) {
-      for (index_t kk = 0; kk < k; ++kk) {
-        const T* src = b + kk * ldb;
-        T* dst = out_panel + kk * w;
-        for (index_t j = 0; j < w; ++j) dst[j] = c * src[j];
-      }
-    } else {
-      for (index_t kk = 0; kk < k; ++kk) {
-        const T* src = b + kk * ldb;
-        T* dst = out_panel + kk * w;
-        for (index_t j = 0; j < cols; ++j) dst[j] = c * src[j];
-        for (index_t j = cols; j < w; ++j) dst[j] = T(0);
-      }
-    }
-    return;
-  }
   for (int t = 0; t < num_terms; ++t) {
     const T* b = terms[t].ptr + col0;
     const T c = static_cast<T>(terms[t].coeff);

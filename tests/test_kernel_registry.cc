@@ -1,8 +1,9 @@
 // Kernel-registry tests: every registered micro-kernel must agree with the
 // generic reference kernel at its own register tile (including k = 0 and
 // large k), dispatch must honor the FMM_KERNEL override and fall back
-// sanely, and the epilogue must implement the multi-target weighted
-// scatter with a kernel-size-aware full/masked-tile split.
+// sanely, the epilogue must implement the multi-target weighted scatter
+// with kernel-size-aware edge masks, and every kernel's C-update entry must
+// match its kernel entry followed by the epilogue, bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -106,6 +107,15 @@ TEST(KernelRegistry, ContainsMultipleRegisterTiles) {
 // Equivalence: every registered kernel against the generic reference.
 // --------------------------------------------------------------------------
 
+// The sweep instantiates this many registry indices; the ones past the
+// registry's end skip.
+constexpr int kSweptKernels = 12;
+
+TEST(KernelRegistry, FitsTheEquivalenceSweep) {
+  EXPECT_LE(kernel_registry().size(), static_cast<std::size_t>(kSweptKernels))
+      << "widen kSweptKernels so the k sweep covers every kernel";
+}
+
 class KernelEquivalence
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -150,7 +160,7 @@ TEST_P(KernelEquivalence, MatchesGenericReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllKernelsKSweep, KernelEquivalence,
-    ::testing::Combine(::testing::Range(0, 8),
+    ::testing::Combine(::testing::Range(0, kSweptKernels),
                        ::testing::Values(0, 1, 2, 3, 7, 8, 16, 17, 64, 255,
                                          256, 1000)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
@@ -262,8 +272,8 @@ TEST(KernelDispatch, EnvOverrideUnknownNameFallsBack) {
 }
 
 // --------------------------------------------------------------------------
-// Epilogue: weighted scatter with the kernel-size-aware masked split, at
-// both stride pairs.  (ldc, 1), the legacy spelling, writes block row r
+// Epilogue: weighted scatter with kernel-size-aware edge masks, at both
+// stride pairs.  (ldc, 1), the legacy spelling, writes block row r
 // into C row r; (1, ldc), the fused loop's, writes block column j into C
 // row j.  Every test runs both: an EpilogueTarget holds a C of the
 // matching shape and maps block element (r, j) to its C element.
@@ -331,9 +341,9 @@ TEST(Epilogue, MaskedEdgeBlockLeavesOutsideUntouched) {
 }
 
 TEST(Epilogue, FullTileSplitIsKernelSizeAware) {
-  // Regression for the old hard-coded 8x6 fast path: with a 4x12 kernel, a
-  // tile with full rows but masked columns (m_sub == mr, n_sub < nr) must
-  // take the masked path and leave the out-of-range columns untouched.
+  // Regression for an old hard-coded 8x6 full-tile path: with a 4x12
+  // kernel, a tile with full rows but masked columns (m_sub == mr,
+  // n_sub < nr) must leave the out-of-range columns untouched.
   constexpr int MR = 4, NR = 12;
   alignas(64) double acc[MR * NR];
   for (auto& v : acc) v = 7.0;
@@ -352,8 +362,8 @@ TEST(Epilogue, FullTileSplitIsKernelSizeAware) {
 }
 
 TEST(Epilogue, NonDefaultTileFullBlockAndMask) {
-  // The 4x12 tile end-to-end: full-tile fast path and row masking use the
-  // acc leading dimension mr = 4, not the historical 8.
+  // The 4x12 tile end-to-end: the full block and row masking use the acc
+  // leading dimension mr = 4, not the historical 8.
   constexpr int MR = 4, NR = 12;
   alignas(64) double acc[MR * NR];
   for (int j = 0; j < NR; ++j)
@@ -432,9 +442,9 @@ TEST(Epilogue, OverwriteModeIgnoresPriorContents) {
 // --------------------------------------------------------------------------
 // C-update entry: the one the fused loop calls must be each kernel's fn
 // followed by epilogue_update at (rs, cs) = (1, ldc), bit for bit.  That
-// pins the AVX-512 kernels' register-level update to the scalar
-// epilogue's arithmetic (product rounded, then added: no FMA) and their
-// masked edge tiles to the m_sub x n_sub bounds.
+// pins every kernel's register-level update to the scalar epilogue's
+// arithmetic (product rounded, then added: no FMA) and its masked edge
+// tiles to the m_sub x n_sub bounds.
 // --------------------------------------------------------------------------
 
 template <typename T>
@@ -462,8 +472,8 @@ void expect_update_matches_fn_then_epilogue(const KernelInfo& kern) {
   // only the second set, whose products round, can tell a fused update
   // from a separate product and add.
   const double coeff_sets[2][3] = {{1.0, -1.0, 0.5}, {1.0 / 3, -0.7, 2.9}};
-  // Full, one row short, and (for the two-vector AVX-512 tiles) one vector
-  // plus one lane, exactly one vector, one lane.
+  // Full, one row short, and (for the two-vector tiles) one vector plus
+  // one lane, exactly one vector, one lane.
   for (const index_t m_sub : {index_t{mr}, index_t{mr - 1},
                               index_t{mr / 2 + 1}, index_t{mr / 2},
                               index_t{1}}) {
